@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -570,6 +571,7 @@ def _apply_config_overrides(ns, actions, argv) -> None:
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -594,7 +596,7 @@ def main(argv=None) -> int:
             emit(records, fh, ns.fmt)
     else:
         emit(records, sys.stdout, ns.fmt)
-    log(f"{ns.command}: {len(records)} record(s), exit {code}")
+    log(f"{ns.command}: {len(records)} record(s), exit {code}, {time.perf_counter() - start:.2f} s")
     return code
 
 

@@ -57,10 +57,6 @@ class WeightVector:
         return len(self.probs)
 
 
-def even_parity(bits: Sequence[int]) -> bool:
-    return sum(bits) % 2 == 0
-
-
 def prefix_leq(lhs: Sequence[int], rhs: Sequence[int]) -> bool:
     """Partial order: every prefix sum of lhs is <= that of rhs."""
     if len(lhs) != len(rhs):

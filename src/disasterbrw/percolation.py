@@ -357,12 +357,3 @@ def sample_occupancy_bits(params: BRWParams, half_width: int, period: float,
                                   x_hi=(target_c + L,) + (L,) * (d - 1))
             bits[i, l] = detect_occupied_copy(res.events, block_radius, copies_root, win, d) is not None
     return bits
-
-
-def dependence_range_probe(params: BRWParams, half_width: int, period: float,
-                           block_radius: int, copies_root: int, n_bits: int, n_reps: int,
-                           seed: int, *, truncated: bool = True) -> list[CorrelationEntry]:
-    """Correlations of same-row occupancy bits at horizontal distance > 2."""
-    bits = sample_occupancy_bits(params, half_width, period, block_radius, copies_root,
-                                 n_bits, n_reps, seed, truncated=truncated)
-    return bit_correlations(bits, min_distance=3)

@@ -154,6 +154,39 @@ def _chunked(n: int, width: int):
         yield lo, min(n, lo + rows)
 
 
+def _jump_windows(gen: np.random.Generator, jump_rate: float, t: float, n: int):
+    """Holding intervals of n independent rate-`jump_rate` walks on [0, t].
+
+    Yields (lo, hi, edges, pad) per chunk of walkers lo..hi-1: walker lo+i
+    sits out its j-th holding interval on [edges[i, j], edges[i, j + 1]),
+    clipped to t, and pad[i, j] marks jump column j as past its last jump
+    (those intervals are empty, at t).  Draws the Poisson jump counts of all
+    n walks, then one uniform matrix per chunk when the chunk is reached, so
+    a caller's own per-chunk draws interleave in a fixed order.
+    """
+    counts = gen.poisson(jump_rate * t, n) if jump_rate > 0.0 else np.zeros(n, dtype=np.int64)
+    for lo, hi in _chunked(n, int(counts.max(initial=0)) + 1):
+        k = counts[lo:hi]
+        m = hi - lo
+        kmax = int(k.max(initial=0))
+        edges = np.empty((m, kmax + 2))
+        edges[:, 0] = 0.0
+        edges[:, -1] = np.inf
+        # jump times: uniform order statistics, rows padded with +inf
+        times = edges[:, 1:-1]
+        if kmax:
+            times[:] = gen.random((m, kmax)) * t
+        pad = np.arange(kmax)[None, :] >= k[:, None]
+        times[pad] = np.inf
+        times.sort(axis=1)
+        np.minimum(edges, t, out=edges)
+        yield lo, hi, edges, pad
+
+
+# Segments (walker x holding interval) checked per block; see _survival_batch.
+_BLOCK_CELLS = 1 << 16
+
+
 def _survival_batch(field, jump_rate: float, t: float, n_walkers: int, gen: np.random.Generator,
                     namespaces: np.ndarray | None = None):
     """Simulate n_walkers independent walks in `field` up to time t.
@@ -161,71 +194,74 @@ def _survival_batch(field, jump_rate: float, t: float, n_walkers: int, gen: np.r
     Returns (survived bool[n], at_origin bool[n]).  With `namespaces`, walker
     w reads site streams at (namespaces[w], x...) so each namespace is an
     independent environment inside one (d+1)-dimensional field.
+
+    The holding intervals are checked against the disasters in time order,
+    a block of jump columns at a time, and only for walkers that no disaster
+    has hit yet.  A block holds about _BLOCK_CELLS segments of the walkers
+    still alive, so a batch that small runs as one block, and the cost
+    scales with the walker-time spent alive rather than with
+    n_walkers * jump_rate * t.  Which walkers survive does not depend on the
+    blocks, and the draws (hence the generator's final state) do not either.
     """
     d = field.dimension - (1 if namespaces is not None else 0)
     survived = np.ones(n_walkers, dtype=bool)
     at_origin = np.zeros(n_walkers, dtype=bool)
-    counts = gen.poisson(jump_rate * t, n_walkers) if jump_rate > 0.0 else np.zeros(n_walkers, dtype=np.int64)
-    for lo, hi in _chunked(n_walkers, int(counts.max(initial=0)) + 1):
-        k = counts[lo:hi]
-        m = hi - lo
-        kmax = int(k.max(initial=0))
-        # jump times: uniform order statistics, rows padded with +inf
-        times = gen.random((m, kmax)) * t if kmax else np.empty((m, 0))
-        pad = np.arange(kmax)[None, :] >= k[:, None]
-        times[pad] = np.inf
-        times.sort(axis=1)
-        signs = (gen.integers(0, 2, (m, kmax), dtype=np.int8) * 2 - 1) if kmax else np.empty((m, 0), np.int8)
-        if d > 1:
-            axes = gen.integers(0, d, (m, kmax), dtype=np.int8)
-        steps = np.where(pad, 0, signs)
-        # positions after each jump, one coordinate at a time
-        pos = np.zeros((m, kmax + 1, d), dtype=np.int32)
-        if kmax:
-            if d == 1:
-                pos[:, 1:, 0] = np.cumsum(steps, axis=1)
-            else:
-                for c in range(d):
-                    pos[:, 1:, c] = np.cumsum(np.where(axes == c, steps, 0), axis=1)
-        final_idx = k  # position index after the last real jump
-        finals = pos[np.arange(m), final_idx, :]
-        at_origin[lo:hi] = ~finals.any(axis=1)
-
-        starts = np.concatenate([np.zeros((m, 1)), times], axis=1)
-        ends = np.concatenate([times, np.full((m, 1), np.inf)], axis=1)
-        np.minimum(starts, t, out=starts)
-        np.minimum(ends, t, out=ends)
-        live = starts < ends
-        if not live.any():
-            continue
-        w_idx = np.broadcast_to(np.arange(lo, hi)[:, None], live.shape)[live]
-        a = starts[live]
-        b = ends[live]
-        sites = pos[live]
-        if namespaces is not None:
-            sites = np.concatenate([namespaces[w_idx][:, None].astype(np.int32), sites], axis=1)
-        if sites.shape[1] == 1:
-            keys = sites[:, 0]  # group directly on the coordinate (radix-sortable)
+    for lo, hi, edges, pad in _jump_windows(gen, jump_rate, t, n_walkers):
+        m, kmax = pad.shape
+        steps = gen.integers(0, 2, (m, kmax), dtype=np.int8) * 2 - 1
+        steps[pad] = 0
+        # moves[:, j] is the displacement of jump j (column 0: none before the first interval)
+        moves = np.zeros((m, kmax + 1, d), dtype=np.int8)
+        if d == 1:
+            moves[:, 1:, 0] = steps
         else:
-            keys = field.site_keys(sites)
-        order = np.argsort(keys, kind="stable")
-        keys_s = keys[order]
-        a_s, b_s, w_s = a[order], b[order], w_idx[order]
-        cut = np.flatnonzero(np.r_[True, keys_s[1:] != keys_s[:-1]])
-        coords_uniq = sites[order[cut]]
-        streams = field.streams_for_coords(coords_uniq, t)
-        bounds = np.r_[cut, len(keys_s)]
-        for j in range(len(coords_uniq)):
-            ss = streams[j]
-            if ss is None or not len(ss):
-                continue
-            sl = slice(bounds[j], bounds[j + 1])
-            c0 = np.searchsorted(ss, a_s[sl], side="left")
-            c1 = np.searchsorted(ss, b_s[sl], side="left")
-            hit = c1 > c0
-            if hit.any():
-                survived[w_s[sl][hit]] = False
+            axes = gen.integers(0, d, (m, kmax), dtype=np.int8)
+            for c in range(d):
+                moves[:, 1:, c] = np.where(axes == c, steps, 0)
+        at_origin[lo:hi] = ~moves.sum(axis=1).any(axis=1)
+
+        rows = np.arange(m)  # walkers of this chunk not hit so far
+        here = np.zeros((m, d), dtype=np.int64)  # their sites before the moves of column j0
+        j0 = 0
+        while j0 <= kmax and len(rows):
+            j1 = min(kmax + 1, j0 + max(1, _BLOCK_CELLS // len(rows)))
+            pos = here[:, None, :] + np.cumsum(moves[rows, j0:j1], axis=1)
+            a = edges[rows, j0:j1]
+            b = edges[rows, j0 + 1:j1 + 1]
+            hit = _hits(field, t, a, b, pos, None if namespaces is None else namespaces[lo + rows])
+            survived[lo + rows[hit]] = False
+            rows, here = rows[~hit], pos[~hit, -1]
+            j0 = j1
     return survived, at_origin
+
+
+def _hits(field, t: float, a: np.ndarray, b: np.ndarray, pos: np.ndarray,
+          namespaces: np.ndarray | None) -> np.ndarray:
+    """Which rows meet a disaster: row r sits at pos[r, j] during [a[r, j], b[r, j])."""
+    hit = np.zeros(len(a), dtype=bool)
+    live = a < b
+    if not live.any():
+        return hit
+    r_idx = np.broadcast_to(np.arange(len(a))[:, None], live.shape)[live]
+    a, b, sites = a[live], b[live], pos[live]
+    if namespaces is not None:
+        sites = np.concatenate([namespaces[r_idx][:, None], sites], axis=1)
+    # in one dimension, group directly on the coordinate
+    keys = sites[:, 0] if sites.shape[1] == 1 else field.site_keys(sites)
+    order = np.argsort(keys, kind="stable")
+    keys_s = keys[order]
+    a_s, b_s, r_s = a[order], b[order], r_idx[order]
+    cut = np.flatnonzero(np.r_[True, keys_s[1:] != keys_s[:-1]])
+    streams = field.streams_for_coords(sites[order[cut]], t)
+    bounds = np.r_[cut, len(keys_s)]
+    for j, ss in enumerate(streams):
+        if not len(ss):
+            continue
+        sl = slice(bounds[j], bounds[j + 1])
+        c0 = np.searchsorted(ss, a_s[sl], side="left")
+        c1 = np.searchsorted(ss, b_s[sl], side="left")
+        hit[r_s[sl][c1 > c0]] = True
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +301,8 @@ def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
     if disaster_rate == 0.0 or t == 0.0:
         return SurvivalEstimate(value=1.0, n_samples=n_samples, std_err=0.0)
     survived = np.ones(n_samples, dtype=bool)
-    counts = gen.poisson(jump_rate * t, n_samples) if jump_rate > 0.0 else np.zeros(n_samples, dtype=np.int64)
-    for lo, hi in _chunked(n_samples, int(counts.max(initial=0)) + 1):
-        k = counts[lo:hi]
-        m = hi - lo
-        kmax = int(k.max(initial=0))
-        times = gen.random((m, kmax)) * t if kmax else np.empty((m, 0))
-        pad = np.arange(kmax)[None, :] >= k[:, None]
-        times[pad] = np.inf
-        times.sort(axis=1)
-        starts = np.concatenate([np.zeros((m, 1)), times], axis=1)
-        ends = np.concatenate([times, np.full((m, 1), np.inf)], axis=1)
-        np.minimum(starts, t, out=starts)
-        np.minimum(ends, t, out=ends)
-        length = np.maximum(ends - starts, 0.0)
+    for lo, hi, edges, _pad in _jump_windows(gen, jump_rate, t, n_samples):
+        length = np.maximum(np.diff(edges, axis=1), 0.0)
         p_hit = -np.expm1(-disaster_rate * length)
         hits = gen.random(length.shape) < p_hit
         survived[lo:hi] = ~hits.any(axis=1)
@@ -417,7 +441,10 @@ def estimate_lyapunov(jump_rate: float, disaster_rate: float, t: float, n_env: i
     below that (S ~ exp(-20) at t = 20), the floor biases log S upward, so
     a censored estimate is no bound on p(kappa) in either direction.  A
     heavily censored estimate (e.g. jump rate ~ 0 with disasters on) is
-    flagged by censor_fraction, not fatal.
+    flagged by censor_fraction, not fatal.  Its cost per environment scales
+    with the walker-time spent alive, about n_walkers * jump_rate times the
+    mean survival time, not with n_walkers * jump_rate * t: the jumps a
+    walker makes after a disaster has hit it are not looked up.
 
     method="exact" computes S(t) in each environment with exact_survival
     (dimension 1 only) and ignores n_walkers except for the same floor,

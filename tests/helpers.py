@@ -103,3 +103,57 @@ def exact_parity_enumeration(weights, k: int) -> dict:
         bits = tuple(sum(1 for a in assign if a == j) % 2 for j in range(len(weights)))
         out[bits] = out.get(bits, Fraction(0)) + pr
     return out
+
+
+def survival_batch_oracle(field, jump_rate, t, n_walkers, gen, namespaces=None):
+    """Every walker checked over every holding interval up to t, in one pass.
+
+    The single-pass form of walk._survival_batch: the same draws in the same
+    order (Poisson counts, then per chunk the jump times, the int8 signs and,
+    for d > 1, the axes) and the same site grouping, but every segment of
+    every walker is looked up, hit or not.  Returns (survived, at_origin).
+    """
+    from disasterbrw.walk import _chunked
+
+    d = field.dimension - (1 if namespaces is not None else 0)
+    survived = np.ones(n_walkers, dtype=bool)
+    at_origin = np.zeros(n_walkers, dtype=bool)
+    counts = gen.poisson(jump_rate * t, n_walkers) if jump_rate > 0.0 else np.zeros(n_walkers, dtype=np.int64)
+    for lo, hi in _chunked(n_walkers, int(counts.max(initial=0)) + 1):
+        k = counts[lo:hi]
+        m = hi - lo
+        kmax = int(k.max(initial=0))
+        times = gen.random((m, kmax)) * t if kmax else np.empty((m, 0))
+        pad = np.arange(kmax)[None, :] >= k[:, None]
+        times[pad] = np.inf
+        times.sort(axis=1)
+        signs = (gen.integers(0, 2, (m, kmax), dtype=np.int8) * 2 - 1) if kmax else np.empty((m, 0), np.int8)
+        if d > 1:
+            axes = gen.integers(0, d, (m, kmax), dtype=np.int8)
+        steps = np.where(pad, 0, signs)
+        pos = np.zeros((m, kmax + 1, d), dtype=np.int32)
+        if kmax:
+            for c in range(d):
+                pos[:, 1:, c] = np.cumsum(steps if d == 1 else np.where(axes == c, steps, 0), axis=1)
+        at_origin[lo:hi] = ~pos[np.arange(m), k, :].any(axis=1)
+        starts = np.minimum(np.concatenate([np.zeros((m, 1)), times], axis=1), t)
+        ends = np.minimum(np.concatenate([times, np.full((m, 1), np.inf)], axis=1), t)
+        live = starts < ends
+        if not live.any():
+            continue
+        w_idx = np.broadcast_to(np.arange(lo, hi)[:, None], live.shape)[live]
+        sites = pos[live]
+        if namespaces is not None:
+            sites = np.concatenate([namespaces[w_idx][:, None].astype(np.int32), sites], axis=1)
+        keys = sites[:, 0] if sites.shape[1] == 1 else field.site_keys(sites)
+        order = np.argsort(keys, kind="stable")
+        keys_s = keys[order]
+        a_s, b_s, w_s = starts[live][order], ends[live][order], w_idx[order]
+        cut = np.flatnonzero(np.r_[True, keys_s[1:] != keys_s[:-1]])
+        streams = field.streams_for_coords(sites[order[cut]], t)
+        bounds = np.r_[cut, len(keys_s)]
+        for j, ss in enumerate(streams):
+            sl = slice(bounds[j], bounds[j + 1])
+            hit = np.searchsorted(ss, b_s[sl]) > np.searchsorted(ss, a_s[sl])
+            survived[w_s[sl][hit]] = False
+    return survived, at_origin

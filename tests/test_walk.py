@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from disasterbrw.env import DisasterField
+from disasterbrw import walk
+from disasterbrw.env import DisasterField, superpose
 from disasterbrw.walk import (
     _annealed_survival_via_field,
     _exact_survival_in_box,
@@ -17,7 +18,7 @@ from disasterbrw.walk import (
     simulate_walk,
 )
 
-from helpers import brute_force_extinction, series_return_probability
+from helpers import brute_force_extinction, series_return_probability, survival_batch_oracle
 
 
 # -- simulate_walk -----------------------------------------------------------
@@ -153,6 +154,52 @@ def test_batch_engine_two_dimensional():
     assert 0.0 < est.value < 1.0
     pin = estimate_survival(f, 2.0, 1.0, 5000, True, 9)
     assert pin.value <= est.value
+
+
+def _one_d(rate=1.0):
+    return lambda: DisasterField(seed=41, rate=rate, dimension=1)
+
+
+# (field factory, jump rate, t, walkers, namespaced, _CHUNK_CELLS or None)
+_ORACLE_CASES = {
+    "d1": (_one_d(), 8.0, 5.0, 4000, False, None),
+    "d2": (lambda: DisasterField(seed=42, rate=1.0, dimension=2), 6.0, 4.0, 3000, False, None),
+    "d3": (lambda: DisasterField(seed=43, rate=1.0, dimension=3), 6.0, 4.0, 3000, False, None),
+    "namespaces": (lambda: DisasterField(seed=44, rate=1.0, dimension=2), 4.0, 3.0, 2000, True, None),
+    "superposed": (lambda: superpose(DisasterField(seed=45, rate=0.4, dimension=2),
+                                     DisasterField(seed=46, rate=0.3, dimension=2)), 5.0, 3.0, 2000, False, None),
+    "frozen": (_one_d(), 0.0, 3.0, 2000, False, None),
+    "tiny_t": (_one_d(), 8.0, 1e-3, 2000, False, None),
+    "all_die": (_one_d(), 32.0, 20.0, 2000, False, None),
+    "no_disasters": (_one_d(rate=0.0), 8.0, 10.0, 2000, False, None),
+    # about 60 jump columns, so 20,000 cells split 3000 walkers into ~10 chunks
+    "chunks": (_one_d(), 8.0, 5.0, 3000, False, 20_000),
+    "chunks_namespaces": (lambda: DisasterField(seed=47, rate=1.0, dimension=2), 8.0, 5.0, 3000, True, 20_000),
+}
+
+
+# the kernel's own block budget, and one so small that every batch runs as
+# many blocks with walkers dying in between
+@pytest.mark.parametrize("block_cells", [walk._BLOCK_CELLS, 256])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_batch_kernel_matches_single_pass_oracle(case, block_cells, monkeypatch):
+    make_field, kappa, t, n, namespaced, chunk_cells = _ORACLE_CASES[case]
+    monkeypatch.setattr(walk, "_BLOCK_CELLS", block_cells)
+    if chunk_cells:
+        monkeypatch.setattr(walk, "_CHUNK_CELLS", chunk_cells)
+    ns = np.arange(n, dtype=np.int64) if namespaced else None
+    g_new, g_old = np.random.default_rng(5), np.random.default_rng(5)
+    survived, at_origin = walk._survival_batch(make_field(), kappa, t, n, g_new, namespaces=ns)
+    want_survived, want_at_origin = survival_batch_oracle(make_field(), kappa, t, n, g_old, namespaces=ns)
+    assert np.array_equal(survived, want_survived)
+    assert np.array_equal(at_origin, want_at_origin)
+    assert g_new.bit_generator.state == g_old.bit_generator.state
+    if case == "all_die":
+        assert not survived.any()
+    if case == "no_disasters":
+        assert survived.all()
+    if case == "frozen":
+        assert at_origin.all()
 
 
 # -- annealed_survival ---------------------------------------------------------
