@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .brw import BRWParams, Box, Caps, Event, simulate
+from .brw import BRWParams, Box, Caps, CapTripped, Event, simulate
 from .env import DisasterField
 from .rng import derive_seed
 
@@ -246,7 +246,7 @@ def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, in
             res = simulate(params, eta, fld, 0.0, box.t_end,
                            derive_seed(seed, "fkg-tree", label, i), trunc=region, caps=caps)
             if res.capped:
-                raise RuntimeError("cap tripped inside fkg_test; shrink the box or rates")
+                raise CapTripped("cap tripped inside fkg_test; shrink the box or rates")
             out.append(exit_counts(res.events, box))
         fs[i] = f(out[0].top_vector(), out[0].face_vector())
         gs[i] = g(out[1].top_vector(), out[1].face_vector())
@@ -354,7 +354,7 @@ def exit_product_bounds_check(params: BRWParams, eta: Mapping[Site, int], box: S
             res = simulate(params, start, fld, 0.0, box.t_end,
                            derive_seed(seed, tag, "tree", i), trunc=region, caps=caps)
             if res.capped:
-                raise RuntimeError("cap tripped during product-bound check")
+                raise CapTripped("cap tripped during product-bound check")
             ec = exit_counts(res.events, box)
             tv[i] = ec.top_vector()
             fv[i] = ec.face_vector()

@@ -7,10 +7,16 @@ and dies when a disaster hits its site; a disaster kills all co-located
 particles atomically.
 
 The loop runs on a single global priority queue.  Jump and branch clocks are
-exponential (memoryless, resampled per event); disaster events are scheduled
-per occupied site straight from the environment's stream.  Simultaneous
-floating-point times are ordered disaster < branch < jump, which keeps
-replays deterministic.
+exponential (memoryless, resampled per event).  Disasters are read from the
+environment once per site and call: the first time a particle lands on a
+site, one disasters_in_window query fetches that site's disaster times in
+[start_time, horizon] into a list.  On every later arrival one bisection of
+that list gives both the site's next disaster, which goes on the queue
+unless one is already pending there, and whether a disaster strikes exactly
+at the arrival instant (it then kills the particle right after its jump).
+Simultaneous floating-point times are ordered disaster < branch < jump,
+which keeps replays deterministic.  Caching is safe because a stream's
+values depend only on (seed, site, counter), never on when it is read.
 
 Each particle owns a counter-based random stream keyed by (seed, id), so a
 particle's draws are independent of which other particles exist; see the
@@ -20,7 +26,9 @@ rng module for why that makes path-wise couplings exact.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -164,7 +172,8 @@ class SimResult:
         return len(self.final_alive)
 
 
-_RANK = {"disaster": 0, "branch": 1, "jump": 2}
+class CapTripped(RuntimeError):
+    """A population or event cap tripped where a check needs an uncapped run."""
 
 
 def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: float,
@@ -189,44 +198,54 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
     snap_times = sorted(float(t) for t in snapshot_times)
     if snap_times and (snap_times[0] < start_time or snap_times[-1] > horizon):
         raise ValueError("snapshot times must lie in [start_time, horizon]")
+    if sum(initial.values()) < 1:
+        raise ValueError("a process start needs at least one particle")
 
-    q_cdf = params.offspring_cdf()
+    q_cdf = params.offspring_cdf().tolist()
     base_key = mix64_int(seed)
+    birth_rate, jump_rate = params.birth_rate, params.jump_rate
+    n_dirs = 2 * params.dimension
+    window_end = math.nextafter(horizon, math.inf)
+    max_alive, max_events = caps.max_alive, caps.max_events
+    heappush, heappop = heapq.heappush, heapq.heappop
+    tick = itertools.count().__next__  # heap tie-breaker: push order
 
     events: list = []
     records: dict[ParticleId, ParticleRecord] = {}
     streams: dict[ParticleId, ParticleStream] = {}
     occupancy: dict[Site, set] = {}
-    position: dict[ParticleId, Site] = {}
-    pending_disaster: dict[Site, float] = {}
-    heap: list = []
-    seq = 0
-    alive_count = 0
+    position: dict[ParticleId, Site] = {}  # alive particles only
+    disasters: dict[Site, list] = {}  # site -> its disaster times in [start_time, horizon]
+    pending: set = set()  # sites whose next disaster is on the heap
+    heap: list = []  # (time, rank, seq, site or pid); rank: disaster 0 < branch 1 < jump 2
     pop_t: list[float] = [start_time]
     pop_n: list[int] = [0]
-
-    def push(time: float, kind: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (time, _RANK[kind], seq, kind, payload))
-        seq += 1
 
     def log(time: float, kind: str, pid: ParticleId, site: Site) -> None:
         if record_events:
             events.append(Event(time, kind, pid, site))
 
-    def ensure_disaster(site: Site, now: float) -> None:
-        # an entry in pending_disaster is always a not-yet-fired future time,
-        # and is still the first disaster after `now` (no points in between)
-        if site not in pending_disaster:
-            nd = field.first_disaster_after(site, now, horizon)
-            if nd is not None:
-                pending_disaster[site] = nd
-                push(nd, "disaster", site)
-
-    def occupy(pid: ParticleId, site: Site, now: float) -> None:
-        occupancy.setdefault(site, set()).add(pid)
+    def occupy(pid: ParticleId, site: Site, now: float) -> bool:
+        """Place `pid` at `site`; True when a disaster strikes it exactly at `now`."""
+        group = occupancy.get(site)
+        if group is None:
+            occupancy[site] = {pid}
+        else:
+            group.add(pid)
         position[pid] = site
-        ensure_disaster(site, now)
+        ts = disasters.get(site)
+        if ts is None:
+            ts = disasters[site] = field.disasters_in_window(site, start_time, window_end).tolist()
+        i = bisect_right(ts, now)
+        # a pending disaster has not fired yet, so it is still the first after `now`
+        if i < len(ts) and site not in pending:
+            pending.add(site)
+            heappush(heap, (ts[i], 0, tick(), site))
+        return i > 0 and ts[i - 1] == now
+
+    def note_pop(time: float) -> None:
+        pop_t.append(time)
+        pop_n.append(len(position))
 
     def vacate(pid: ParticleId) -> None:
         site = position.pop(pid)
@@ -236,36 +255,20 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             del occupancy[site]
 
     def kill(pid: ParticleId, time: float, cause: str) -> None:
-        nonlocal alive_count
         vacate(pid)
         rec = records[pid]
         rec.end_time = time
         rec.end_cause = cause
-        alive_count -= 1
-
-    def note_pop(time: float) -> None:
-        pop_t.append(time)
-        pop_n.append(alive_count)
 
     def spawn(pid: ParticleId, key: int, time: float, site: Site) -> None:
-        nonlocal alive_count
         records[pid] = ParticleRecord(id=pid, birth_time=time, birth_site=site)
-        st = ParticleStream(key)
-        streams[pid] = st
-        alive_count += 1
+        st = streams[pid] = ParticleStream(key)
         occupy(pid, site, time)
         log(time, "birth", pid, site)
-        push(time + st.exponential(params.birth_rate), "branch", pid)
-        push(time + st.exponential(params.jump_rate), "jump", pid)
-
-    def arrival_disaster(site: Site, time: float) -> bool:
-        # post-jump tie rule: a disaster exactly at the arrival instant kills
-        w = field.disasters_in_window(site, time, np.nextafter(time, np.inf))
-        return len(w) > 0
+        heappush(heap, (time + st.exponential(birth_rate), 1, tick(), pid))
+        heappush(heap, (time + st.exponential(jump_rate), 2, tick(), pid))
 
     # seed lineages in deterministic site order
-    if sum(initial.values()) < 1:
-        raise ValueError("a process start needs at least one particle")
     lineage = 0
     for site in sorted(initial):
         count = initial[site]
@@ -282,52 +285,51 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
     cap_time: float | None = None
     snapshots: list[Snapshot] = []
     snap_i = 0
+    next_snap = snap_times[0] if snap_times else math.inf
     n_events = 0
 
-    def emit_snapshots_up_to(next_time: float) -> None:
-        """Emit snapshots strictly due before the next event is applied."""
+    def emit_snapshots_up_to(next_time: float) -> float:
+        """Emit snapshots strictly due before the next event is applied; next snapshot time."""
         nonlocal snap_i
         while snap_i < len(snap_times):
             ts = snap_times[snap_i]
             due = (next_time > ts) if snapshot_flavor == "post" else (next_time >= ts)
             if not due:
-                break
-            alive = tuple(sorted(position.items()))
-            snapshots.append(Snapshot(time=ts, alive=alive))
+                return ts
+            snapshots.append(Snapshot(time=ts, alive=tuple(sorted(position.items()))))
             snap_i += 1
+        return math.inf
 
     while heap:
-        time, _rank, _seq, kind, payload = heap[0]
+        time, rank, _seq, payload = heappop(heap)
         if time > horizon:
             break
-        emit_snapshots_up_to(time)
-        heapq.heappop(heap)
+        if time >= next_snap:
+            next_snap = emit_snapshots_up_to(time)
         n_events += 1
-        if n_events > caps.max_events:
+        if n_events > max_events:
             capped, cap_time = True, time
             break
 
-        if kind == "disaster":
-            site = payload
-            pending_disaster.pop(site, None)
-            victims = sorted(occupancy.get(site, ()))
-            for pid in victims:
-                log(time, "disaster", pid, site)
-                kill(pid, time, "disaster")
-            if victims:
+        if rank == 0:  # disaster: kills every particle on the site
+            pending.discard(payload)
+            group = occupancy.get(payload)
+            if group:
+                for pid in sorted(group):
+                    log(time, "disaster", pid, payload)
+                    kill(pid, time, "disaster")
                 note_pop(time)
             continue
 
         pid = payload
-        rec = records[pid]
-        if rec.end_time is not None:
+        site = position.get(pid)
+        if site is None:
             continue  # stale clock of a dead particle
+        st = streams[pid]
 
-        if kind == "branch":
-            site = position[pid]
-            st = streams[pid]
-            n_children = int(np.searchsorted(q_cdf, st.uniform(), side="left"))
-            if alive_count - 1 + n_children > caps.max_alive:
+        if rank == 1:  # branch
+            n_children = bisect_left(q_cdf, st.uniform())
+            if len(position) - 1 + n_children > max_alive:
                 capped, cap_time = True, time
                 break
             log(time, "branch", pid, site)
@@ -338,28 +340,24 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             continue
 
         # jump
-        site = position[pid]
-        st = streams[pid]
-        draw = st.uniform()
-        axis, sign = divmod(min(int(draw * 2 * params.dimension), 2 * params.dimension - 1), 2)
-        step = 1 if sign else -1
-        new_site = site[:axis] + (site[axis] + step,) + site[axis + 1 :]
+        axis, sign = divmod(min(int(st.uniform() * n_dirs), n_dirs - 1), 2)
+        new_site = site[:axis] + (site[axis] + (1 if sign else -1),) + site[axis + 1 :]
         if trunc is not None and not trunc.contains(new_site):
             log(time, "leave", pid, new_site)
             kill(pid, time, "left-truncation-region")
             note_pop(time)
             continue
         vacate(pid)
-        occupy(pid, new_site, time)
+        struck = occupy(pid, new_site, time)
         if record_events:
-            rec.jumps.append((time, new_site))
-        log(time, "jump", pid, new_site)
-        if arrival_disaster(new_site, time):
+            records[pid].jumps.append((time, new_site))
+            events.append(Event(time, "jump", pid, new_site))
+        if struck:  # post-jump tie rule: a disaster at the arrival instant kills
             log(time, "disaster", pid, new_site)
             kill(pid, time, "disaster")
             note_pop(time)
             continue
-        push(time + st.exponential(params.jump_rate), "jump", pid)
+        heappush(heap, (time + st.exponential(jump_rate), 2, tick(), pid))
 
     emit_snapshots_up_to(math.inf)
     final = tuple(sorted(position.items()))
@@ -397,22 +395,6 @@ def dominates(snapshot: Snapshot, config: Mapping[Site, int]) -> bool:
     """True iff every site holds at least the configured particle count."""
     counts = site_counts(snapshot)
     return all(counts.get(site, 0) >= need for site, need in config.items() if need > 0)
-
-
-def replay_site_counts(events: Iterable[Event], at_time: float) -> Configuration:
-    """Recount occupancy at `at_time` from an event log (oracle for snapshots)."""
-    pos: dict[ParticleId, Site] = {}
-    for ev in events:
-        if ev.time > at_time:
-            break
-        if ev.kind in ("birth", "jump"):
-            pos[ev.pid] = ev.site
-        elif ev.kind in ("branch", "disaster", "leave"):
-            pos.pop(ev.pid, None)
-    out: Configuration = {}
-    for site in pos.values():
-        out[site] = out.get(site, 0) + 1
-    return out
 
 
 def serialize_events(events: Iterable[Event]):
@@ -497,6 +479,7 @@ def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed:
     In a fixed environment, the expected number of alive particles at time t
     equals exp(birth_rate*(mean-1)*t) times the single-particle survival
     probability, so the two Monte Carlo estimates target one number.
+    Raises CapTripped when a tree trips `caps`: a capped size would bias lhs.
     """
     if t == 0.0:
         return MomentCheck(lhs=1.0, lhs_se=0.0, rhs=1.0, rhs_se=0.0)
@@ -506,7 +489,7 @@ def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed:
                        derive_seed(seed, "moment-tree", i), caps=caps,
                        snapshot_times=[t], record_events=False)
         if res.capped:
-            raise RuntimeError("population cap tripped during moment check; raise caps")
+            raise CapTripped("population cap tripped during moment check; raise caps")
         sizes[i] = len(res.snapshots[0])
     lhs = float(sizes.mean())
     lhs_se = float(sizes.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0

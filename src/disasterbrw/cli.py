@@ -18,7 +18,9 @@ the field order: time (17 significant digits), kind, particle id
 (perc --dump) are "k l occupied open" lines.
 
 Exit codes: 0 success, 1 config error, 2 oracle-suite failure, 3 statistical
-acceptance failure.
+acceptance failure or a tripped population cap.  A check that needs uncapped
+runs (moment-check, embed, boxes-fkg) stops at the first cap trip, logs one
+"cap tripped: ..." line and writes no output.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ def cmd_brw_survival(ns) -> tuple[list[dict], int]:
                                      caps=Caps(max_alive=ns.cap_alive, max_events=ns.cap_events))
     rec = {"experiment": "brw-survival",
            **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", "horizon", "n_reps")),
-           "value": est.value, "std_err": est.std_err, "cap_fraction": est.cap_fraction}
+           "value": est.value, "std_err": est.std_err, "cap_fraction": est.cap_fraction,
+           **_echo(ns, ("cap_alive", "cap_events"))}
     return [rec], 0
 
 
@@ -265,7 +268,8 @@ def cmd_sweep(ns) -> tuple[list[dict], int]:
             out.append({"experiment": "sweep", "kappa": kappa, "lam": lam,
                         **_echo(ns, ("seed", "q", "alpha", "d", "horizon", "n_reps")),
                         "survival": est.value, "std_err": est.std_err,
-                        "cap_fraction": est.cap_fraction})
+                        "cap_fraction": est.cap_fraction,
+                        **_echo(ns, ("cap_alive", "cap_events"))})
         return out
     for chunk in parallel_map(column, kappas, ns.threads):
         recs.extend(chunk)
@@ -591,6 +595,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         log(f"config error: {e}")
         return 1
+    except brw_mod.CapTripped as e:
+        log(f"cap tripped: {e}")
+        return 3
     if ns.out:
         with open(ns.out, "w", encoding="utf-8", newline="") as fh:
             emit(records, fh, ns.fmt)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .brw import BRWParams, Caps, simulate
+from .brw import BRWParams, Caps, CapTripped, simulate
 from .rng import derive_seed
 from .walk import estimate_lyapunov, estimate_survival
 
@@ -70,7 +70,7 @@ def sample_offspring(field, params: BRWParams, period: float, period_index: int,
                        derive_seed(seed, "offspring", period_index, i),
                        caps=caps, snapshot_times=[t1], record_events=False)
         if res.capped:
-            raise RuntimeError("population cap tripped while sampling offspring")
+            raise CapTripped("population cap tripped while sampling offspring")
         counts[i] = sum(1 for _pid, site in res.snapshots[0].alive if site == origin)
     top = int(counts.max(initial=0))
     pmf = np.bincount(counts, minlength=top + 1) / n_reps

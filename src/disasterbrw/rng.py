@@ -51,12 +51,6 @@ def counter_uniform(key: int, counters: np.ndarray) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
 
 
-def uniform_int(key: int, counter: int) -> float:
-    """Scalar counterpart of counter_uniform."""
-    bits = mix64_int((key + counter * GOLDEN) & _M64)
-    return ((bits >> 11) + 1) * _INV53
-
-
 def zigzag_int(n: int) -> int:
     """Map a signed int to an unsigned one (order-preserving around 0)."""
     return ((n << 1) ^ (n >> 63)) & _M64 if n < 0 else (n << 1) & _M64
@@ -107,16 +101,25 @@ class ParticleStream:
     def child_key(self, index: int) -> int:
         return fold(self.key, index)
 
+    # uniform and exponential equal counter_uniform(key, ctr); they inline
+    # mix64_int because the tree engine calls them once per event
+
     def uniform(self) -> float:
-        u = uniform_int(self.key, self.ctr)
+        x = (self.key + self.ctr * GOLDEN) & _M64
         self.ctr += 1
-        return u
+        x = ((x ^ (x >> 30)) * _MIX_A) & _M64
+        x = ((x ^ (x >> 27)) * _MIX_B) & _M64
+        return (((x ^ (x >> 31)) >> 11) + 1) * _INV53
 
     def exponential(self, rate: float) -> float:
+        ctr = self.ctr
+        self.ctr = ctr + 1
         if rate <= 0.0:
-            self.ctr += 1  # keep draw alignment independent of the rate
-            return float("inf")
-        return -np.log(self.uniform()) / rate
+            return float("inf")  # the draw is still spent: alignment is rate-independent
+        x = (self.key + ctr * GOLDEN) & _M64
+        x = ((x ^ (x >> 30)) * _MIX_A) & _M64
+        x = ((x ^ (x >> 27)) * _MIX_B) & _M64
+        return -np.log((((x ^ (x >> 31)) >> 11) + 1) * _INV53) / rate
 
     def index(self, n: int) -> int:
         """Uniform draw from range(n)."""

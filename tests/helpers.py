@@ -157,3 +157,153 @@ def survival_batch_oracle(field, jump_rate, t, n_walkers, gen, namespaces=None):
             hit = np.searchsorted(ss, b_s[sl]) > np.searchsorted(ss, a_s[sl])
             survived[w_s[sl][hit]] = False
     return survived, at_origin
+
+
+def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=None,
+                    caps=None, snapshot_times=(), snapshot_flavor="post", record_events=True):
+    """brw.simulate with a disaster lookup on every occupation and every arrival.
+
+    The heap loop as first written: each occupation asks the field for the
+    site's first disaster after now (`first_disaster_after`) unless one is
+    pending, and each jump asks again whether a disaster sits exactly at the
+    arrival instant.  Same draws, same pushes in the same order, so results
+    must match brw.simulate field by field.  Expects a valid configuration.
+    """
+    import heapq
+
+    from disasterbrw.brw import Caps, Event, ParticleRecord, SimResult, Snapshot
+    from disasterbrw.rng import ParticleStream, fold, mix64_int
+
+    caps = caps or Caps()
+    snap_times = sorted(float(t) for t in snapshot_times)
+    q_cdf = params.offspring_cdf()
+    events, records, streams, position, occupancy, pending, heap = [], {}, {}, {}, {}, {}, []
+    pop_t, pop_n = [start_time], [0]
+    seq = 0
+
+    def push(time, rank, payload):
+        nonlocal seq
+        heapq.heappush(heap, (time, rank, seq, payload))
+        seq += 1
+
+    def log(time, kind, pid, site):
+        if record_events:
+            events.append(Event(time, kind, pid, site))
+
+    def occupy(pid, site, now):
+        occupancy.setdefault(site, set()).add(pid)
+        position[pid] = site
+        if site not in pending:
+            nd = field.first_disaster_after(site, now, horizon)
+            if nd is not None:
+                pending[site] = nd
+                push(nd, 0, site)
+
+    def vacate(pid):
+        site = position.pop(pid)
+        occupancy[site].discard(pid)
+        if not occupancy[site]:
+            del occupancy[site]
+
+    def kill(pid, time, cause):
+        vacate(pid)
+        records[pid].end_time, records[pid].end_cause = time, cause
+
+    def spawn(pid, key, time, site):
+        records[pid] = ParticleRecord(id=pid, birth_time=time, birth_site=site)
+        st = streams[pid] = ParticleStream(key)
+        occupy(pid, site, time)
+        log(time, "birth", pid, site)
+        push(time + st.exponential(params.birth_rate), 1, pid)
+        push(time + st.exponential(params.jump_rate), 2, pid)
+
+    lineage = 0
+    for site in sorted(initial):
+        for _ in range(initial[site]):
+            spawn((lineage,), fold(mix64_int(seed), lineage), start_time, tuple(site))
+            lineage += 1
+    pop_t.append(start_time)
+    pop_n.append(len(position))
+
+    def snap_up_to(next_time):
+        while snap_times and (next_time > snap_times[0] if snapshot_flavor == "post"
+                              else next_time >= snap_times[0]):
+            snapshots.append(Snapshot(time=snap_times.pop(0), alive=tuple(sorted(position.items()))))
+
+    capped, cap_time, snapshots, n_events = False, None, [], 0
+    while heap and heap[0][0] <= horizon:
+        time, rank, _seq, payload = heap[0]
+        snap_up_to(time)
+        heapq.heappop(heap)
+        n_events += 1
+        if n_events > caps.max_events:
+            capped, cap_time = True, time
+            break
+        if rank == 0:
+            pending.pop(payload, None)
+            victims = sorted(occupancy.get(payload, ()))
+            for pid in victims:
+                log(time, "disaster", pid, payload)
+                kill(pid, time, "disaster")
+            if victims:
+                pop_t.append(time)
+                pop_n.append(len(position))
+            continue
+        pid = payload
+        if records[pid].end_time is not None:
+            continue
+        site, st = position[pid], streams[pid]
+        if rank == 1:
+            n_children = int(np.searchsorted(q_cdf, st.uniform(), side="left"))
+            if len(position) - 1 + n_children > caps.max_alive:
+                capped, cap_time = True, time
+                break
+            log(time, "branch", pid, site)
+            kill(pid, time, "branch")
+            for j in range(n_children):
+                spawn(pid + (j,), st.child_key(j), time, site)
+        else:
+            d = params.dimension
+            axis, sign = divmod(min(int(st.uniform() * 2 * d), 2 * d - 1), 2)
+            new_site = site[:axis] + (site[axis] + (1 if sign else -1),) + site[axis + 1:]
+            if trunc is not None and not trunc.contains(new_site):
+                log(time, "leave", pid, new_site)
+                kill(pid, time, "left-truncation-region")
+            else:
+                vacate(pid)
+                occupy(pid, new_site, time)
+                if record_events:
+                    records[pid].jumps.append((time, new_site))
+                log(time, "jump", pid, new_site)
+                if not len(field.disasters_in_window(new_site, time, np.nextafter(time, np.inf))):
+                    push(time + st.exponential(params.jump_rate), 2, pid)
+                    continue
+                log(time, "disaster", pid, new_site)
+                kill(pid, time, "disaster")
+        pop_t.append(time)
+        pop_n.append(len(position))
+
+    snap_up_to(math.inf)
+    final = tuple(sorted(position.items()))
+    for pid, _site in final:
+        records[pid].end_time = horizon
+        records[pid].end_cause = "cap" if capped else "horizon"
+    return SimResult(events=events, snapshots=snapshots, records=records, capped=capped,
+                     cap_time=cap_time, pop_times=np.asarray(pop_t), pop_counts=np.asarray(pop_n),
+                     start_time=start_time, horizon=horizon, final_alive=final)
+
+
+def replay_site_counts(events, at_time: float) -> dict:
+    """Recount occupancy at `at_time` from an event log (oracle for snapshots)."""
+    pos: dict = {}
+    for ev in events:
+        if ev.time > at_time:
+            break
+        if ev.kind in ("birth", "jump"):
+            pos[ev.pid] = ev.site
+        elif ev.kind in ("branch", "disaster", "leave"):
+            pos.pop(ev.pid, None)
+    out: dict = {}
+    for site in pos.values():
+        out[site] = out.get(site, 0) + 1
+    return out

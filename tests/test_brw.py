@@ -13,14 +13,16 @@ from disasterbrw.brw import (
     moment_identity_check,
     offspring_pmf,
     parse_events,
-    replay_site_counts,
     serialize_events,
     simulate,
     site_counts,
     survival_frequency,
 )
-from disasterbrw.env import DisasterField, superpose
+from disasterbrw.env import DisasterField, SuperposedField, superpose
+from disasterbrw.rng import ParticleStream, counter_uniform, fold, mix64_int
 from disasterbrw.walk import WalkPath, extinction_time
+
+from helpers import replay_site_counts, simulate_oracle
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
@@ -318,3 +320,116 @@ def test_initial_configuration_validation():
         simulate(params, {(5,): 1}, fld, 0.0, 1.0, 1, trunc=centered_box(2, 1))
     with pytest.raises(ValueError):
         simulate(params, {(0,): 1}, DisasterField(1, 1.0, 2), 0.0, 1.0, 1)
+
+
+def _oracle_corpus():
+    """(params, initial, make_field, start, horizon, seed, kwargs) covering every engine path."""
+    laws = [ALWAYS_TWO, BINARY, offspring_pmf({0: 0.3, 1: 0.2, 3: 0.5}), (0.1, 0.4, 0.5)]
+    for i in range(96):
+        pick = np.random.default_rng(i).choice
+        d = 1 + i % 2
+        params = BRWParams(float(pick([0.5, 1.0, 2.0, 8.0])), float(pick([0.5, 1.0, 2.0])),
+                           laws[i % 4], float(pick([0.5, 1.0, 2.0])), d)
+        def make_field(i=i, d=d, rate=params.disaster_rate):
+            field = DisasterField(1000 + i, rate, d)
+            return superpose(field, DisasterField(5000 + i, 0.5, d)) if i % 8 == 3 else field
+        start = float(pick([0.0, 0.0, 0.7]))
+        horizon = start + float(pick([1.0, 3.0, 5.0]))
+        initial = {(0,) * d: 1 + i % 3}
+        if i % 5 == 0:
+            initial[(1,) + (0,) * (d - 1)] = 2
+        kw = {"record_events": i % 9 != 4, "snapshot_flavor": "pre" if i % 4 < 2 else "post"}
+        if i % 3 == 0:
+            kw["caps"] = Caps(max_alive=int(pick([3, 5, 10])))
+        elif i % 3 == 1:
+            kw["caps"] = Caps(max_events=int(pick([10, 30, 100])))
+        if i % 5 == 1:
+            kw["trunc"] = centered_box(int(pick([1, 2, 3])), d)
+        if i % 2 == 0:
+            kw["snapshot_times"] = [start, start + 0.37 * (horizon - start), horizon]
+        yield params, initial, make_field, start, horizon, 77 + i, kw
+
+
+def test_simulate_matches_heap_loop_oracle():
+    seen = {"alive cap": 0, "event cap": 0, "truncated": 0, "superposed": 0, "start > 0": 0}
+    for params, initial, make_field, start, horizon, seed, kw in _oracle_corpus():
+        field = make_field()
+        got = simulate(params, initial, field, start, horizon, seed, **kw)
+        want = simulate_oracle(params, initial, make_field(), start, horizon, seed, **kw)
+        assert got.events == want.events
+        assert [(s.time, s.alive) for s in got.snapshots] == [(s.time, s.alive) for s in want.snapshots]
+        assert got.records == want.records
+        assert (got.capped, got.cap_time, got.final_alive) == (want.capped, want.cap_time, want.final_alive)
+        assert got.pop_times.tolist() == want.pop_times.tolist()
+        assert got.pop_counts.tolist() == want.pop_counts.tolist()
+        cap = kw.get("caps", Caps())
+        seen["alive cap"] += got.capped and cap.max_alive < Caps().max_alive
+        seen["event cap"] += got.capped and cap.max_events < Caps().max_events
+        seen["truncated"] += any(r.end_cause == "left-truncation-region" for r in got.records.values())
+        seen["superposed"] += isinstance(field, SuperposedField) and len(got.events) > 0
+        seen["start > 0"] += start > 0
+    assert min(seen.values()) >= 3, seen
+
+
+def test_particle_stream_draws_are_counter_uniforms():
+    st = ParticleStream(0xDEADBEEF)
+    want = counter_uniform(0xDEADBEEF, np.arange(6))
+    got = [st.uniform(), st.exponential(2.0), st.exponential(0.0), st.uniform(),
+           st.exponential(0.5), st.index(7)]
+    assert got[0] == want[0] and got[3] == want[3]
+    assert got[1] == -np.log(want[1]) / 2.0 and got[4] == -np.log(want[4]) / 0.5
+    assert got[2] == math.inf and got[5] == min(int(want[5] * 7), 6)
+    assert st.ctr == 6
+
+
+class _PinnedField:
+    """Disasters only where the test puts them; the engine's whole view of a field."""
+
+    dimension = 1
+
+    def __init__(self, times_by_site):
+        self.times = times_by_site
+
+    def disasters_in_window(self, site, t0, t1):
+        ts = np.asarray(sorted(self.times.get(site, ())), dtype=np.float64)
+        return ts[(ts >= t0) & (ts < t1)]
+
+
+def _first_draws(seed):
+    st = ParticleStream(fold(mix64_int(seed), 0))
+    return st.exponential(1.0), st.exponential(1.0)  # counter 0: branch gap, 1: first jump gap
+
+
+def test_disaster_at_arrival_instant_kills_after_the_jump():
+    seed = 41
+    _, t_jump = _first_draws(seed)
+    field = _PinnedField({(-1,): [t_jump], (1,): [t_jump]})
+    # one event allowed: the kill belongs to the jump, it is no disaster event of its own
+    res = simulate(BRWParams(1.0, 0.0, ALWAYS_TWO, 1.0, 1), {(0,): 1}, field, 0.0, t_jump + 1.0,
+                   seed, caps=Caps(max_events=1))
+    kinds = [(ev.kind, ev.time) for ev in res.events]
+    assert kinds == [("birth", 0.0), ("jump", t_jump), ("disaster", t_jump)]
+    assert res.events[1].site == res.events[2].site
+    assert res.records[(0,)].end_cause == "disaster" and res.final_count == 0
+    assert not res.capped
+
+
+def test_disaster_fires_before_a_branch_at_the_same_instant():
+    seed = 43
+    t_branch, _ = _first_draws(seed)
+    field = _PinnedField({(0,): [t_branch]})
+    # the horizon sits on both: a disaster at the horizon still fires
+    res = simulate(BRWParams(0.0, 1.0, ALWAYS_TWO, 1.0, 1), {(0,): 1}, field, 0.0, t_branch,
+                   seed, snapshot_times=[t_branch], snapshot_flavor="pre")
+    assert [(ev.kind, ev.time) for ev in res.events] == [("birth", 0.0), ("disaster", t_branch)]
+    assert res.records[(0,)].end_cause == "disaster" and len(res.records) == 1
+    assert len(res.snapshots[0]) == 1  # the left limit still holds the particle
+
+
+def test_offspring_count_at_a_cdf_atom_takes_the_lower_count(monkeypatch):
+    params = BRWParams(0.0, 1.0, offspring_pmf({0: 0.25, 1: 0.25, 3: 0.5}), 0.0, 1)
+    t_branch, _ = _first_draws(5)
+    for u, n_children in ((0.25, 0), (0.5, 1), (0.75, 3), (1.0, 3)):
+        monkeypatch.setattr(ParticleStream, "uniform", lambda self, u=u: u)
+        res = simulate(params, {(0,): 1}, DisasterField(1, 0.0, 1), 0.0, t_branch, 5)
+        assert res.final_count == n_children

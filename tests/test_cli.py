@@ -163,3 +163,32 @@ def test_perc_dump_lattice(tmp_path):
     for ln in lines:
         k, l, occ, op = map(int, ln.split())
         assert op <= occ or (k, l) == (0, 0)  # open implies occupied
+
+
+def test_cap_trip_is_exit_three_without_traceback(tmp_path, monkeypatch, capsys):
+    from disasterbrw import brw
+
+    monkeypatch.setitem(brw.moment_identity_check.__kwdefaults__, "caps", brw.Caps(max_alive=1))
+    out = tmp_path / "m.csv"
+    code = cli.main(["moment-check", "--seed", "3", "--n-fields", "2", "--n-reps", "20",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("cap tripped: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_survival_records_echo_their_caps(tmp_path):
+    code, data = run_cli(["brw-survival", "--seed", "2", "--horizon", "1", "--n-reps", "5",
+                          "--cap-alive", "77", "--cap-events", "9999"], tmp_path)
+    assert code == 0
+    header, row = data.decode().strip().split("\n")
+    assert header.endswith(",cap_fraction,cap_alive,cap_events")
+    assert row.endswith(",77,9999")
+    code, data = run_cli(["sweep", "--seed", "2", "--lam-grid", "0.5,1", "--q", "0:0.0,2:1.0",
+                          "--horizon", "1", "--n-reps", "5", "--cap-alive", "77"], tmp_path)
+    assert code == 0
+    lines = data.decode().strip().split("\n")
+    assert lines[0].endswith(",cap_fraction,cap_alive,cap_events")
+    assert len(lines) == 3 and all(r.endswith(",77,5000000") for r in lines[1:])
