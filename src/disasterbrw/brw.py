@@ -97,8 +97,6 @@ def offspring_pmf(pairs: Mapping[int, float]) -> tuple[float, ...]:
 
 def cube_sites(radius: int, dimension: int) -> list[Site]:
     """All lattice sites of the centered cube {-radius..radius}^dimension."""
-    import itertools
-
     return [tuple(p) for p in itertools.product(range(-radius, radius + 1), repeat=dimension)]
 
 

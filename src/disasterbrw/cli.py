@@ -8,9 +8,11 @@ artifacts.
 
 Outputs are CSV (header row, comma-separated, LF) or JSON (one top-level
 array of record objects); every float is printed with 17 significant digits
-and record order is canonical, so a fixed (config, seed, threads) produces
+and record order is canonical, so a fixed (config, seed) produces
 byte-identical files.  Wall-clock timing goes to the stderr log only, never
-into output files.
+into output files.  --threads (1..256) is accepted and has no effect: the
+work holds the interpreter lock, and a thread pool ran slower than one
+thread.
 
 Serialized event logs (brw.serialize_events) are tab-separated lines with
 the field order: time (17 significant digits), kind, particle id
@@ -26,11 +28,11 @@ runs (moment-check, embed, boxes-fkg) stops at the first cap trip, logs one
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -118,8 +120,6 @@ def emit(records: list[dict], out, fmt_name: str) -> None:
             if k not in cols:
                 cols.append(k)
     if fmt_name == "csv":
-        import csv
-
         w = csv.writer(out, lineterminator="\n")
         w.writerow(cols)
         for rec in records:
@@ -134,14 +134,6 @@ def emit(records: list[dict], out, fmt_name: str) -> None:
 
 def log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def parallel_map(fn, items, threads: int):
-    """Order-preserving map; reduction order is independent of thread count."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def _params_from(ns) -> BRWParams:
@@ -201,7 +193,7 @@ def cmd_moment_check(ns) -> tuple[list[dict], int]:
                 **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", "t", "n_reps")),
                 "lhs": chk.lhs, "lhs_se": chk.lhs_se, "rhs": chk.rhs, "rhs_se": chk.rhs_se,
                 "z": chk.z}
-    recs = parallel_map(one, range(ns.n_fields), ns.threads)
+    recs = [one(i) for i in range(ns.n_fields)]
     frac_ok = sum(1 for r in recs if abs(r["z"]) <= 3.0) / len(recs)
     return recs, (0 if frac_ok >= 0.95 else 3)
 
@@ -217,7 +209,7 @@ def cmd_embed(ns) -> tuple[list[dict], int]:
                 **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", "period", "n_reps")),
                 "lhs": chk.lhs, "lhs_se": chk.lhs_se, "rhs": chk.rhs, "rhs_se": chk.rhs_se,
                 "z": chk.z}
-    recs = parallel_map(one, range(ns.n_fields), ns.threads)
+    recs = [one(i) for i in range(ns.n_fields)]
     frac_ok = sum(1 for r in recs if abs(r["z"]) <= 3.0) / len(recs)
     return recs, (0 if frac_ok >= 0.95 else 3)
 
@@ -271,8 +263,8 @@ def cmd_sweep(ns) -> tuple[list[dict], int]:
                         "cap_fraction": est.cap_fraction,
                         **_echo(ns, ("cap_alive", "cap_events"))})
         return out
-    for chunk in parallel_map(column, kappas, ns.threads):
-        recs.extend(chunk)
+    for kappa in kappas:
+        recs.extend(column(kappa))
     return recs, 0
 
 
@@ -294,10 +286,9 @@ def cmd_boxes_fkg(ns) -> tuple[list[dict], int]:
     recs = []
     worst = math.inf
 
-    def one(b: int):
-        return boxes_mod.fkg_test(params, eta, eta, box, f, g, ns.n_reps,
-                                  derive_seed(ns.seed, "fkg-batch", b))
-    for b, est in enumerate(parallel_map(one, range(ns.n_batches), ns.threads)):
+    for b in range(ns.n_batches):
+        est = boxes_mod.fkg_test(params, eta, eta, box, f, g, ns.n_reps,
+                                 derive_seed(ns.seed, "fkg-batch", b))
         sig = est.cov / est.std_err if est.std_err > 0 else 0.0
         worst = min(worst, sig)
         recs.append({"experiment": "boxes-fkg", "batch": b,
@@ -438,7 +429,7 @@ def _add_common(sp, *, model: bool = False):
     sp.add_argument("--seed", type=int, default=None, help="mandatory (no wall-clock default)")
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1, help="accepted (1..256); has no effect")
     if model:
         sp.add_argument("--kappa", type=float, default=1.0)
         sp.add_argument("--lam", type=float, default=1.0)

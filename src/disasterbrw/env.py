@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import counter_uniform, fold, mix64_int, zigzag, zigzag_int
+from .rng import counter_uniform, fold, mix64, mix64_int, zigzag, zigzag_int
 
 _INV53_ENV = 2.0 ** -53
 
@@ -76,8 +76,6 @@ class DisasterField:
             raise ValueError("coords must have shape (m, dimension)")
         h = np.full(coords.shape[0], self._base_key, dtype=np.uint64)
         g = np.uint64(0x9E3779B97F4A7C15)
-        from .rng import mix64
-
         for j in range(self.dimension):
             v = zigzag(coords[:, j])
             h = mix64(h ^ (v + g))
@@ -145,8 +143,6 @@ class DisasterField:
         if fresh:
             n_block = _block_size(self.rate, t_max)
             chunk = max(1, 4_000_000 // n_block)
-            from .rng import mix64
-
             g = np.uint64(0x9E3779B97F4A7C15)
             ctr_row = np.arange(n_block, dtype=np.uint64) * g
             for lo in range(0, len(fresh), chunk):

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .brw import BRWParams, Caps, CapTripped, simulate
 from .rng import derive_seed
@@ -151,6 +150,8 @@ def suggest_period(params: BRWParams, lo: float = 0.5, hi: float = 50.0) -> floa
     coordinate of the walk is a rate kappa/d walk whose return probability is
     the exponentially scaled Bessel term ive(0, kappa T / d).
     """
+    from scipy import special
+
     growth = params.birth_rate * (params.offspring_mean - 1.0)
 
     def annealed_mean(t: float) -> float:

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats
 
 from .rng import as_generator
 
@@ -288,6 +287,8 @@ def conditioned_jump_log_laws(rate: float, x1: int, n_max: int):
     """
     if rate <= 0.0:
         raise ValueError("rate must be > 0")
+    from scipy import special, stats
+
     x = abs(int(x1))
     # smallest count reaching x1 is |x1| itself, stepping by 2 keeps the parity
     support = np.arange(x, n_max + 1, 2)

@@ -70,25 +70,6 @@ def oriented_closure(occupied: np.ndarray) -> np.ndarray:
     return open_
 
 
-def enumerate_open_oracle(occupied: np.ndarray) -> np.ndarray:
-    """Brute-force closure by enumerating oriented paths (small lattices only)."""
-    rows = occupied.shape[0] - 1
-    open_ = np.zeros_like(occupied, dtype=bool)
-    open_[0, 0] = True
-
-    def walk(k: int, l: int):
-        open_[k, l] = True
-        if k == rows:
-            return
-        for dl in (0, 1):
-            nl = l + dl
-            if nl <= k + 1 and occupied[k + 1, nl]:
-                walk(k + 1, nl)
-
-    walk(0, 0)
-    return open_
-
-
 # ---------------------------------------------------------------------------
 # copy detection
 # ---------------------------------------------------------------------------

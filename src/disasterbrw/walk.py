@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ive
 
 from .env import DisasterField
 from .rng import as_generator, derive_seed, generator_seed
@@ -310,22 +309,6 @@ def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
     return SurvivalEstimate(value=value, n_samples=n_samples, std_err=_binom_se(value, n_samples))
 
 
-def _annealed_survival_via_field(jump_rate: float, disaster_rate: float, t: float,
-                                 n_samples: int, seed: int, dimension: int = 1) -> SurvivalEstimate:
-    """Annealed survival through the full site-stream pipeline.
-
-    Slow cross-check route: one shared field of dimension d+1 whose leading
-    coordinate is the sample index, giving every walker an independent
-    environment while exercising the production stream machinery.
-    """
-    field = DisasterField(derive_seed(seed, "annealed-field"), disaster_rate, dimension + 1)
-    gen = np.random.default_rng(derive_seed(seed, "annealed-walkers"))
-    namespaces = np.arange(n_samples, dtype=np.int64)
-    survived, _ = _survival_batch(field, jump_rate, t, n_samples, gen, namespaces=namespaces)
-    value = float(survived.mean())
-    return SurvivalEstimate(value=value, n_samples=n_samples, std_err=_binom_se(value, n_samples))
-
-
 # Truncation error allowed next to the survival probability returned.
 _LOG_NEGLIGIBLE = math.log(1e-10)
 
@@ -342,6 +325,8 @@ def _walk_kernel(mean_jumps: float, sigmas: float) -> tuple[np.ndarray, float]:
     I_{k+1}(x) / I_k(x) < x / (2 (k + 1)), so the two tails are dominated by
     a geometric series started at I_{w+1}.
     """
+    from scipy.special import ive
+
     w = int(_reach(mean_jumps, sigmas))
     half = ive(np.arange(w + 2), mean_jumps)
     ratio = mean_jumps / (2.0 * (w + 2))
@@ -388,6 +373,8 @@ def _exact_survival_in_box(field, jump_rate: float, t: float, pin: bool,
         p = out / mass
         r, s_prev = r_new, s
     if pin:
+        from scipy.special import ive
+
         at_origin = float(p @ ive(np.abs(np.arange(-r, r + 1)), jump_rate * (t - s_prev)))
         log_s = log_s + math.log(at_origin) if at_origin > 0.0 else -math.inf
     return log_s, log_b

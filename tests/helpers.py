@@ -307,3 +307,43 @@ def replay_site_counts(events, at_time: float) -> dict:
     for site in pos.values():
         out[site] = out.get(site, 0) + 1
     return out
+
+
+def annealed_survival_via_field(jump_rate: float, disaster_rate: float, t: float,
+                                n_samples: int, seed: int, dimension: int = 1):
+    """Annealed survival through the full site-stream pipeline.
+
+    Slow cross-check route for walk.annealed_survival: one shared field of
+    dimension d+1 whose leading coordinate is the sample index, giving every
+    walker an independent environment while exercising the production stream
+    machinery.
+    """
+    from disasterbrw.env import DisasterField
+    from disasterbrw.rng import derive_seed
+    from disasterbrw.walk import SurvivalEstimate, _binom_se, _survival_batch
+
+    field = DisasterField(derive_seed(seed, "annealed-field"), disaster_rate, dimension + 1)
+    gen = np.random.default_rng(derive_seed(seed, "annealed-walkers"))
+    namespaces = np.arange(n_samples, dtype=np.int64)
+    survived, _ = _survival_batch(field, jump_rate, t, n_samples, gen, namespaces=namespaces)
+    value = float(survived.mean())
+    return SurvivalEstimate(value=value, n_samples=n_samples, std_err=_binom_se(value, n_samples))
+
+
+def enumerate_open_oracle(occupied: np.ndarray) -> np.ndarray:
+    """Oriented closure by enumerating oriented paths (small lattices only)."""
+    rows = occupied.shape[0] - 1
+    open_ = np.zeros_like(occupied, dtype=bool)
+    open_[0, 0] = True
+
+    def walk(k: int, l: int):
+        open_[k, l] = True
+        if k == rows:
+            return
+        for dl in (0, 1):
+            nl = l + dl
+            if nl <= k + 1 and occupied[k + 1, nl]:
+                walk(k + 1, nl)
+
+    walk(0, 0)
+    return open_

@@ -351,7 +351,8 @@ def test_criterion_17_cli_determinism(tmp_path):
         "lyapunov": ["lyapunov", "--seed", "3", "--t", "2", "--n-env", "8",
                      "--n-walkers", "500"],
         "brw-survival": ["brw-survival", "--seed", "3", "--horizon", "4",
-                         "--n-reps", "60", "--cap-alive", "500"],
+                         "--n-reps", "60", "--kappa", "8", "--lam", "2", "--q", "2:1",
+                         "--cap-alive", "50"],
         "moment-check": ["moment-check", "--seed", "3", "--n-fields", "4",
                          "--n-reps", "80"],
         "embed": ["embed", "--seed", "3", "--n-fields", "3", "--n-reps", "120",

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from disasterbrw import cli, walk
 from disasterbrw.walk import SurvivalEstimate
@@ -192,3 +196,33 @@ def test_survival_records_echo_their_caps(tmp_path):
     lines = data.decode().strip().split("\n")
     assert lines[0].endswith(",cap_fraction,cap_alive,cap_events")
     assert len(lines) == 3 and all(r.endswith(",77,5000000") for r in lines[1:])
+
+
+def _fresh_python(code, tmp_path):
+    """Run `code` in a new interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cold_start_leaves_scipy_unloaded(tmp_path):
+    code = """
+import sys
+import disasterbrw
+from disasterbrw import cli
+assert cli.main(["brw-survival", "--seed", "1", "--horizon", "1", "--n-reps", "3",
+                 "--out", "b.csv"]) == 0
+assert cli.main(["lyapunov", "--seed", "1", "--t", "1", "--n-env", "2",
+                 "--n-walkers", "50", "--out", "l.csv"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = _fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_verify_from_cold_start(tmp_path):
+    code = "from disasterbrw import cli; raise SystemExit(cli.main(['verify', '--seed', '3', '--out', 'v.csv']))"
+    proc = _fresh_python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "false" not in (tmp_path / "v.csv").read_text()

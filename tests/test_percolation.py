@@ -10,12 +10,13 @@ from disasterbrw.percolation import (
     bit_correlations,
     build_eta_from_brw,
     detect_occupied_copy,
-    enumerate_open_oracle,
     independent_perc,
     oriented_closure,
     sample_occupancy_bits,
     staircase_window,
 )
+
+from helpers import enumerate_open_oracle
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})

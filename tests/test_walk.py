@@ -7,7 +7,6 @@ from scipy import stats
 from disasterbrw import walk
 from disasterbrw.env import DisasterField, superpose
 from disasterbrw.walk import (
-    _annealed_survival_via_field,
     _exact_survival_in_box,
     annealed_survival,
     concentration_profile,
@@ -18,7 +17,12 @@ from disasterbrw.walk import (
     simulate_walk,
 )
 
-from helpers import brute_force_extinction, series_return_probability, survival_batch_oracle
+from helpers import (
+    annealed_survival_via_field,
+    brute_force_extinction,
+    series_return_probability,
+    survival_batch_oracle,
+)
 
 
 # -- simulate_walk -----------------------------------------------------------
@@ -229,7 +233,7 @@ def test_annealed_fast_route_agrees_with_field_route():
     # dual route: per-window sampling vs the full site-stream pipeline
     n = 20_000
     fast = annealed_survival(1.5, 1.0, 1.0, n, 41)
-    slow = _annealed_survival_via_field(1.5, 1.0, 1.0, n, 42)
+    slow = annealed_survival_via_field(1.5, 1.0, 1.0, n, 42)
     sigma = math.hypot(fast.std_err, slow.std_err)
     assert abs(fast.value - slow.value) < 3 * sigma
     target = math.exp(-1.0)
