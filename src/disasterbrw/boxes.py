@@ -25,6 +25,7 @@ import numpy as np
 from .brw import BRWParams, Box, Caps, CapTripped, Event, simulate
 from .env import DisasterField
 from .rng import derive_seed
+from .walk import _binom_se
 
 Site = tuple[int, ...]
 
@@ -365,7 +366,7 @@ def exit_product_bounds_check(params: BRWParams, eta: Mapping[Site, int], box: S
 
     def prob(mask: np.ndarray) -> tuple[float, float]:
         p = float(mask.mean())
-        return p, math.sqrt(max(p * (1 - p), 0.0) / n_reps)
+        return p, _binom_se(p, n_reps)
 
     reports = []
     specs = [

@@ -36,7 +36,7 @@ import numpy as np
 
 from .env import DisasterField
 from .rng import ParticleStream, derive_seed, fold, mix64_int
-from .walk import WalkPath, _binom_se, estimate_survival
+from .walk import SurvivalEstimate, estimate_survival
 
 MAX_OFFSPRING_SUPPORT = 64
 
@@ -132,9 +132,6 @@ class ParticleRecord:
     end_time: float | None = None
     end_cause: str | None = None  # branch | disaster | left-truncation-region | horizon | cap
     jumps: list = dc_field(default_factory=list)  # (time, new_site) when paths recorded
-
-    def path(self, horizon: float) -> WalkPath:
-        return WalkPath(start_site=self.birth_site, jumps=tuple(self.jumps), horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -419,17 +416,9 @@ def parse_events(lines: Iterable[str]) -> list[Event]:
 # replica-level estimators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrequencyEstimate:
-    value: float
-    n_samples: int
-    std_err: float
-    cap_fraction: float
-
-
 def survival_frequency(params: BRWParams, horizon: float, n_reps: int, seed: int,
                        *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000),
-                       initial: Mapping[Site, int] | None = None) -> FrequencyEstimate:
+                       initial: Mapping[Site, int] | None = None) -> SurvivalEstimate:
     """Fraction of independent (environment, tree) replicas alive at `horizon`.
 
     A replica that trips the population cap is counted as surviving: it held
@@ -451,13 +440,13 @@ def survival_frequency(params: BRWParams, horizon: float, n_reps: int, seed: int
             survived += 1
         elif res.final_count > 0:
             survived += 1
-    value = survived / n_reps
-    return FrequencyEstimate(value=value, n_samples=n_reps, std_err=_binom_se(value, n_reps),
-                             cap_fraction=capped / n_reps)
+    return SurvivalEstimate.binomial(survived / n_reps, n_reps, capped / n_reps)
 
 
 @dataclass(frozen=True)
-class MomentCheck:
+class Comparison:
+    """Two Monte Carlo estimates, lhs and rhs, with their standard errors."""
+
     lhs: float
     lhs_se: float
     rhs: float
@@ -465,13 +454,25 @@ class MomentCheck:
 
     @property
     def z(self) -> float:
+        """(lhs - rhs) in units of the combined noise; 0 when both are exact."""
         denom = math.hypot(self.lhs_se, self.rhs_se)
         return (self.lhs - self.rhs) / denom if denom > 0 else 0.0
+
+    @property
+    def violated_at(self) -> float:
+        """Sigmas by which rhs exceeds lhs: positive when the bound lhs >= rhs fails.
+
+        Both estimates exact: +inf when rhs > lhs, -inf when the bound holds.
+        """
+        denom = math.hypot(self.lhs_se, self.rhs_se)
+        if denom > 0:
+            return (self.rhs - self.lhs) / denom
+        return math.inf if self.rhs > self.lhs else -math.inf
 
 
 def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed: int,
                           *, n_walkers: int | None = None,
-                          caps: Caps = Caps(max_alive=100_000, max_events=10_000_000)) -> MomentCheck:
+                          caps: Caps = Caps(max_alive=100_000, max_events=10_000_000)) -> Comparison:
     """Compare mean population at t against growth-factor-scaled survival.
 
     In a fixed environment, the expected number of alive particles at time t
@@ -480,7 +481,7 @@ def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed:
     Raises CapTripped when a tree trips `caps`: a capped size would bias lhs.
     """
     if t == 0.0:
-        return MomentCheck(lhs=1.0, lhs_se=0.0, rhs=1.0, rhs_se=0.0)
+        return Comparison(lhs=1.0, lhs_se=0.0, rhs=1.0, rhs_se=0.0)
     sizes = np.empty(n_reps)
     for i in range(n_reps):
         res = simulate(params, {(0,) * params.dimension: 1}, field, 0.0, t,
@@ -494,7 +495,7 @@ def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed:
     nw = n_walkers if n_walkers is not None else n_reps
     surv = estimate_survival(field, params.jump_rate, t, nw, False, derive_seed(seed, "moment-walk"))
     factor = math.exp(params.birth_rate * (params.offspring_mean - 1.0) * t)
-    return MomentCheck(lhs=lhs, lhs_se=lhs_se, rhs=factor * surv.value, rhs_se=factor * surv.std_err)
+    return Comparison(lhs=lhs, lhs_se=lhs_se, rhs=factor * surv.value, rhs_se=factor * surv.std_err)
 
 
 @dataclass(frozen=True)
@@ -548,7 +549,7 @@ def growth_rate(params: BRWParams, horizon: float, n_reps: int, seed: int,
 
 def coupled_birth_rate_survival(params_max: BRWParams, birth_rates: Sequence[float],
                                 horizon: float, n_reps: int, seed: int,
-                                *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000)) -> list[FrequencyEstimate]:
+                                *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000)) -> list[SurvivalEstimate]:
     """Survival frequencies for several birth rates on shared randomness.
 
     One run per replica at the maximal rate; each branch event is real for
@@ -601,6 +602,5 @@ def coupled_birth_rate_survival(params_max: BRWParams, birth_rates: Sequence[flo
                     break
             if alive:
                 survived[b] += 1
-    return [FrequencyEstimate(value=survived[b] / n_reps, n_samples=n_reps,
-                              std_err=_binom_se(survived[b] / n_reps, n_reps),
-                              cap_fraction=capped[b] / n_reps) for b in rates]
+    return [SurvivalEstimate.binomial(survived[b] / n_reps, n_reps, capped[b] / n_reps)
+            for b in rates]

@@ -14,10 +14,7 @@ into output files.  --threads (1..256) is accepted and has no effect: the
 work holds the interpreter lock, and a thread pool ran slower than one
 thread.
 
-Serialized event logs (brw.serialize_events) are tab-separated lines with
-the field order: time (17 significant digits), kind, particle id
-(dot-joined child indices), site (comma-joined coordinates).  Lattice dumps
-(perc --dump) are "k l occupied open" lines.
+Lattice dumps (perc --dump) are "k l occupied open" lines.
 
 Exit codes: 0 success, 1 config error, 2 oracle-suite failure, 3 statistical
 acceptance failure or a tripped population cap.  A check that needs uncapped
@@ -182,36 +179,33 @@ def cmd_brw_survival(ns) -> tuple[list[dict], int]:
     return [rec], 0
 
 
-def cmd_moment_check(ns) -> tuple[list[dict], int]:
+def _per_field(ns, experiment: str, label: str, horizon_key: str, check) -> tuple[list[dict], int]:
+    """One comparison per fresh field; exit 3 unless 95% of them agree within 3 sigma.
+
+    `check(field, params, horizon, n_reps, seed)` returns a brw.Comparison.
+    """
     params = _params_from(ns)
 
     def one(i: int) -> dict:
-        fld = DisasterField(derive_seed(ns.seed, "moment-field", i), ns.alpha, ns.d)
-        chk = brw_mod.moment_identity_check(params, fld, ns.t, ns.n_reps,
-                                            derive_seed(ns.seed, "moment", i))
-        return {"experiment": "moment-check", "field_index": i,
-                **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", "t", "n_reps")),
+        fld = DisasterField(derive_seed(ns.seed, f"{label}-field", i), ns.alpha, ns.d)
+        chk = check(fld, params, getattr(ns, horizon_key), ns.n_reps,
+                    derive_seed(ns.seed, label, i))
+        return {"experiment": experiment, "field_index": i,
+                **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", horizon_key, "n_reps")),
                 "lhs": chk.lhs, "lhs_se": chk.lhs_se, "rhs": chk.rhs, "rhs_se": chk.rhs_se,
                 "z": chk.z}
     recs = [one(i) for i in range(ns.n_fields)]
     frac_ok = sum(1 for r in recs if abs(r["z"]) <= 3.0) / len(recs)
     return recs, (0 if frac_ok >= 0.95 else 3)
+
+
+def cmd_moment_check(ns) -> tuple[list[dict], int]:
+    return _per_field(ns, "moment-check", "moment", "t",
+                      lambda fld, params, *rest: brw_mod.moment_identity_check(params, fld, *rest))
 
 
 def cmd_embed(ns) -> tuple[list[dict], int]:
-    params = _params_from(ns)
-
-    def one(i: int) -> dict:
-        fld = DisasterField(derive_seed(ns.seed, "embed-field", i), ns.alpha, ns.d)
-        chk = gw_embed.offspring_mean_identity_check(fld, params, ns.period, ns.n_reps,
-                                                     derive_seed(ns.seed, "embed", i))
-        return {"experiment": "embed", "field_index": i,
-                **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", "period", "n_reps")),
-                "lhs": chk.lhs, "lhs_se": chk.lhs_se, "rhs": chk.rhs, "rhs_se": chk.rhs_se,
-                "z": chk.z}
-    recs = [one(i) for i in range(ns.n_fields)]
-    frac_ok = sum(1 for r in recs if abs(r["z"]) <= 3.0) / len(recs)
-    return recs, (0 if frac_ok >= 0.95 else 3)
+    return _per_field(ns, "embed", "embed", "period", gw_embed.offspring_mean_identity_check)
 
 
 def cmd_phase(ns) -> tuple[list[dict], int]:
@@ -326,9 +320,9 @@ def cmd_perc(ns) -> tuple[list[dict], int]:
     if ns.dump:
         with open(ns.dump, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    value = survived / ns.n_reps
-    recs.append({"experiment": "perc", "mode": "brw-summary", "survival": value,
-                 "std_err": math.sqrt(max(value * (1 - value), 0.0) / ns.n_reps)})
+    est = walk.SurvivalEstimate.binomial(survived / ns.n_reps, ns.n_reps)
+    recs.append({"experiment": "perc", "mode": "brw-summary", "survival": est.value,
+                 "std_err": est.std_err})
     return recs, 0
 
 

@@ -112,11 +112,6 @@ class DisasterField:
         hi = np.searchsorted(s.times, t_max, side="right")
         return s.times[:hi]
 
-    def _times_for_key(self, key: int, t_max: float) -> np.ndarray:
-        s = self._stream(key)
-        self._extend(key, s, t_max)
-        return s.times
-
     def bulk_streams(self, keys: np.ndarray, t_max: float) -> list[np.ndarray]:
         """Materialize many site streams at once; returns full prefixes.
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brw import BRWParams, Caps, CapTripped, simulate
+from .brw import BRWParams, Caps, CapTripped, Comparison, simulate
 from .rng import derive_seed
-from .walk import estimate_lyapunov, estimate_survival
+from .walk import _binom_se, estimate_lyapunov, estimate_survival
 
 
 @dataclass(frozen=True)
@@ -77,53 +77,26 @@ def sample_offspring(field, params: BRWParams, period: float, period_index: int,
                            n_reps=n_reps, mean=float(counts.mean()))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    lhs: float
-    lhs_se: float
-    rhs: float
-    rhs_se: float
-
-    @property
-    def z(self) -> float:
-        denom = math.hypot(self.lhs_se, self.rhs_se)
-        return (self.lhs - self.rhs) / denom if denom > 0 else 0.0
-
-
 def offspring_mean_identity_check(field, params: BRWParams, period: float, n_reps: int,
-                                  seed: int, *, n_walkers: int | None = None) -> IdentityCheck:
+                                  seed: int, *, n_walkers: int | None = None) -> Comparison:
     """First-period offspring mean vs growth-factor-scaled pinned survival.
 
     Both Monte Carlo estimates target the same quenched number, so their
     difference should be noise.
     """
     if period == 0.0:
-        return IdentityCheck(lhs=1.0, lhs_se=0.0, rhs=1.0, rhs_se=0.0)
+        return Comparison(lhs=1.0, lhs_se=0.0, rhs=1.0, rhs_se=0.0)
     sample = sample_offspring(field, params, period, 1, n_reps, derive_seed(seed, "ident-trees"))
     nw = n_walkers if n_walkers is not None else n_reps
     pinned = estimate_survival(field, params.jump_rate, period, nw, True,
                                derive_seed(seed, "ident-walkers"))
     factor = math.exp(params.birth_rate * (params.offspring_mean - 1.0) * period)
-    return IdentityCheck(lhs=sample.mean, lhs_se=sample.mean_std_err,
-                         rhs=factor * pinned.value, rhs_se=factor * pinned.std_err)
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    lhs: float
-    lhs_se: float
-    rhs: float
-    rhs_se: float
-
-    @property
-    def violated_at(self) -> float:
-        """Positive when the lower bound fails beyond combined noise (in sigmas)."""
-        denom = math.hypot(self.lhs_se, self.rhs_se)
-        return (self.rhs - self.lhs) / denom if denom > 0 else math.inf * (self.rhs > self.lhs)
+    return Comparison(lhs=sample.mean, lhs_se=sample.mean_std_err,
+                      rhs=factor * pinned.value, rhs_se=factor * pinned.std_err)
 
 
 def nonextinction_bound_check(field, params: BRWParams, period: float, n_reps: int,
-                              seed: int, *, n_walkers: int | None = None) -> BoundCheck:
+                              seed: int, *, n_walkers: int | None = None) -> Comparison:
     """Check 1 - q_hat(0) >= exp(-birth_rate*period*q(0)) * pinned survival.
 
     Following a single line of first children through the tree survives all
@@ -133,12 +106,11 @@ def nonextinction_bound_check(field, params: BRWParams, period: float, n_reps: i
     """
     sample = sample_offspring(field, params, period, 1, n_reps, derive_seed(seed, "bound-trees"))
     lhs = 1.0 - sample.p_zero
-    lhs_se = math.sqrt(max(lhs * (1.0 - lhs), 0.0) / n_reps)
     nw = n_walkers if n_walkers is not None else n_reps
     pinned = estimate_survival(field, params.jump_rate, period, nw, True,
                                derive_seed(seed, "bound-walkers"))
     factor = math.exp(-params.birth_rate * period * params.offspring[0])
-    return BoundCheck(lhs=lhs, lhs_se=lhs_se, rhs=factor * pinned.value,
+    return Comparison(lhs=lhs, lhs_se=_binom_se(lhs, n_reps), rhs=factor * pinned.value,
                       rhs_se=factor * pinned.std_err)
 
 

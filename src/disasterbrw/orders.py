@@ -62,7 +62,7 @@ def prefix_leq(lhs: Sequence[int], rhs: Sequence[int]) -> bool:
         raise ValueError("configurations must have equal length")
     acc = 0
     for a, b in zip(lhs, rhs):
-        acc += a - b
+        acc += int(a) - int(b)
         if acc > 0:
             return False
     return True
@@ -235,12 +235,6 @@ def couple_parity_batch(weights: WeightVector, half_count: int, n_samples: int, 
         lo[rows, aa] = ((r - lo_b) % 2).astype(np.uint8)
         hi[rows, aa] = ((r - hi_b) % 2).astype(np.uint8)
     return lo, hi
-
-
-def couple_parity(weights: WeightVector, half_count: int, rng):
-    """Single draw of the coupled pair as bit tuples."""
-    lo, hi = couple_parity_batch(weights, half_count, 1, rng)
-    return tuple(int(b) for b in lo[0]), tuple(int(b) for b in hi[0])
 
 
 # ---------------------------------------------------------------------------

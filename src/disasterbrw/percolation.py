@@ -17,10 +17,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .brw import BRWParams, Box, Caps, Event, block_config, cube_sites, simulate
+from .brw import BRWParams, Box, Caps, CapTripped, Event, block_config, cube_sites, simulate
 from .env import DisasterField
 from .rng import as_generator, derive_seed
-from .walk import _binom_se
+from .walk import SurvivalEstimate
 
 Site = tuple[int, ...]
 
@@ -233,15 +233,8 @@ def build_eta_from_brw(params: BRWParams, field, half_width: int, period: float,
 # independent reference percolation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PercSurvival:
-    value: float
-    n_samples: int
-    std_err: float
-
-
 def independent_perc(p: float, rows: int, n_reps: int, rng,
-                     uniforms: np.ndarray | None = None) -> PercSurvival:
+                     uniforms: np.ndarray | None = None) -> SurvivalEstimate:
     """Survival frequency of independent oriented site percolation.
 
     Every point except the origin is occupied independently with probability
@@ -268,8 +261,7 @@ def independent_perc(p: float, rows: int, n_reps: int, rng,
             nxt[: k + 1] = occ[k, : k + 1] & reach[: k + 1]
             open_row = nxt
         hits += bool(open_row.any())
-    value = hits / n_reps
-    return PercSurvival(value=value, n_samples=n_reps, std_err=_binom_se(value, n_reps))
+    return SurvivalEstimate.binomial(hits / n_reps, n_reps)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +305,8 @@ def sample_occupancy_bits(params: BRWParams, half_width: int, period: float,
     `truncated`, each start's particles are confined to its own +-5L slab,
     so bits at horizontal distance > 2 read disjoint sets of disaster
     streams and are exactly independent; without truncation particles from
-    different starts may overlap and correlate.
+    different starts may overlap and correlate.  Raises CapTripped when a run
+    trips `caps`: its event log stops at the trip, so its bit would be biased.
     """
     d = params.dimension
     L = half_width
@@ -332,6 +325,8 @@ def sample_occupancy_bits(params: BRWParams, half_width: int, period: float,
                 region = None
             res = simulate(params, start, fld, 0.0, 6.0 * period,
                            derive_seed(seed, "probe-tree", i, l), trunc=region, caps=caps)
+            if res.capped:
+                raise CapTripped("population cap tripped while sampling occupancy bits")
             target_c = center - 2 * L
             win = SpaceTimeWindow(t_lo=5.0 * period, t_hi=6.0 * period,
                                   x_lo=(target_c - L,) + (-L,) * (d - 1),

@@ -64,16 +64,23 @@ class WalkPath:
 
 @dataclass(frozen=True)
 class SurvivalEstimate:
+    """A survival frequency over n_samples replicas; cap_fraction of them tripped a cap."""
+
     value: float
     n_samples: int
     std_err: float
-    censored: bool = False
+    cap_fraction: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
             raise ValueError("survival estimate outside [0, 1]")
         if self.std_err < 0.0:
             raise ValueError("negative standard error")
+
+    @classmethod
+    def binomial(cls, value: float, n: int, cap_fraction: float = 0.0) -> "SurvivalEstimate":
+        """Frequency `value` of n independent trials, with its binomial standard error."""
+        return cls(value=value, n_samples=n, std_err=_binom_se(value, n), cap_fraction=cap_fraction)
 
 
 @dataclass(frozen=True)
@@ -280,8 +287,7 @@ def estimate_survival(field, jump_rate: float, t: float, n_walkers: int,
     gen = as_generator(rng)
     survived, at_origin = _survival_batch(field, jump_rate, t, n_walkers, gen)
     ok = survived & at_origin if pin_to_origin else survived
-    value = float(ok.mean())
-    return SurvivalEstimate(value=value, n_samples=n_walkers, std_err=_binom_se(value, n_walkers))
+    return SurvivalEstimate.binomial(float(ok.mean()), n_walkers)
 
 
 def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
@@ -298,15 +304,14 @@ def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
         raise ValueError("n_samples must be >= 1")
     gen = as_generator(rng)
     if disaster_rate == 0.0 or t == 0.0:
-        return SurvivalEstimate(value=1.0, n_samples=n_samples, std_err=0.0)
+        return SurvivalEstimate.binomial(1.0, n_samples)
     survived = np.ones(n_samples, dtype=bool)
     for lo, hi, edges, _pad in _jump_windows(gen, jump_rate, t, n_samples):
         length = np.maximum(np.diff(edges, axis=1), 0.0)
         p_hit = -np.expm1(-disaster_rate * length)
         hits = gen.random(length.shape) < p_hit
         survived[lo:hi] = ~hits.any(axis=1)
-    value = float(survived.mean())
-    return SurvivalEstimate(value=value, n_samples=n_samples, std_err=_binom_se(value, n_samples))
+    return SurvivalEstimate.binomial(float(survived.mean()), n_samples)
 
 
 # Truncation error allowed next to the survival probability returned.
@@ -453,10 +458,8 @@ def estimate_lyapunov(jump_rate: float, disaster_rate: float, t: float, n_env: i
         if method == "exact":
             log_s, _ = exact_survival(fld, jump_rate, t, pin)
         else:
-            gen = np.random.default_rng(derive_seed(base, "lyapunov-walk", i))
-            survived, at_origin = _survival_batch(fld, jump_rate, t, n_walkers, gen)
-            ok = survived & at_origin if pin else survived
-            s_hat = float(ok.mean())
+            s_hat = estimate_survival(fld, jump_rate, t, n_walkers, pin,
+                                      derive_seed(base, "lyapunov-walk", i)).value
             log_s = math.log(s_hat) if s_hat > 0.0 else -math.inf
         if log_s == -math.inf:
             log_s = math.log(floor)
@@ -487,14 +490,10 @@ def concentration_profile(jump_rate: float, disaster_rate: float, t_list: Sequen
         logs = np.empty(n_env)
         for i in range(n_env):
             fld = DisasterField(derive_seed(base, "conc-env", j, i), disaster_rate, dimension)
-            gen = np.random.default_rng(derive_seed(base, "conc-walk", j, i))
-            survived, _ = _survival_batch(fld, jump_rate, t, n_walkers, gen)
-            s_hat = float(survived.mean())
+            s_hat = estimate_survival(fld, jump_rate, t, n_walkers, False,
+                                      derive_seed(base, "conc-walk", j, i)).value
             logs[i] = math.log(s_hat if s_hat > 0.0 else floor)
-        if n_env > 1:
-            rows.append(ConcentrationRow(t=float(t), mean_log=float(logs.mean()),
-                                         std_log=float(logs.std(ddof=1)), degenerate=False))
-        else:
-            rows.append(ConcentrationRow(t=float(t), mean_log=float(logs.mean()),
-                                         std_log=None, degenerate=True))
+        std_log = float(logs.std(ddof=1)) if n_env > 1 else None
+        rows.append(ConcentrationRow(t=float(t), mean_log=float(logs.mean()), std_log=std_log,
+                                     degenerate=std_log is None))
     return rows

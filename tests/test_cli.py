@@ -226,3 +226,44 @@ def test_verify_from_cold_start(tmp_path):
     proc = _fresh_python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "false" not in (tmp_path / "v.csv").read_text()
+
+
+# Byte-for-byte outputs of the committed code, one file per (argv, format).  A
+# change that must keep every output identical runs against these; a change
+# that moves an output on purpose re-records the affected files by running the
+# argv through cli.main with --out tests/golden/<name>.<format>, and says so.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_ARGVS = {
+    "annealed": ["annealed", "--seed", "3", "--n", "20000"],
+    "lyapunov": ["lyapunov", "--seed", "3", "--t", "2", "--n-env", "8", "--n-walkers", "500"],
+    "lyapunov-pin": ["lyapunov", "--seed", "3", "--t", "2", "--n-env", "8",
+                     "--n-walkers", "500", "--pin"],
+    "brw-survival": ["brw-survival", "--seed", "3", "--horizon", "4", "--n-reps", "60",
+                     "--kappa", "8", "--lam", "2", "--q", "2:1", "--cap-alive", "50"],
+    "moment-check": ["moment-check", "--seed", "3", "--n-fields", "4", "--n-reps", "80"],
+    "embed": ["embed", "--seed", "3", "--n-fields", "3", "--n-reps", "120",
+              "--kappa", "2", "--lam", "0.5"],
+    "phase": ["phase", "--seed", "3", "--t-lyap", "2", "--n-env", "8", "--n-walkers", "400"],
+    "sweep": ["sweep", "--seed", "3", "--kappa-grid", "1", "--lam-grid", "0.5,1",
+              "--q", "0:0.0,2:1.0", "--horizon", "3", "--n-reps", "30", "--cap-alive", "300"],
+    "sweep-perc": ["sweep", "--seed", "3", "--p-grid", "0.5,0.7", "--rows", "10",
+                   "--n-reps", "50"],
+    "boxes-fkg": ["boxes-fkg", "--seed", "3", "--n-reps", "40", "--n-batches", "2"],
+    "perc": ["perc", "--seed", "3", "--rows", "20", "--n-reps", "200"],
+    "perc-brw": ["perc", "--seed", "3", "--mode", "brw", "--kappa", "2", "--lam", "2",
+                 "--q", "2:1", "--alpha", "0.7", "--box-l", "2", "--box-t", "0.35",
+                 "--rows", "1", "--n-reps", "8"],
+    "verify": ["verify", "--seed", "3"],
+}
+
+
+def test_outputs_match_golden_corpus(tmp_path):
+    differ = []
+    for name, argv in GOLDEN_ARGVS.items():
+        for fmt_name in ("csv", "json"):
+            fname = f"{name}.{fmt_name}"
+            out = tmp_path / fname
+            assert cli.main(argv + ["--format", fmt_name, "--out", str(out)]) == 0, fname
+            if out.read_bytes() != (GOLDEN_DIR / fname).read_bytes():
+                differ.append(fname)
+    assert not differ, f"outputs differ from tests/golden: {differ}"

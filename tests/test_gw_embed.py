@@ -105,6 +105,14 @@ def test_nonextinction_bound_no_zero_offspring():
     assert chk.violated_at <= 3.0
 
 
+def test_nonextinction_bound_holds_when_both_sides_are_exact():
+    # no disasters, no jumps: lhs = rhs = 1 with zero standard errors
+    params = BRWParams(0.0, 1.0, (0.0, 0.0, 1.0), 0.0, 1)
+    chk = nonextinction_bound_check(DisasterField(1, 0.0, 1), params, 1.0, 50, 3)
+    assert (chk.lhs, chk.rhs, chk.lhs_se, chk.rhs_se) == (1.0, 1.0, 0.0, 0.0)
+    assert chk.violated_at <= 3.0
+
+
 def test_nonextinction_bound_violation_rate_small():
     params = BRWParams(1.0, 0.8, BINARY, 1.0, 1)
     violations = 0

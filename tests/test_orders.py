@@ -11,7 +11,6 @@ from disasterbrw.orders import (
     WeightVector,
     binom_parity_even,
     conditioned_jump_log_laws,
-    couple_parity,
     couple_parity_batch,
     jump_count_lr_dominates,
     majorization_leq,
@@ -118,6 +117,15 @@ def test_prefix_examples():
     assert not prefix_leq((0, 1, 1, 0), (1, 0, 0, 1))
 
 
+def test_prefix_on_uint8_patterns_matches_int_tuples():
+    # parity patterns are uint8 rows, where a - b would wrap below zero
+    pats = parity_dist([0.2, 0.3, 0.5], 2).patterns
+    for a in pats:
+        for b in pats:
+            ints = (tuple(int(x) for x in a), tuple(int(x) for x in b))
+            assert prefix_leq(a, b) == prefix_leq(*ints), ints
+
+
 def test_prefix_length_mismatch():
     with pytest.raises(ValueError):
         prefix_leq((0, 1), (0, 1, 0))
@@ -196,9 +204,9 @@ def test_unsorted_weights_can_violate():
 
 def test_couple_zero_balls_lower_is_zero():
     w = WeightVector((0.2, 0.8))
-    lo, hi = couple_parity(w, 0, 3)
-    assert lo == (0, 0)
-    assert prefix_leq(lo, hi)
+    lo, hi = couple_parity_batch(w, 0, 1, 3)
+    assert tuple(lo[0]) == (0, 0)
+    assert prefix_leq(lo[0], hi[0])
 
 
 def test_coupling_never_violates_order():

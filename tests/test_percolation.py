@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
-from disasterbrw.brw import BRWParams, Caps, cube_sites, offspring_pmf, simulate, survival_frequency
+from disasterbrw.brw import BRWParams, Caps, CapTripped, cube_sites, offspring_pmf, simulate, survival_frequency
 from disasterbrw.env import DisasterField
 from disasterbrw.percolation import (
     PercLattice,
@@ -188,6 +189,14 @@ def test_probe_sanity_on_independent_bits():
     assert entries
     for e in entries:
         assert abs(e.corr) <= 3 * e.std_err
+
+
+def test_probe_raises_on_a_cap_trip():
+    # a capped run's log stops at the trip, so its bit cannot be read
+    params = BRWParams(2.0, 2.0, ALWAYS_TWO, 0.7, 1)
+    with pytest.raises(CapTripped):
+        sample_occupancy_bits(params, half_width=2, period=0.35, block_radius=0, copies_root=1,
+                              n_bits=6, n_reps=40, seed=17, caps=Caps(max_alive=20))
 
 
 def test_probe_truncated_construction_uncorrelated_at_distance_three():
