@@ -18,24 +18,18 @@ from .gw_embed import phase_classify
 from .walk import (
     LyapunovEstimate,
     SurvivalEstimate,
-    WalkPath,
     annealed_survival,
     concentration_profile,
     estimate_lyapunov,
     estimate_survival,
-    extinction_time,
-    simulate_walk,
 )
 
 __all__ = [
     "DisasterField",
     "SuperposedField",
     "superpose",
-    "WalkPath",
     "SurvivalEstimate",
     "LyapunovEstimate",
-    "simulate_walk",
-    "extinction_time",
     "estimate_survival",
     "annealed_survival",
     "estimate_lyapunov",

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .brw import BRWParams, Box, Caps, CapTripped, Event, simulate
+from .brw import BRWParams, Box, Caps, CapTripped, Comparison, Event, simulate
 from .env import DisasterField
 from .rng import derive_seed
 from .walk import _binom_se
@@ -379,8 +379,7 @@ def exit_product_bounds_check(params: BRWParams, eta: Mapping[Site, int], box: S
         rp, rse = prob(one_total <= fam * kk)
         derived = ((fam - 1) / fam) ** (fam * copies)
         printed = float(fam) ** (-fam * copies)
-        sig = math.hypot(lhs_se, rse)
-        viol = ((lhs - rp - derived) / sig) if sig > 0 else (math.inf if lhs > rp + derived else -math.inf)
+        viol = Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se).violated_at
         reports.append(ProductBoundReport(name=name, lhs=lhs, lhs_se=lhs_se, rhs_prob=rp,
                                           rhs_prob_se=rse, additive_derived=derived,
                                           additive_printed=printed, violation_sigma=viol))
@@ -390,8 +389,7 @@ def exit_product_bounds_check(params: BRWParams, eta: Mapping[Site, int], box: S
     lhs, lhs_se = _product_with_se(np.array([pf, pt]), np.array([sef, set_]))
     rp, rse = prob(fv_one.sum(axis=1) + tv_one.sum(axis=1) <= k_face + k_top)
     derived = 4.0 ** (-copies)
-    sig = math.hypot(lhs_se, rse)
-    viol = ((lhs - rp - derived) / sig) if sig > 0 else (math.inf if lhs > rp + derived else -math.inf)
+    viol = Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se).violated_at
     reports.append(ProductBoundReport(name="combined-totals", lhs=lhs, lhs_se=lhs_se,
                                       rhs_prob=rp, rhs_prob_se=rse, additive_derived=derived,
                                       additive_printed=derived, violation_sigma=viol))

@@ -537,26 +537,24 @@ def _explicit_dests(actions, argv) -> set:
 
 
 def _apply_config_overrides(ns, actions, argv) -> None:
-    """File values apply wherever the flag was not given explicitly."""
+    """File values apply wherever the flag was not given explicitly, typed and checked as flags are."""
     if ns.config is None:
         return
     explicit = _explicit_dests(actions, argv)
-    defaults = {a.dest: a.default for a in actions}
-    file_vals = parse_config_file(ns.config)
-    for key, raw in file_vals.items():
-        if key not in defaults:
+    by_dest = {a.dest: a for a in actions}
+    for key, raw in parse_config_file(ns.config).items():
+        act = by_dest.get(key)
+        if act is None:
             raise ConfigError(f"unknown config key {key!r}")
         if key in explicit:
             continue  # explicit flag wins
-        default = defaults.get(key)
-        if isinstance(default, bool):
-            setattr(ns, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(default, int) and default is not None:
-            setattr(ns, key, int(raw))
-        elif isinstance(default, float) and default is not None:
-            setattr(ns, key, float(raw))
+        if isinstance(act.default, bool):
+            value = raw.lower() in ("1", "true", "yes")
         else:
-            setattr(ns, key, raw)
+            value = act.type(raw) if act.type else raw  # a ValueError is a config error too
+            if act.choices is not None and value not in act.choices:
+                raise ConfigError(f"{key}: {raw!r} is not one of {', '.join(map(str, act.choices))}")
+        setattr(ns, key, value)
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,15 +60,16 @@ def oriented_closure(occupied: np.ndarray) -> np.ndarray:
     """Open bits: reachable from (0,0) along steps (k,l) -> (k+1, l or l+1).
 
     The origin is open unconditionally; every later point on a path must be
-    occupied.  Monotone in the occupancy field.
+    occupied.  Monotone in the occupancy field.  Leading axes index a stack
+    of lattices, each closed on its own.
     """
-    rows = occupied.shape[0] - 1
+    rows = occupied.shape[-1] - 1
     open_ = np.zeros_like(occupied, dtype=bool)
-    open_[0, 0] = True
+    open_[..., 0, 0] = True
     for k in range(1, rows + 1):
-        reach = open_[k - 1].copy()
-        reach[1 : k + 1] |= open_[k - 1, 0:k]
-        open_[k, : k + 1] = occupied[k, : k + 1] & reach[: k + 1]
+        reach = open_[..., k - 1, :].copy()
+        reach[..., 1 : k + 1] |= open_[..., k - 1, 0:k]
+        open_[..., k, : k + 1] = occupied[..., k, : k + 1] & reach[..., : k + 1]
     return open_
 
 
@@ -87,98 +90,81 @@ class SpaceTimeWindow:
 
 
 def detect_occupied_copy(events: Iterable[Event], block_radius: int, copies_root: int,
-                         window: SpaceTimeWindow, dimension: int):
-    """Earliest (t, x) in `window` where every site of x + block holds >= copies_root^2 particles.
+                         windows: SpaceTimeWindow | Sequence[SpaceTimeWindow], dimension: int):
+    """Earliest (t, x) in a window where every site of x + block holds >= copies_root^2 particles.
 
-    Scans the event log: counts only change at events, so the predicate is
-    evaluated at the window opening and after each batch of events sharing a
-    timestamp (states inside one instant are transient, not real states).
-    Anchors filling at one instant resolve in lexicographic order.  Returns
-    None when no placement fills up within the window.
+    One window gets (t, x) or None; a sequence gets a list with one such entry
+    per window, all from one pass over the log.  Counts only change at events,
+    so the exact set of full anchors is read only after a whole batch of events
+    sharing a timestamp (states inside one instant are not real states): in
+    full when a window opens, after every event at or before t_lo, then after
+    each batch up to t_hi against the anchors that filled in that batch.
+    Anchors filling at one instant resolve in lexicographic order.
     """
+    single = isinstance(windows, SpaceTimeWindow)
+    wins = [windows] if single else list(windows)
     need = copies_root * copies_root
     offsets = cube_sites(block_radius, dimension)
-    lo, hi = window.x_lo, window.x_hi
-
     counts: dict[Site, int] = {}
     saturated: set[Site] = set()
-    pending: set[Site] = set()
+    full: set[Site] = set()  # anchors whose whole block is saturated
+    filled: set[Site] = set()  # anchors that joined `full` in the current batch
     pos: dict = {}
+    hits = [None] * len(wins)
+    to_open = sorted(range(len(wins)), key=lambda i: wins[i].t_lo, reverse=True)
+    active: list[int] = []
 
-    def anchors_of(site: Site):
-        for off in offsets:
-            x = tuple(s - o for s, o in zip(site, off))
-            if all(a <= c <= b for c, a, b in zip(x, lo, hi)):
-                yield x
-
-    def block_full(x: Site) -> bool:
-        return all(tuple(x[i] + o[i] for i in range(dimension)) in saturated for o in offsets)
+    def first_in(i: int, anchors) -> Site | None:
+        w = wins[i]
+        return min((x for x in anchors if all(a <= c <= b for c, a, b in zip(x, w.x_lo, w.x_hi))),
+                   default=None)
 
     def bump(site: Site, delta: int) -> None:
-        c = counts.get(site, 0) + delta
-        if c:
-            counts[site] = c
-        else:
-            counts.pop(site, None)
-        if c >= need:
-            if site not in saturated:
-                saturated.add(site)
-                pending.update(anchors_of(site))
-        else:
+        counts[site] = c = counts.get(site, 0) + delta
+        if (c >= need) == (site in saturated):
+            return
+        around = [tuple(s - o for s, o in zip(site, off)) for off in offsets]
+        if c < need:
             saturated.discard(site)
+            full.difference_update(around)
+            return
+        saturated.add(site)
+        for x in around:
+            if all(tuple(a + o for a, o in zip(x, off)) in saturated for off in offsets):
+                full.add(x)
+                filled.add(x)
 
-    def first_full(cands) -> Site | None:
-        for x in sorted(cands):
-            if block_full(x):
-                return x
-        return None
+    def open_before(t: float) -> None:
+        while to_open and wins[to_open[-1]].t_lo < t:
+            i = to_open.pop()
+            x = first_in(i, full)
+            if x is None:
+                active.append(i)
+            else:
+                hits[i] = (wins[i].t_lo, x)
 
-    def scan_all() -> Site | None:
-        from itertools import product
-
-        return first_full(tuple(x) for x in product(*[range(a, b + 1) for a, b in zip(lo, hi)]))
-
-    opened = False
-    prev_time = None
-    for ev in events:
-        if opened and prev_time is not None and ev.time != prev_time and prev_time >= window.t_lo:
-            # the batch at prev_time is complete: a real state exists there
-            x = first_full(pending)
-            pending.clear()
-            if x is not None:
-                return prev_time, x
-        if not opened and ev.time > window.t_lo:
-            # processed events are exactly those at or before the opening
-            opened = True
-            pending.clear()
-            x = scan_all()
-            if x is not None:
-                return window.t_lo, x
-        if ev.time > window.t_hi:
-            return None
-        prev_time = ev.time
-        if ev.kind == "birth":
-            pos[ev.pid] = ev.site
-            bump(ev.site, +1)
-        elif ev.kind == "jump":
-            old = pos.get(ev.pid)
+    for t, batch in groupby(events, key=attrgetter("time")):
+        open_before(t)
+        active[:] = [i for i in active if wins[i].t_hi >= t]
+        if not (active or to_open):
+            break
+        for ev in batch:
+            old = pos.pop(ev.pid, None)  # a jump, leave, branch or disaster empties the old site
             if old is not None:
                 bump(old, -1)
-            pos[ev.pid] = ev.site
-            bump(ev.site, +1)
-        else:  # leave, branch, disaster: the particle's site empties
-            old = pos.pop(ev.pid, None)
-            if old is not None:
-                bump(old, -1)
-    # log exhausted: close out the final batch / never-opened window
-    if not opened:
-        x = scan_all()
-        return (window.t_lo, x) if x is not None else None
-    if prev_time is not None and prev_time >= window.t_lo:
-        x = first_full(pending)
-        if x is not None:
-            return max(prev_time, window.t_lo), x
-    return None
+            if ev.kind in ("birth", "jump"):
+                pos[ev.pid] = ev.site
+                bump(ev.site, +1)
+        new = filled & full
+        filled.clear()
+        if new:
+            for i in active[:]:
+                x = first_in(i, new)
+                if x is not None:
+                    hits[i] = (t, x)
+                    active.remove(i)
+    open_before(math.inf)  # windows opening at or after the last event see the final state
+    return hits[0] if single else hits
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +202,15 @@ def build_eta_from_brw(params: BRWParams, field, half_width: int, period: float,
     start = block_config(cube_sites(block_radius, d), copies_root * copies_root)
     horizon = 5.0 * period * (rows + 1)
     res = simulate(params, start, field, 0.0, horizon, seed, trunc=region, caps=caps)
+    cells = [(k, l) for k in range(rows + 1) for l in range(k + 1)]
+    wins = [staircase_window(k, l, half_width, period, d) for k, l in cells]
+    hits = detect_occupied_copy(res.events, block_radius, copies_root, wins, d)
     occupied = np.zeros((rows + 1, rows + 1), dtype=bool)
     flagged = []
-    for k in range(rows + 1):
-        for l in range(k + 1):
-            win = staircase_window(k, l, half_width, period, d)
-            if res.capped and res.cap_time is not None and win.t_hi >= res.cap_time:
-                flagged.append(k)
-            hit = detect_occupied_copy(res.events, block_radius, copies_root, win, d)
-            occupied[k, l] = hit is not None
+    for (k, l), win, hit in zip(cells, wins, hits):
+        if res.capped and res.cap_time is not None and win.t_hi >= res.cap_time:
+            flagged.append(k)
+        occupied[k, l] = hit is not None
     occupied[0, 0] = True  # root; openness of (0,0) is unconditional anyway
     return PercLattice(rows=rows, occupied=occupied, flagged_rows=tuple(sorted(set(flagged))))
 
@@ -249,18 +235,7 @@ def independent_perc(p: float, rows: int, n_reps: int, rng,
         uniforms = gen.random((n_reps, rows + 1, rows + 1))
     if uniforms.shape != (n_reps, rows + 1, rows + 1):
         raise ValueError("uniforms shape mismatch")
-    hits = 0
-    for i in range(n_reps):
-        occ = uniforms[i] < p
-        open_row = np.zeros(rows + 2, dtype=bool)
-        open_row[0] = True
-        for k in range(1, rows + 1):
-            reach = open_row.copy()
-            reach[1:] |= open_row[:-1]
-            nxt = np.zeros_like(open_row)
-            nxt[: k + 1] = occ[k, : k + 1] & reach[: k + 1]
-            open_row = nxt
-        hits += bool(open_row.any())
+    hits = int(oriented_closure(uniforms < p)[:, rows].any(axis=1).sum())
     return SurvivalEstimate.binomial(hits / n_reps, n_reps)
 
 

@@ -1,9 +1,9 @@
 """Single-particle model: continuous-time simple random walk among disasters.
 
-Provides the path-level API (simulate_walk / extinction_time), quenched and
-annealed survival estimators, an exact solver for the quenched survival
-probability in dimension 1, the Lyapunov-exponent estimator for the decay
-rate of the quenched survival probability, and an environment-to-environment
+Provides quenched and annealed survival estimators on a vectorized
+walk-segment kernel, an exact solver for the quenched survival probability
+in dimension 1, the Lyapunov-exponent estimator for the decay rate of the
+quenched survival probability, and an environment-to-environment
 concentration profile of log-survival.
 
 Conventions
@@ -25,41 +25,6 @@ import numpy as np
 
 from .env import DisasterField
 from .rng import as_generator, derive_seed, generator_seed
-
-
-@dataclass(frozen=True)
-class WalkPath:
-    """Piecewise-constant trajectory on the lattice.
-
-    jumps holds (time, new_site) with strictly increasing times; position at
-    time t is the site installed by the last jump at or before t.
-    """
-
-    start_site: tuple[int, ...]
-    jumps: tuple[tuple[float, tuple[int, ...]], ...]
-    horizon: float
-
-    @property
-    def dimension(self) -> int:
-        return len(self.start_site)
-
-    def position(self, t: float) -> tuple[int, ...]:
-        site = self.start_site
-        for tj, sj in self.jumps:
-            if tj <= t:
-                site = sj
-            else:
-                break
-        return site
-
-    def occupancy_intervals(self):
-        """Yield (site, t_enter, t_leave) covering [0, horizon]."""
-        site = self.start_site
-        t = 0.0
-        for tj, sj in self.jumps:
-            yield site, t, tj
-            site, t = sj, tj
-        yield site, t, self.horizon
 
 
 @dataclass(frozen=True)
@@ -95,56 +60,6 @@ class LyapunovEstimate:
 
 def _binom_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-# ---------------------------------------------------------------------------
-# path-level API
-# ---------------------------------------------------------------------------
-
-def simulate_walk(jump_rate: float, dimension: int, horizon: float, rng,
-                  start_site: Sequence[int] | None = None) -> WalkPath:
-    """Rate-`jump_rate` simple random walk on Z^dimension over [0, horizon]."""
-    if jump_rate < 0.0 or horizon < 0.0:
-        raise ValueError("jump_rate and horizon must be >= 0")
-    gen = as_generator(rng)
-    start = tuple(start_site) if start_site is not None else (0,) * dimension
-    n = int(gen.poisson(jump_rate * horizon)) if jump_rate > 0.0 and horizon > 0.0 else 0
-    times = np.sort(gen.random(n)) * horizon
-    axes = gen.integers(0, dimension, n)
-    signs = gen.integers(0, 2, n) * 2 - 1
-    jumps = []
-    site = list(start)
-    for t, ax, sg in zip(times, axes, signs):
-        site[ax] += int(sg)
-        jumps.append((float(t), tuple(site)))
-    return WalkPath(start_site=start, jumps=tuple(jumps), horizon=float(horizon))
-
-
-def extinction_time(path: WalkPath, field) -> float | None:
-    """First disaster time along the path, or None if none up to the horizon.
-
-    Detection windows are [enter, leave) per occupied site, matching the
-    post-jump convention; the horizon endpoint itself is checked too and, if
-    hit, reported as exactly the horizon (which still counts as survival of
-    the horizon under the strict-before convention).
-    """
-    if field.dimension != path.dimension:
-        raise ValueError("field and path dimensions differ")
-    best = None
-    for site, a, b in path.occupancy_intervals():
-        hi = min(b, path.horizon)
-        if a >= hi:
-            continue
-        w = field.disasters_in_window(site, a, hi)
-        if len(w):
-            best = float(w[0])
-            break
-    if best is None:
-        last_site = path.position(path.horizon)
-        w = field.disasters_in_window(last_site, path.horizon, np.nextafter(path.horizon, np.inf))
-        if len(w):
-            return path.horizon
-    return best
 
 
 # ---------------------------------------------------------------------------

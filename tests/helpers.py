@@ -8,9 +8,99 @@ evidence rather than tautology.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
+
+
+# -- scalar path simulator ----------------------------------------------------
+# One walker's path as a list of jumps, and its first disaster found site by
+# site through DisasterField.disasters_in_window: a route independent of the
+# vectorized kernel in disasterbrw.walk.
+
+@dataclass(frozen=True)
+class WalkPath:
+    """Piecewise-constant trajectory on the lattice.
+
+    jumps holds (time, new_site) with strictly increasing times; position at
+    time t is the site installed by the last jump at or before t.
+    """
+
+    start_site: tuple[int, ...]
+    jumps: tuple[tuple[float, tuple[int, ...]], ...]
+    horizon: float
+
+    @property
+    def dimension(self) -> int:
+        return len(self.start_site)
+
+    def position(self, t: float) -> tuple[int, ...]:
+        site = self.start_site
+        for tj, sj in self.jumps:
+            if tj <= t:
+                site = sj
+            else:
+                break
+        return site
+
+    def occupancy_intervals(self):
+        """Yield (site, t_enter, t_leave) covering [0, horizon]."""
+        site = self.start_site
+        t = 0.0
+        for tj, sj in self.jumps:
+            yield site, t, tj
+            site, t = sj, tj
+        yield site, t, self.horizon
+
+
+def simulate_walk(jump_rate: float, dimension: int, horizon: float, rng,
+                  start_site: Sequence[int] | None = None) -> WalkPath:
+    """Rate-`jump_rate` simple random walk on Z^dimension over [0, horizon]."""
+    from disasterbrw.rng import as_generator
+
+    if jump_rate < 0.0 or horizon < 0.0:
+        raise ValueError("jump_rate and horizon must be >= 0")
+    gen = as_generator(rng)
+    start = tuple(start_site) if start_site is not None else (0,) * dimension
+    n = int(gen.poisson(jump_rate * horizon)) if jump_rate > 0.0 and horizon > 0.0 else 0
+    times = np.sort(gen.random(n)) * horizon
+    axes = gen.integers(0, dimension, n)
+    signs = gen.integers(0, 2, n) * 2 - 1
+    jumps = []
+    site = list(start)
+    for t, ax, sg in zip(times, axes, signs):
+        site[ax] += int(sg)
+        jumps.append((float(t), tuple(site)))
+    return WalkPath(start_site=start, jumps=tuple(jumps), horizon=float(horizon))
+
+
+def extinction_time(path: WalkPath, field) -> float | None:
+    """First disaster time along the path, or None if none up to the horizon.
+
+    Detection windows are [enter, leave) per occupied site, matching the
+    post-jump convention; the horizon endpoint itself is checked too and, if
+    hit, reported as exactly the horizon (which still counts as survival of
+    the horizon under the strict-before convention).
+    """
+    if field.dimension != path.dimension:
+        raise ValueError("field and path dimensions differ")
+    best = None
+    for site, a, b in path.occupancy_intervals():
+        hi = min(b, path.horizon)
+        if a >= hi:
+            continue
+        w = field.disasters_in_window(site, a, hi)
+        if len(w):
+            best = float(w[0])
+            break
+    if best is None:
+        last_site = path.position(path.horizon)
+        w = field.disasters_in_window(last_site, path.horizon, np.nextafter(path.horizon, np.inf))
+        if len(w):
+            return path.horizon
+    return best
 
 
 def series_return_probability(rate: float, t: float, terms: int = 200) -> float:
@@ -347,3 +437,101 @@ def enumerate_open_oracle(occupied: np.ndarray) -> np.ndarray:
 
     walk(0, 0)
     return open_
+
+
+def detect_occupied_copy_oracle(events, block_radius: int, copies_root: int, window, dimension: int):
+    """percolation.detect_occupied_copy for one window, by a scan of its own.
+
+    The per-window scanner that the one-pass sweep replaced.  It tracks the
+    anchors inside `window` that a newly saturated site may have filled
+    (`pending`) and reads them after each batch of events sharing a
+    timestamp once the window has opened; it reads the whole window box
+    when the window opens, or when the log ends before that.  Anchors
+    filling at one instant resolve in lexicographic order.  Returns None
+    when no placement fills up within the window.
+    """
+    from itertools import product
+
+    from disasterbrw.brw import cube_sites
+
+    need = copies_root * copies_root
+    offsets = cube_sites(block_radius, dimension)
+    lo, hi = window.x_lo, window.x_hi
+
+    counts: dict = {}
+    saturated: set = set()
+    pending: set = set()
+    pos: dict = {}
+
+    def anchors_of(site):
+        for off in offsets:
+            x = tuple(s - o for s, o in zip(site, off))
+            if all(a <= c <= b for c, a, b in zip(x, lo, hi)):
+                yield x
+
+    def block_full(x) -> bool:
+        return all(tuple(x[i] + o[i] for i in range(dimension)) in saturated for o in offsets)
+
+    def bump(site, delta: int) -> None:
+        c = counts.get(site, 0) + delta
+        if c:
+            counts[site] = c
+        else:
+            counts.pop(site, None)
+        if c >= need:
+            if site not in saturated:
+                saturated.add(site)
+                pending.update(anchors_of(site))
+        else:
+            saturated.discard(site)
+
+    def first_full(cands):
+        for x in sorted(cands):
+            if block_full(x):
+                return x
+        return None
+
+    def scan_all():
+        return first_full(tuple(x) for x in product(*[range(a, b + 1) for a, b in zip(lo, hi)]))
+
+    opened = False
+    prev_time = None
+    for ev in events:
+        if opened and prev_time is not None and ev.time != prev_time and prev_time >= window.t_lo:
+            # the batch at prev_time is complete: a real state exists there
+            x = first_full(pending)
+            pending.clear()
+            if x is not None:
+                return prev_time, x
+        if not opened and ev.time > window.t_lo:
+            # processed events are exactly those at or before the opening
+            opened = True
+            pending.clear()
+            x = scan_all()
+            if x is not None:
+                return window.t_lo, x
+        if ev.time > window.t_hi:
+            return None
+        prev_time = ev.time
+        if ev.kind == "birth":
+            pos[ev.pid] = ev.site
+            bump(ev.site, +1)
+        elif ev.kind == "jump":
+            old = pos.get(ev.pid)
+            if old is not None:
+                bump(old, -1)
+            pos[ev.pid] = ev.site
+            bump(ev.site, +1)
+        else:  # leave, branch, disaster: the particle's site empties
+            old = pos.pop(ev.pid, None)
+            if old is not None:
+                bump(old, -1)
+    # log exhausted: close out the final batch / never-opened window
+    if not opened:
+        x = scan_all()
+        return (window.t_lo, x) if x is not None else None
+    if prev_time is not None and prev_time >= window.t_lo:
+        x = first_full(pending)
+        if x is not None:
+            return max(prev_time, window.t_lo), x
+    return None

@@ -20,9 +20,7 @@ from disasterbrw.brw import (
 )
 from disasterbrw.env import DisasterField, SuperposedField, superpose
 from disasterbrw.rng import ParticleStream, counter_uniform, fold, mix64_int
-from disasterbrw.walk import WalkPath, extinction_time
-
-from helpers import replay_site_counts, simulate_oracle
+from helpers import WalkPath, extinction_time, replay_site_counts, simulate_oracle
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})

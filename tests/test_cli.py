@@ -111,6 +111,26 @@ def test_config_unknown_key_rejected(tmp_path):
     assert cli.main(["annealed", "--seed", "3", "--config", str(cfg)]) == 1
 
 
+def test_config_seed_is_typed_like_the_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n")
+    for argv in (["annealed", "--n", "1000", "--format", "json"],
+                 ["brw-survival", "--horizon", "1", "--n-reps", "20"]):
+        by_flag = run_cli(argv + ["--seed", "3"], tmp_path, "flag.out")
+        by_file = run_cli(argv + ["--config", str(cfg)], tmp_path, "file.out")
+        assert by_file == by_flag
+        assert by_flag[0] == 0
+
+
+def test_config_value_outside_choices_rejected(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = foo\n")  # not "indep", so it would run in brw mode
+    assert cli.main(["perc", "--seed", "3", "--rows", "1", "--n-reps", "1",
+                     "--config", str(cfg)]) == 1
+    cfg.write_text("rows = two\n")
+    assert cli.main(["perc", "--seed", "3", "--config", str(cfg)]) == 1
+
+
 def test_verify_suite_exit_zero(tmp_path):
     code, data = run_cli(["verify", "--seed", "2"], tmp_path)
     assert code == 0

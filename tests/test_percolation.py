@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from disasterbrw.brw import BRWParams, Caps, CapTripped, cube_sites, offspring_pmf, simulate, survival_frequency
+from disasterbrw import percolation
+from disasterbrw.brw import (BRWParams, Box, Caps, CapTripped, Event, block_config, cube_sites,
+                             offspring_pmf, simulate, survival_frequency)
 from disasterbrw.env import DisasterField
 from disasterbrw.percolation import (
     PercLattice,
@@ -17,7 +19,7 @@ from disasterbrw.percolation import (
     staircase_window,
 )
 
-from helpers import enumerate_open_oracle
+from helpers import detect_occupied_copy_oracle, enumerate_open_oracle
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
@@ -32,6 +34,13 @@ def test_closure_matches_path_enumeration():
         K = int(rng.integers(1, 7))
         occ = rng.random((K + 1, K + 1)) < rng.uniform(0.3, 0.9)
         assert (oriented_closure(occ) == enumerate_open_oracle(occ)).all()
+
+
+def test_closure_of_a_stack_closes_each_lattice():
+    occ = np.random.default_rng(9).random((3, 4, 6, 6)) < 0.6
+    op = oriented_closure(occ)
+    for idx in np.ndindex(3, 4):
+        assert (op[idx] == enumerate_open_oracle(occ[idx])).all()
 
 
 def test_open_implies_occupied_and_origin_exception():
@@ -84,6 +93,20 @@ def test_detect_empty_process_none():
     assert detect_occupied_copy([], 0, 1, win, 1) is None
 
 
+def test_detect_reads_batch_ends_only():
+    # a jump onto (1,) struck at the arrival instant never makes a real state;
+    # the jump onto (2,) at t = 2 does, on the closing edge of the windows
+    log = [Event(0.0, "birth", (0,), (0,)), Event(1.0, "jump", (0,), (1,)),
+           Event(1.0, "disaster", (0,), (1,)), Event(1.5, "birth", (1,), (1,)),
+           Event(2.0, "jump", (1,), (2,))]
+    wins = [SpaceTimeWindow(0.5, 1.2, (1,), (1,)), SpaceTimeWindow(1.0, 2.0, (2,), (2,)),
+            SpaceTimeWindow(1.0, 1.0, (1,), (2,)), SpaceTimeWindow(1.5, 1.5, (1,), (2,)),
+            SpaceTimeWindow(3.0, 4.0, (-1,), (3,))]
+    want = [None, (2.0, (2,)), None, (1.5, (1,)), (3.0, (2,))]
+    assert [detect_occupied_copy_oracle(log, 0, 1, w, 1) for w in wins] == want
+    assert detect_occupied_copy(log, 0, 1, wins, 1) == want
+
+
 def test_detect_matches_full_scan_oracle():
     from itertools import product
 
@@ -124,6 +147,84 @@ def test_detect_matches_full_scan_oracle():
         got = detect_occupied_copy(res.events, 0, 1, win, 1)
         want = oracle(res.events, 0, 1, win, 1)
         assert got == want
+
+
+def _random_windows(gen, times, d, n):
+    """Windows of every kind the sweep must handle, for a log with these event times."""
+    last = times[-1] if times else 0.0
+    wins = []
+    for _ in range(n):
+        u = gen.random()
+        if u < 0.3 and times:
+            t_lo = times[int(gen.integers(0, len(times)))]  # opens at an event instant
+        elif u < 0.45:
+            t_lo = last + float(gen.uniform(0.0, 1.0)) * (gen.random() < 0.5)  # at or after the log
+        else:
+            t_lo = float(gen.uniform(0.0, 3.0))
+        if gen.random() < 0.2:
+            t_hi = t_lo  # zero height
+        elif gen.random() < 0.3 and times:
+            t_hi = max(t_lo, times[int(gen.integers(0, len(times)))])  # closes at an event instant
+        else:
+            t_hi = t_lo + float(gen.uniform(0.0, 2.0))
+        c = gen.integers(-3, 4, d)
+        w = gen.integers(0, 3, d)
+        wins.append(SpaceTimeWindow(t_lo, t_hi, tuple(int(v) for v in c - w),
+                                    tuple(int(v) for v in c + w)))
+    if len(wins) > 1 and gen.random() < 0.5:
+        wins.append(wins[0])  # a repeated window shares every instant with its twin
+    return wins
+
+
+def test_one_pass_matches_per_window_oracle():
+    gen = np.random.default_rng(41)
+    n_windows = n_hits = 0
+    for i in range(160):
+        d = int(gen.integers(1, 3))
+        radius = int(gen.integers(0, 2))
+        root = int(gen.integers(1, 3))
+        params = BRWParams(float(gen.uniform(1, 3)), float(gen.uniform(1, 3)), ALWAYS_TWO,
+                           float(gen.uniform(0.2, 1.5)), d)
+        fld = DisasterField(3000 + i, params.disaster_rate, d)
+        trunc = Box(lo=(-4,) * d, hi=(4,) * d) if gen.random() < 0.5 else None
+        caps = Caps(max_alive=int(gen.integers(20, 300)), max_events=10**5)
+        res = simulate(params, block_config(cube_sites(radius, d), root * root), fld, 0.0,
+                       float(gen.uniform(0.5, 3.0)), 4000 + i, trunc=trunc, caps=caps)
+        wins = _random_windows(gen, [ev.time for ev in res.events], d, int(gen.integers(1, 8)))
+        want = [detect_occupied_copy_oracle(res.events, radius, root, w, d) for w in wins]
+        assert detect_occupied_copy(res.events, radius, root, wins, d) == want, i
+        assert detect_occupied_copy(res.events, radius, root, wins[0], d) == want[0], i
+        n_windows += len(wins)
+        n_hits += sum(w is not None for w in want)
+    assert n_hits > 100 and n_windows - n_hits > 300  # both answers well represented
+
+
+def test_lattice_reads_every_window_from_one_call(monkeypatch):
+    calls = []
+    sweep = percolation.detect_occupied_copy
+
+    def spy(events, radius, root, windows, d):
+        calls.append((events, windows))
+        return sweep(events, radius, root, windows, d)
+
+    monkeypatch.setattr(percolation, "detect_occupied_copy", spy)
+    params = BRWParams(2.0, 2.0, ALWAYS_TWO, 0.7, 1)
+    n_occupied = 0
+    for rows in (1, 3, 6, 10):
+        for seed in (1, 2, 5):
+            fld = DisasterField(seed, 0.7, 1)
+            lat = build_eta_from_brw(params, fld, half_width=2, period=0.35, block_radius=0,
+                                     copies_root=1, rows=rows, seed=seed,
+                                     caps=Caps(max_alive=300, max_events=10**6))
+            ((events, wins),) = calls
+            calls.clear()
+            cells = [(k, l) for k in range(rows + 1) for l in range(k + 1)]
+            assert list(wins) == [staircase_window(k, l, 2, 0.35, 1) for k, l in cells]
+            for (k, l), w in zip(cells, wins):
+                hit = detect_occupied_copy_oracle(events, 0, 1, w, 1) is not None
+                assert lat.occupied[k, l] == (hit or (k, l) == (0, 0)), (rows, seed, k, l)
+                n_occupied += hit
+    assert n_occupied > 20
 
 
 # -- lattice from the branching run ----------------------------------------------

@@ -13,14 +13,14 @@ from disasterbrw.walk import (
     estimate_lyapunov,
     estimate_survival,
     exact_survival,
-    extinction_time,
-    simulate_walk,
 )
 
 from helpers import (
     annealed_survival_via_field,
     brute_force_extinction,
+    extinction_time,
     series_return_probability,
+    simulate_walk,
     survival_batch_oracle,
 )
 
