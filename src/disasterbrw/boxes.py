@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class SpaceTimeBox:
         return self.t0 + self.height
 
     def rel(self, site: Site) -> tuple[int, ...]:
-        return tuple(c - o for c, o in zip(site, self.x0))
+        return tuple([c - o for c, o in zip(site, self.x0)])
 
     def interior_region(self) -> Box:
         """Sites strictly inside (never on a face); leaving it means hitting a face."""
@@ -80,17 +81,43 @@ class ExitRegion:
             raise ValueError("signs must be +-1")
 
 
+class _Regions(NamedTuple):
+    top: tuple[ExitRegion, ...]
+    face: tuple[ExitRegion, ...]
+    top_at: dict  # signs of the box-relative site -> its top region
+    face_at: dict  # (axis, *signs) -> the region of the face normal to axis
+
+
+@lru_cache(maxsize=None)
+def _regions(dimension: int) -> _Regions:
+    """Every exit region of a dimension, built and validated once."""
+    thetas = list(iter_product((1, -1), repeat=dimension - 1))
+    top = tuple(ExitRegion("top", 0, s, th) for s in (1, -1) for th in thetas)
+    face = tuple(ExitRegion("face", ax, s, th) for ax in range(dimension) for s in (1, -1)
+                 for th in thetas)
+    top_at = {(r.sign, *r.theta): r for r in top}
+    face_at = {(r.axis, *r.theta[:r.axis], r.sign, *r.theta[r.axis:]): r for r in face}
+    return _Regions(top, face, top_at, face_at)
+
+
 def top_regions(dimension: int) -> list[ExitRegion]:
-    return [ExitRegion("top", 0, s, th)
-            for s in (1, -1)
-            for th in iter_product((1, -1), repeat=dimension - 1)]
+    return list(_regions(dimension).top)
 
 
 def face_regions(dimension: int) -> list[ExitRegion]:
-    return [ExitRegion("face", ax, s, th)
-            for ax in range(dimension)
-            for s in (1, -1)
-            for th in iter_product((1, -1), repeat=dimension - 1)]
+    return list(_regions(dimension).face)
+
+
+def _signs(rel: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([sign_of(c) for c in rel])
+
+
+def _face_of(regions: _Regions, rel: tuple[int, ...], L: int) -> ExitRegion:
+    """Face region of a box-relative site on the shell; the smallest axis wins at edges."""
+    for ax, c in enumerate(rel):
+        if abs(c) == L:
+            return regions.face_at[(ax, *_signs(rel))]
+    raise ValueError("point is interior, not on the boundary")
 
 
 def classify_exit(box: SpaceTimeBox, t: float, site: Site) -> ExitRegion:
@@ -107,14 +134,10 @@ def classify_exit(box: SpaceTimeBox, t: float, site: Site) -> ExitRegion:
     if any(abs(c) > L for c in rel):
         raise ValueError("site outside the box")
     if t == box.t_end:
-        return ExitRegion("top", 0, sign_of(rel[0]), tuple(sign_of(c) for c in rel[1:]))
+        return _regions(box.dimension).top_at[_signs(rel)]
     if not (box.t0 <= t < box.t_end):
         raise ValueError("time outside the box")
-    for ax, c in enumerate(rel):
-        if abs(c) == L:
-            theta = tuple(sign_of(rel[j]) for j in range(box.dimension) if j != ax)
-            return ExitRegion("face", ax, sign_of(c), theta)
-    raise ValueError("point is interior, not on the boundary")
+    return _face_of(_regions(box.dimension), rel, L)
 
 
 @dataclass
@@ -132,10 +155,10 @@ class ExitCounts:
         return sum(self.face.values())
 
     def top_vector(self) -> np.ndarray:
-        return np.array([self.top[r] for r in top_regions(self.box.dimension)], dtype=np.int64)
+        return np.array([self.top[r] for r in _regions(self.box.dimension).top], dtype=np.int64)
 
     def face_vector(self) -> np.ndarray:
-        return np.array([self.face[r] for r in face_regions(self.box.dimension)], dtype=np.int64)
+        return np.array([self.face[r] for r in _regions(self.box.dimension).face], dtype=np.int64)
 
 
 def exit_counts(events: Iterable[Event], box: SpaceTimeBox,
@@ -150,58 +173,55 @@ def exit_counts(events: Iterable[Event], box: SpaceTimeBox,
     """
     if log_horizon is not None and log_horizon < box.t_end:
         raise ValueError("event log ends before the box does")
-    L = box.half_width
-    tops = {r: 0 for r in top_regions(box.dimension)}
-    faces = {r: 0 for r in face_regions(box.dimension)}
+    L, t0, t_end, rel = box.half_width, box.t0, box.t_end, box.rel
+    regions = _regions(box.dimension)
+    tops = dict.fromkeys(regions.top, 0)
+    faces = dict.fromkeys(regions.face, 0)
     pos: dict = {}
-    touched: dict = {}
+    touched: set = set()  # particles whose ancestral path has met the boundary
 
-    def on_shell(site: Site) -> bool:
-        return max(abs(c) for c in box.rel(site)) == L
-
-    def outside(site: Site) -> bool:
-        return max(abs(c) for c in box.rel(site)) > L
-
-    started = False
+    def touch(pid, site: Site, standing: bool = False) -> None:
+        """A first arrival on the shell, or beyond it unless `standing` at the window's opening."""
+        r = rel(site)
+        d = max(map(abs, r))
+        if d == L:
+            faces[_face_of(regions, r, L)] += 1
+            touched.add(pid)
+        elif d > L and not standing:
+            touched.add(pid)
 
     def open_window() -> None:
-        # standing starts on the shell when the observation window opens
-        for pid, site in pos.items():
-            if touched[pid] is None and on_shell(site):
-                faces[classify_exit(box, box.t0, site)] += 1
-                touched[pid] = box.t0
+        for p, s in pos.items():
+            if p not in touched:
+                touch(p, s, standing=True)
 
-    def note_arrival(pid, site: Site, time: float) -> None:
-        if started and time < box.t_end and touched.get(pid) is None \
-                and (on_shell(site) or outside(site)):
-            if not outside(site):
-                faces[classify_exit(box, time, site)] += 1
-            touched[pid] = time
-
-    for ev in events:
-        if ev.time > box.t_end:
+    started = False
+    for time, kind, pid, site in events:
+        if time > t_end:
             break
-        if not started and ev.time >= box.t0:
+        if not started and time >= t0:
             started = True
             open_window()
-        if ev.kind == "birth":
-            parent = ev.pid[:-1]
-            pos[ev.pid] = ev.site
-            touched[ev.pid] = touched.get(parent) if len(ev.pid) > 1 else None
-            note_arrival(ev.pid, ev.site, ev.time)
-        elif ev.kind in ("jump", "leave"):
-            pos[ev.pid] = ev.site
-            note_arrival(ev.pid, ev.site, ev.time)
-            if ev.kind == "leave":
-                pos.pop(ev.pid, None)
-        elif ev.kind in ("branch", "disaster"):
-            pos.pop(ev.pid, None)
+        if kind == "birth":
+            pos[pid] = site
+            if len(pid) > 1 and pid[:-1] in touched:
+                touched.add(pid)
+        elif kind == "jump" or kind == "leave":
+            pos[pid] = site
+        else:  # branch, disaster
+            pos.pop(pid, None)
+            continue
+        if started and time < t_end and pid not in touched:
+            touch(pid, site)
+        if kind == "leave":
+            del pos[pid]
     if not started:
-        started = True
         open_window()
     for pid, site in pos.items():
-        if touched.get(pid) is None and not outside(site):
-            tops[classify_exit(box, box.t_end, site)] += 1
+        if pid not in touched:
+            r = rel(site)
+            if max(map(abs, r)) <= L:
+                tops[regions.top_at[_signs(r)]] += 1
     return ExitCounts(box=box, top=tops, face=faces)
 
 

@@ -15,8 +15,12 @@ that list gives both the site's next disaster, which goes on the queue
 unless one is already pending there, and whether a disaster strikes exactly
 at the arrival instant (it then kills the particle right after its jump).
 Simultaneous floating-point times are ordered disaster < branch < jump,
-which keeps replays deterministic.  Caching is safe because a stream's
-values depend only on (seed, site, counter), never on when it is read.
+which keeps replays deterministic.  Caching is safe because a stream's times
+are running sums of gaps indexed by (seed, site, counter), so they never
+depend on when, or in which order, windows are read.  Two caches outlive a
+call: the field keeps every stream it has materialized, so trees sharing a
+field draw each site's stream once, and BRWParams builds its offspring cdf
+once.
 
 Each particle owns a counter-based random stream keyed by (seed, id), so a
 particle's draws are independent of which other particles exist; see the
@@ -30,6 +34,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -82,6 +87,11 @@ class BRWParams:
 
     def offspring_cdf(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.offspring))
+
+    @cached_property
+    def _cdf_list(self) -> list[float]:
+        """offspring_cdf() as a list, built once: simulate bisects it per branch."""
+        return self.offspring_cdf().tolist()
 
 
 def offspring_pmf(pairs: Mapping[int, float]) -> tuple[float, ...]:
@@ -190,13 +200,13 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
         raise ValueError("field and params dimensions differ")
     if snapshot_flavor not in ("post", "pre"):
         raise ValueError("snapshot_flavor must be 'post' or 'pre'")
-    snap_times = sorted(float(t) for t in snapshot_times)
+    snap_times = sorted(map(float, snapshot_times))
     if snap_times and (snap_times[0] < start_time or snap_times[-1] > horizon):
         raise ValueError("snapshot times must lie in [start_time, horizon]")
     if sum(initial.values()) < 1:
         raise ValueError("a process start needs at least one particle")
 
-    q_cdf = params.offspring_cdf().tolist()
+    q_cdf = params._cdf_list
     base_key = mix64_int(seed)
     birth_rate, jump_rate = params.birth_rate, params.jump_rate
     n_dirs = 2 * params.dimension

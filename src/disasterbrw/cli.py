@@ -1,7 +1,8 @@
 """Batch experiment driver.
 
 Subcommands: annealed, lyapunov, brw-survival, moment-check, embed, phase,
-sweep, boxes-fkg, perc, verify.  Config files are flat "key = value" text;
+sweep, boxes-fkg, perc, verify.  Config files are flat "key = value" text
+keyed by flag name without its dashes ("format = json", "n-reps = 50");
 command-line flags override file values, and the fully resolved config is
 echoed into every output record so results are reproducible from their
 artifacts.
@@ -537,16 +538,22 @@ def _explicit_dests(actions, argv) -> set:
 
 
 def _apply_config_overrides(ns, actions, argv) -> None:
-    """File values apply wherever the flag was not given explicitly, typed and checked as flags are."""
+    """File values apply wherever the flag was not given explicitly, typed and checked as flags are.
+
+    A key is an option's long name without its dashes (`format`, `n-reps` or
+    `n_reps`) or its argparse dest (`fmt`).
+    """
     if ns.config is None:
         return
     explicit = _explicit_dests(actions, argv)
-    by_dest = {a.dest: a for a in actions}
+    by_key = {a.dest: a for a in actions}
+    by_key.update({op[2:].replace("-", "_"): a for a in actions
+                   for op in a.option_strings if op.startswith("--")})
     for key, raw in parse_config_file(ns.config).items():
-        act = by_dest.get(key)
+        act = by_key.get(key)
         if act is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in explicit:
+        if act.dest in explicit:
             continue  # explicit flag wins
         if isinstance(act.default, bool):
             value = raw.lower() in ("1", "true", "yes")
@@ -554,7 +561,7 @@ def _apply_config_overrides(ns, actions, argv) -> None:
             value = act.type(raw) if act.type else raw  # a ValueError is a config error too
             if act.choices is not None and value not in act.choices:
                 raise ConfigError(f"{key}: {raw!r} is not one of {', '.join(map(str, act.choices))}")
-        setattr(ns, key, value)
+        setattr(ns, act.dest, value)
 
 
 def main(argv=None) -> int:

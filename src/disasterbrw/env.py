@@ -6,11 +6,18 @@ counter-based generator keyed by hash(seed, site), so an unbounded lattice
 needs no storage and every query is a pure function of (seed, site, window).
 Streams live on (0, inf): a disaster exactly at time 0 never occurs.
 
+A stream's k-th time is the running sum of its first k+1 gaps, added one at
+a time, so it is a function of (seed, site, counter) alone: neither the order
+of queries nor the route that materialized it (the scalar loop or the bulk
+matrix) changes a bit.
+
 Windows are half-open [t0, t1); a disaster exactly at t1 belongs to the next
 window, which makes window splitting exact.
 
-Instances cache materialized stream prefixes, so a field must be owned by a
-single worker; build one field per replica (they are cheap).
+Instances cache materialized stream prefixes, by site key and, for point
+queries, by site tuple (a warm lookup skips hashing the site), so a field
+must be owned by a single worker; build one field per replica (they are
+cheap).
 """
 
 from __future__ import annotations
@@ -20,9 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import counter_uniform, fold, mix64, mix64_int, zigzag, zigzag_int
-
-_INV53_ENV = 2.0 ** -53
+from .rng import _INV53, _M64, _MIX_A, _MIX_B, GOLDEN, fold, mix64, mix64_int, zigzag, zigzag_int
 
 
 class InvalidWindowError(ValueError):
@@ -32,11 +37,12 @@ class InvalidWindowError(ValueError):
 class _SiteStream:
     """Materialized prefix of one site's disaster times."""
 
-    __slots__ = ("times", "next_ctr", "last")
+    __slots__ = ("key", "times", "next_ctr", "last")
 
-    def __init__(self):
+    def __init__(self, key: int):
+        self.key = key
         self.times = np.empty(0, dtype=np.float64)
-        self.next_ctr = 0
+        self.next_ctr = 0  # uniforms drawn so far
         self.last = 0.0  # running sum of gaps generated so far
 
 
@@ -58,6 +64,7 @@ class DisasterField:
         self.dimension = int(dimension)
         self._base_key = fold(mix64_int(self.seed), self.dimension)
         self._streams: dict[int, _SiteStream] = {}
+        self._sites: dict[tuple, _SiteStream] = {}  # point-query cache by site tuple
 
     # -- site keys ---------------------------------------------------------
 
@@ -75,7 +82,7 @@ class DisasterField:
         if coords.ndim != 2 or coords.shape[1] != self.dimension:
             raise ValueError("coords must have shape (m, dimension)")
         h = np.full(coords.shape[0], self._base_key, dtype=np.uint64)
-        g = np.uint64(0x9E3779B97F4A7C15)
+        g = np.uint64(GOLDEN)
         for j in range(self.dimension):
             v = zigzag(coords[:, j])
             h = mix64(h ^ (v + g))
@@ -86,83 +93,87 @@ class DisasterField:
     def _stream(self, key: int) -> _SiteStream:
         s = self._streams.get(key)
         if s is None:
-            s = _SiteStream()
-            self._streams[key] = s
+            s = self._streams[key] = _SiteStream(key)
         return s
 
-    def _extend(self, key: int, s: _SiteStream, t_max: float) -> None:
-        """Grow the stream until its running gap-sum exceeds t_max."""
-        if self.rate == 0.0:
-            s.last = float("inf")
+    def _site_stream(self, site: Sequence[int]) -> _SiteStream:
+        """The stream at `site`; tuples are cached, so a warm lookup skips site_key."""
+        if type(site) is not tuple:
+            return self._stream(self.site_key(site))
+        s = self._sites.get(site)
+        if s is None:
+            s = self._sites[site] = self._stream(self.site_key(site))
+        return s
+
+    def _extend(self, s: _SiteStream, t_max: float) -> None:
+        """Draw gaps until the stream's running sum exceeds t_max.
+
+        One gap per counter, -log(u)/rate with u = counter_uniform(key, ctr)
+        inlined (np.log, as ParticleStream.exponential: math.log differs in
+        the last bit), added to the running sum one at a time.
+        """
+        last = s.last
+        if last > t_max:
             return
-        while s.last <= t_max:
-            n = _block_size(self.rate, t_max - s.last)
-            ctrs = np.arange(s.next_ctr, s.next_ctr + n, dtype=np.uint64)
-            gaps = -np.log(counter_uniform(key, ctrs)) / self.rate
-            block = s.last + np.cumsum(gaps)
-            s.times = np.concatenate([s.times, block])
-            s.last = float(block[-1])
-            s.next_ctr += n
+        rate = self.rate
+        if rate == 0.0:
+            s.last = math.inf
+            return
+        key, ctr = s.key, s.next_ctr
+        log = np.log
+        new = []
+        while last <= t_max:
+            x = (key + ctr * GOLDEN) & _M64
+            ctr += 1
+            x = ((x ^ (x >> 30)) * _MIX_A) & _M64
+            x = ((x ^ (x >> 27)) * _MIX_B) & _M64
+            last += -log((((x ^ (x >> 31)) >> 11) + 1) * _INV53) / rate
+            new.append(last)
+        s.times = np.concatenate((s.times, new)) if len(s.times) else np.array(new)
+        s.next_ctr = ctr
+        s.last = float(last)
 
     def stream_times(self, site: Sequence[int], t_max: float) -> np.ndarray:
         """All disaster times in (0, t_max] at `site` (sorted, read-only view)."""
-        key = self.site_key(site)
-        s = self._stream(key)
-        self._extend(key, s, t_max)
-        hi = np.searchsorted(s.times, t_max, side="right")
-        return s.times[:hi]
+        s = self._site_stream(site)
+        self._extend(s, t_max)
+        return s.times[: s.times.searchsorted(t_max, side="right")]
 
     def bulk_streams(self, keys: np.ndarray, t_max: float) -> list[np.ndarray]:
         """Materialize many site streams at once; returns full prefixes.
 
-        Never-seen streams are generated through one shared uniform matrix;
-        values are identical to the scalar path because every uniform is
-        indexed by (key, counter) alone, not by block layout.
+        Never-seen streams are generated through one shared uniform matrix,
+        whose row-wise cumulative sums are the scalar loop's running sums;
+        streams met before, rows whose block ends before t_max, and a rate-0
+        field go through the scalar loop.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         out: list[np.ndarray | None] = [None] * len(keys)
-        fresh = []
-        for i, k in enumerate(keys):
-            ki = int(k)
-            s = self._streams.get(ki)
-            if s is not None and s.last > t_max:
+        ks = keys.tolist()
+        new = []
+        for i, k in enumerate(ks):
+            if self.rate > 0.0 and k not in self._streams:
+                new.append(i)
+            else:  # met before (rare), or rate 0: the scalar loop
+                s = self._stream(k)
+                self._extend(s, t_max)
                 out[i] = s.times
-            else:
-                fresh.append(i)
-        if fresh and self.rate == 0.0:
-            for i in fresh:
-                s = self._stream(int(keys[i]))
-                s.last = float("inf")
-                out[i] = s.times
-            return out  # type: ignore[return-value]
-        if fresh:
+        if new:
             n_block = _block_size(self.rate, t_max)
             chunk = max(1, 4_000_000 // n_block)
-            g = np.uint64(0x9E3779B97F4A7C15)
-            ctr_row = np.arange(n_block, dtype=np.uint64) * g
-            for lo in range(0, len(fresh), chunk):
-                part = fresh[lo : lo + chunk]
-                started = [i for i in part if int(keys[i]) in self._streams]
-                new = [i for i in part if int(keys[i]) not in self._streams]
-                for i in started:  # rare: partially materialized earlier
-                    ki = int(keys[i])
-                    s = self._stream(ki)
-                    self._extend(ki, s, t_max)
-                    out[i] = s.times
-                if not new:
-                    continue
-                kk = keys[np.array(new, dtype=np.intp)]
+            ctr_row = np.arange(n_block, dtype=np.uint64) * np.uint64(GOLDEN)
+            for lo in range(0, len(new), chunk):
+                part = new[lo : lo + chunk]
+                kk = keys[np.array(part, dtype=np.intp)]
                 bits = mix64(kk[:, None] + ctr_row[None, :])
-                u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53_ENV
+                u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
                 times = np.cumsum(-np.log(u) / self.rate, axis=1)
-                for row, i in enumerate(new):
-                    ki = int(keys[i])
-                    s = self._stream(ki)
+                for row, i in enumerate(part):
+                    s = self._stream(ks[i])
                     s.times = times[row].copy()
                     s.last = float(s.times[-1])
                     s.next_ctr = n_block
-                    if s.last <= t_max:  # tail beyond the block: extend scalar-style
-                        self._extend(ki, s, t_max)
+                    self._extend(s, t_max)  # the tail beyond the block, if any
                     out[i] = s.times
         return out  # type: ignore[return-value]
 
@@ -178,21 +189,18 @@ class DisasterField:
             raise InvalidWindowError(f"window start {t0} exceeds end {t1}")
         if t0 == t1:
             return np.empty(0, dtype=np.float64)
-        key = self.site_key(site)
-        s = self._stream(key)
-        self._extend(key, s, t1)
-        lo = np.searchsorted(s.times, t0, side="left")
-        hi = np.searchsorted(s.times, t1, side="left")
-        return s.times[lo:hi].copy()
+        s = self._site_stream(site)
+        self._extend(s, t1)
+        times = s.times
+        return times[times.searchsorted(t0):times.searchsorted(t1)].copy()
 
     def first_disaster_after(self, site: Sequence[int], t: float, horizon: float) -> float | None:
         """Smallest disaster time in (t, horizon] at `site`, or None."""
         if t > horizon:
             raise InvalidWindowError(f"window start {t} exceeds horizon {horizon}")
-        key = self.site_key(site)
-        s = self._stream(key)
-        self._extend(key, s, horizon)
-        i = np.searchsorted(s.times, t, side="right")
+        s = self._site_stream(site)
+        self._extend(s, horizon)
+        i = s.times.searchsorted(t, side="right")
         if i < len(s.times) and s.times[i] <= horizon:
             return float(s.times[i])
         return None

@@ -9,6 +9,8 @@ disaster streams and per-particle randomness reproducible.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _M64 = (1 << 64) - 1
@@ -75,11 +77,21 @@ def derive_seed(seed: int, *parts: int | str) -> int:
     h = mix64_int(seed & _M64)
     for p in parts:
         if isinstance(p, str):
-            h = fold(h, _STR_SALT)
-            for b in p.encode("utf-8"):
-                h = fold(h, b)
+            h = _fold_label(h, p)
         else:
             h = fold(h, zigzag_int(int(p)))
+    return h
+
+
+@lru_cache(maxsize=4096)
+def _fold_label(h: int, label: str) -> int:
+    """Absorb a string label into a running key: a salt word, then its UTF-8 bytes.
+
+    Cached: replica loops fold the same (key, label) pair once per replica.
+    """
+    h = fold(h, _STR_SALT)
+    for b in label.encode("utf-8"):
+        h = fold(h, b)
     return h
 
 

@@ -535,3 +535,110 @@ def detect_occupied_copy_oracle(events, block_radius: int, copies_root: int, win
         if x is not None:
             return max(prev_time, window.t_lo), x
     return None
+
+
+# -- block-wise stream materializer ---------------------------------------------
+# How DisasterField grew a stream before its running-sum loop: numpy blocks of
+# _block_size draws, each block's cumulative sum offset by the previous end.
+# Only a stream's first block is a pure running sum (later blocks add a
+# block-local cumsum to the old end, which differs in the last bits), so the
+# oracle returns that first block.
+
+def _block_size(rate: float, span: float) -> int:
+    mean = rate * max(span, 0.0)
+    return max(8, int(math.ceil(mean + 10.0 * math.sqrt(mean) + 16.0)))
+
+
+def first_block_oracle(field, site, t_max: float) -> np.ndarray:
+    """The first block the block-wise materializer drew for `site` when asked for t_max.
+
+    Empty at rate 0, where that materializer drew nothing.
+    """
+    from disasterbrw.rng import counter_uniform
+
+    if field.rate == 0.0:
+        return np.empty(0)
+    n = _block_size(field.rate, t_max)
+    ctrs = np.arange(0, n, dtype=np.uint64)
+    gaps = -np.log(counter_uniform(field.site_key(site), ctrs)) / field.rate
+    return 0.0 + np.cumsum(gaps)
+
+
+# -- exit counter before the prebuilt regions --------------------------------------
+# boxes.classify_exit and boxes.exit_counts as they were when every exit built
+# and validated its own ExitRegion.
+
+def classify_exit_oracle(box, t: float, site):
+    from disasterbrw.boxes import ExitRegion, sign_of
+
+    rel = box.rel(site)
+    L = box.half_width
+    if any(abs(c) > L for c in rel):
+        raise ValueError("site outside the box")
+    if t == box.t_end:
+        return ExitRegion("top", 0, sign_of(rel[0]), tuple(sign_of(c) for c in rel[1:]))
+    if not (box.t0 <= t < box.t_end):
+        raise ValueError("time outside the box")
+    for ax, c in enumerate(rel):
+        if abs(c) == L:
+            theta = tuple(sign_of(rel[j]) for j in range(box.dimension) if j != ax)
+            return ExitRegion("face", ax, sign_of(c), theta)
+    raise ValueError("point is interior, not on the boundary")
+
+
+def exit_counts_oracle(events, box) -> tuple[dict, dict]:
+    """(top, face) counts of boxes.exit_counts, by the per-event classifier."""
+    from disasterbrw.boxes import face_regions, top_regions
+
+    L = box.half_width
+    tops = {r: 0 for r in top_regions(box.dimension)}
+    faces = {r: 0 for r in face_regions(box.dimension)}
+    pos: dict = {}
+    touched: dict = {}
+
+    def on_shell(site) -> bool:
+        return max(abs(c) for c in box.rel(site)) == L
+
+    def outside(site) -> bool:
+        return max(abs(c) for c in box.rel(site)) > L
+
+    started = False
+
+    def open_window() -> None:
+        for pid, site in pos.items():
+            if touched[pid] is None and on_shell(site):
+                faces[classify_exit_oracle(box, box.t0, site)] += 1
+                touched[pid] = box.t0
+
+    def note_arrival(pid, site, time: float) -> None:
+        if started and time < box.t_end and touched.get(pid) is None \
+                and (on_shell(site) or outside(site)):
+            if not outside(site):
+                faces[classify_exit_oracle(box, time, site)] += 1
+            touched[pid] = time
+
+    for ev in events:
+        if ev.time > box.t_end:
+            break
+        if not started and ev.time >= box.t0:
+            started = True
+            open_window()
+        if ev.kind == "birth":
+            parent = ev.pid[:-1]
+            pos[ev.pid] = ev.site
+            touched[ev.pid] = touched.get(parent) if len(ev.pid) > 1 else None
+            note_arrival(ev.pid, ev.site, ev.time)
+        elif ev.kind in ("jump", "leave"):
+            pos[ev.pid] = ev.site
+            note_arrival(ev.pid, ev.site, ev.time)
+            if ev.kind == "leave":
+                pos.pop(ev.pid, None)
+        elif ev.kind in ("branch", "disaster"):
+            pos.pop(ev.pid, None)
+    if not started:
+        started = True
+        open_window()
+    for pid, site in pos.items():
+        if touched.get(pid) is None and not outside(site):
+            tops[classify_exit_oracle(box, box.t_end, site)] += 1
+    return tops, faces

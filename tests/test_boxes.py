@@ -17,6 +17,8 @@ from disasterbrw.boxes import (
 from disasterbrw.brw import BRWParams, offspring_pmf, simulate
 from disasterbrw.env import DisasterField
 
+from helpers import exit_counts_oracle
+
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
 
@@ -187,6 +189,38 @@ def test_truncated_run_matches_untruncated_exit_counts():
         a = exit_counts(full.events, box, full.horizon)
         b = exit_counts(trunc.events, box, trunc.horizon)
         assert a.top == b.top and a.face == b.face
+
+
+def _oracle_boxes(rng, d: int, res):
+    """Boxes for one log: shifted, opening after 0, and closing at an event instant."""
+    x0 = tuple(int(c) for c in rng.integers(-1, 2, d))
+    boxes = [SpaceTimeBox(2, 1.5, d), SpaceTimeBox(1, 0.9, d, t0=0.4, x0=x0),
+             SpaceTimeBox(2, 1.2, d, t0=0.3, x0=x0)]
+    arrivals = [ev.time for ev in res.events if ev.kind in ("jump", "leave") and ev.time > 0.5]
+    if arrivals:  # an arrival exactly at t_end counts on the top, not on a face
+        t_end = arrivals[int(rng.integers(len(arrivals)))]
+        boxes.append(SpaceTimeBox(2, t_end - 0.25, d, t0=0.25, x0=x0))
+        boxes.append(SpaceTimeBox(1, t_end, d, x0=x0))
+    return boxes
+
+
+def test_exit_counts_match_per_event_oracle():
+    rng = np.random.default_rng(11)
+    n_logs = 0
+    for d in (1, 2, 3):
+        params = BRWParams(2.0, 1.0, BINARY, 0.7, d)
+        for i in range(25):
+            trunc = SpaceTimeBox(2, 2.0, d).interior_region() if i % 2 else None
+            start = {(0,) * d: 2, (1,) + (0,) * (d - 1): 1}
+            res = simulate(params, start, DisasterField(9000 + i, 0.7, d), 0.0, 2.0, 9100 + i,
+                           trunc=trunc)
+            for box in _oracle_boxes(rng, d, res):
+                ec = exit_counts(res.events, box, res.horizon)
+                tops, faces = exit_counts_oracle(res.events, box)
+                assert ec.top == tops and ec.face == faces, (d, i, box)
+                assert list(ec.top) == top_regions(d) and list(ec.face) == face_regions(d)
+                n_logs += 1
+    assert n_logs > 300
 
 
 # -- FKG ---------------------------------------------------------------------------

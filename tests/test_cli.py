@@ -122,6 +122,33 @@ def test_config_seed_is_typed_like_the_flag(tmp_path):
         assert by_flag[0] == 0
 
 
+def test_config_keys_take_the_flag_spelling(tmp_path):
+    # `format` is the flag's name, `fmt` its argparse dest: both are keys
+    by_flag = run_cli(["annealed", "--seed", "3", "--n", "1000", "--format", "json"], tmp_path,
+                      "flag.out")
+    assert by_flag[0] == 0
+    cfg = tmp_path / "run.cfg"
+    for line in ("format = json\n", "fmt = json\n"):
+        cfg.write_text(line)
+        assert run_cli(["annealed", "--seed", "3", "--n", "1000", "--config", str(cfg)], tmp_path,
+                       "file.out") == by_flag, line
+    # dashed and underscored long names
+    by_flag = run_cli(["brw-survival", "--seed", "3", "--horizon", "1", "--n-reps", "20",
+                       "--format", "json"], tmp_path, "flag.out")
+    for text in ("n-reps = 20\nformat = json\n", "n_reps = 20\nformat = json\n"):
+        cfg.write_text(text)
+        assert run_cli(["brw-survival", "--seed", "3", "--horizon", "1", "--config", str(cfg)],
+                       tmp_path, "file.out") == by_flag, text
+
+
+def test_config_flag_spelling_loses_to_explicit_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    code, data = run_cli(["annealed", "--seed", "3", "--n", "1000", "--format", "csv",
+                          "--config", str(cfg)], tmp_path)
+    assert code == 0 and data.startswith(b"experiment,")
+
+
 def test_config_value_outside_choices_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mode = foo\n")  # not "indep", so it would run in brw mode

@@ -4,6 +4,8 @@ from scipy import stats
 
 from disasterbrw.env import DisasterField, InvalidWindowError, superpose
 
+from helpers import first_block_oracle
+
 
 def test_zero_length_window_is_empty():
     f = DisasterField(seed=1, rate=1.0, dimension=1)
@@ -48,15 +50,104 @@ def test_window_splitting_consistency():
 
 
 def test_query_order_does_not_change_values():
-    # lazy materialization is an implementation detail: early small queries
-    # must not perturb later ones
-    f1 = DisasterField(seed=5, rate=1.0, dimension=1)
-    _ = f1.disasters_in_window((0,), 0.0, 1.0)
-    _ = f1.disasters_in_window((0,), 3.0, 4.0)
-    late1 = f1.disasters_in_window((0,), 0.0, 30.0)
-    f2 = DisasterField(seed=5, rate=1.0, dimension=1)
-    late2 = f2.disasters_in_window((0,), 0.0, 30.0)
-    assert np.array_equal(late1, late2)
+    # a stream grown over several queries holds the bits of one materialized
+    # at once: its times are running sums of its gaps, whatever the queries
+    for seed in range(12):
+        f1 = DisasterField(seed=seed, rate=1.0, dimension=1)
+        f1.disasters_in_window((0,), 0.0, 1.0)
+        drawn = f1._streams[f1.site_key((0,))].next_ctr
+        f1.disasters_in_window((0,), 3.0, 4.0)
+        f1.disasters_in_window((0,), 0.0, 30.0)
+        late1 = f1.disasters_in_window((0,), 0.0, 60.0)
+        assert f1._streams[f1.site_key((0,))].next_ctr > drawn  # the stream was extended
+        assert len(late1) > drawn  # and the window holds values from the extension
+        late2 = DisasterField(seed=seed, rate=1.0, dimension=1).disasters_in_window((0,), 0.0, 60.0)
+        assert np.array_equal(late1, late2)
+
+
+_ORDERS = ("scalar-then-bulk", "bulk-then-scalar", "short-then-long")
+
+
+def _query_in_order(f, site, t_max: float, order: str) -> np.ndarray:
+    """Times in [0, t_max) at `site`, after an interleaving of scalar and bulk reads."""
+    coords = np.array([site])
+    if order == "scalar-then-bulk":
+        f.disasters_in_window(site, 0.0, t_max / 3)
+        full = f.streams_for_coords(coords, t_max)[0]
+        return full[full < t_max]
+    if order == "bulk-then-scalar":
+        f.streams_for_coords(coords, t_max / 3)
+        return f.disasters_in_window(site, 0.0, t_max)
+    f.disasters_in_window(site, 0.0, t_max / 4)
+    f.stream_times(site, t_max / 2)
+    f.first_disaster_after(site, 0.0, 0.7 * t_max)
+    return f.disasters_in_window(site, 0.0, t_max)
+
+
+def _agrees_with_first_block(got: np.ndarray, block: np.ndarray, t_max: float) -> bool:
+    want = block[block < t_max]
+    if len(want) == len(block):  # the block ends before t_max: compare what it covers
+        return np.array_equal(got[: len(block)], block)
+    return np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_stream_values_match_block_oracle(order):
+    rng = np.random.default_rng(5)
+    for rate in (0.0, 0.3, 1.0, 7.5, 32.0):
+        for d in (1, 2, 3):
+            for t_max in (0.35, 2.0, 6.0, 20.0, 80.0):
+                seed = int(rng.integers(1 << 30))
+                site = tuple(int(c) for c in rng.integers(-4, 5, d))
+                f = DisasterField(seed, rate, d)
+                got = _query_in_order(f, site, t_max, order)
+                block = first_block_oracle(DisasterField(seed, rate, d), site, t_max)
+                assert _agrees_with_first_block(got, block, t_max), (order, rate, d, t_max)
+
+
+def test_scalar_loop_matches_block_oracle_on_many_sites():
+    # a stream's first time is its first gap: one gap per site over thousands
+    # of sites tells np.log from math.log, which differ on about 1 draw in 300
+    f = DisasterField(seed=13, rate=1.0, dimension=1)
+    for x in range(3000):
+        block = first_block_oracle(f, (x,), 2.0)
+        assert _agrees_with_first_block(f.disasters_in_window((x,), 0.0, 2.0), block, 2.0), x
+
+
+def test_bulk_streams_match_block_oracle():
+    # fresh, started and repeated keys in one call, with tails past the block
+    for rate in (0.3, 1.0, 7.5, 32.0):
+        f = DisasterField(seed=77, rate=rate, dimension=2)
+        coords = np.array([[0, 0], [1, -1], [0, 0], [2, 3], [-4, 1]])
+        f.disasters_in_window((1, -1), 0.0, 0.5)  # started before the bulk read
+        f.stream_times((2, 3), 40.0)  # materialized past the bulk horizon
+        for t_max in (0.35, 6.0, 80.0):
+            for row, full in zip(coords, f.streams_for_coords(coords, t_max)):
+                site = tuple(int(c) for c in row)
+                block = first_block_oracle(f, site, t_max)
+                assert _agrees_with_first_block(full[full < t_max], block, t_max), (rate, t_max)
+
+
+@pytest.mark.parametrize("order", _ORDERS)
+def test_superposed_values_match_block_oracle(order):
+    for t_max in (0.35, 6.0, 80.0):
+        a = DisasterField(seed=81, rate=1.0, dimension=2)
+        b = DisasterField(seed=82, rate=7.5, dimension=2)
+        sp = superpose(a, b)
+        site = (1, -2)
+        if order == "short-then-long":
+            sp.disasters_in_window(site, 0.0, t_max / 4)
+            sp.stream_times(site, t_max / 2)
+        elif order == "scalar-then-bulk":
+            a.streams_for_coords(np.array([site]), t_max / 3)
+        else:
+            sp.disasters_in_window(site, 0.0, t_max / 3)
+            b.streams_for_coords(np.array([site]), t_max)
+        got = sp.disasters_in_window(site, 0.0, t_max)
+        blocks = [first_block_oracle(f, site, t_max) for f in (a, b)]
+        assert all(blk[-1] >= t_max for blk in blocks)
+        want = np.sort(np.concatenate([blk[blk < t_max] for blk in blocks]))
+        assert np.array_equal(got, want)
 
 
 def test_first_disaster_after_matches_window_head():
