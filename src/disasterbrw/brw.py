@@ -25,6 +25,49 @@ once.
 Each particle owns a counter-based random stream keyed by (seed, id), so a
 particle's draws are independent of which other particles exist; see the
 rng module for why that makes path-wise couplings exact.
+
+survive_replicas answers the one question survival_frequency asks, "capped?"
+and "alive at the horizon?", for many replicas at once, without the heap.
+It gets the same answers as simulate, replica for replica, because:
+
+* Lives are pure.  Given the field, a particle's life is a function of its
+  key, birth time and birth site alone: counter 0 is its branch gap, 1 its
+  first jump gap, then one (direction, gap) pair per jump, and the offspring
+  uniform sits at counter 2 + 2 * jumps.  Jump times are running sums, added
+  left to right as the heap loop adds them, and disaster streams are the
+  field's own (env.PackedStreams), so every time agrees bit for bit.  Lives
+  of all replicas' newborns are therefore drawn together as arrays, a block
+  of at most _BLOCK_CELLS cells at a time, with no effect on any draw.
+* Tie rules carry over.  A particle dies at the first disaster at its site
+  in (t0, e] after its birth at t0 and in [a, e] after a jump at a, where e
+  is its next jump, its branch or the horizon: a disaster fires before a
+  branch or jump at its instant, one at the horizon still kills, and one at
+  the arrival instant is the post-jump kill.  A jump tied with the branch
+  never happens (branch before jump).
+* The alive cap is checked in time order.  A replica's events are complete
+  up to its earliest branch whose children are not yet drawn.  Each round
+  sorts the events before that time by (time, rank), with the heap loop's
+  ranks disaster < branch < struck arrival, counts the alive particles
+  through them, and stops the replica at the first branch where alive - 1 +
+  children > max_alive, as the heap loop does.  (Only two branches of one
+  replica at the very same floating-point instant, which continuous draws
+  do not produce, could come in another order than the heap's push order.)
+  Children are drawn only for
+  branches less than 1 / (birth_rate * (mean - 1)) ahead of that time, so a
+  replica overshoots its cap by a bounded factor, and replicas start and
+  advance only while the pool holds about _LIVE_BLOCKS blocks of rows.
+* The event cap is bounded, not ported.  The heap loop counts stale clocks
+  and disasters at empty sites, which the arrays never see.  Its pops are at
+  most its pushes: three per particle (branch clock, first jump clock, a
+  disaster at the birth site) and two per jump.  A replica whose
+  3 * particles + 2 * jumps drawn so far passes max_events, and that has not
+  tripped the alive cap, is run again through simulate, so max_events keeps
+  its exact meaning.  (A replica that trips the alive cap is capped
+  whichever cap the heap loop meets first.)
+
+simulate stays the one general engine: event logs, snapshots, truncation,
+growth rates, the coupled sweep and the box embeddings use it, and it is the
+reference the batch engine is tested against.
 """
 
 from __future__ import annotations
@@ -39,8 +82,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .env import DisasterField
-from .rng import ParticleStream, derive_seed, fold, mix64_int
+from .env import DisasterField, PackedStreams, _room, site_keys_at
+from .rng import (GOLDEN, ParticleStream, counter_exponential, counter_uniform, derive_seed, fold,
+                  mix64, mix64_int)
 from .walk import SurvivalEstimate, estimate_survival
 
 MAX_OFFSPRING_SUPPORT = 64
@@ -194,6 +238,8 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
     Cap trips flag the result rather than raising; flagged replicas must be
     excluded from unbiased statistics by the caller.
     """
+    if not (math.isfinite(start_time) and math.isfinite(horizon)):
+        raise ValueError("start_time and horizon must be finite")
     if horizon < start_time:
         raise ValueError("horizon must be >= start_time")
     if field.dimension != params.dimension:
@@ -423,6 +469,307 @@ def parse_events(lines: Iterable[str]) -> list[Event]:
 
 
 # ---------------------------------------------------------------------------
+# replica-batch engine
+# ---------------------------------------------------------------------------
+
+# The batch engine draws lives in numpy blocks of at most _BLOCK_CELLS cells
+# (particle x jump column), at most _JUMP_COLUMNS columns a step.  It holds
+# about _LIVE_BLOCKS blocks of particles, and runs at most one replica per
+# _REPLICA_ROWS of them at a time.
+_BLOCK_CELLS = 1 << 12
+_JUMP_COLUMNS = 8
+_LIVE_BLOCKS = 2
+_REPLICA_ROWS = 32
+
+# How a particle's life ends.  The first three are the heap loop's tie order
+# at one instant: disaster, then branch, then a jump (whose arrival may be struck).
+_DISASTER, _BRANCH, _STRUCK, _SURVIVES = 0, 1, 2, 3
+
+
+class ReplicaOutcome(NamedTuple):
+    capped: np.ndarray  # bool per replica: a cap tripped
+    alive: np.ndarray  # bool per replica: final_count > 0 (True when capped)
+    peak_live: int  # the most particles the engine held at once
+
+
+def survive_replicas(params: BRWParams, initial: Mapping[Site, int], env_seeds, tree_seeds,
+                     horizon: float, *, caps: Caps = Caps()) -> ReplicaOutcome:
+    """simulate's (capped, final_count > 0) for many replicas at once.
+
+    Replica i is simulate(params, initial, DisasterField(env_seeds[i],
+    params.disaster_rate, params.dimension), 0.0, horizon, tree_seeds[i],
+    caps=caps); the module docstring says why the answers are the same.
+    The seeds are sequences of ints or uint64 arrays.
+    """
+    return _ReplicaBatch(params, initial, env_seeds, tree_seeds, horizon, caps).run()
+
+
+def _padded(*cols):
+    """Columns of n < 1024 rows padded to a power of two rows by repeating their last row.
+
+    numpy keeps up to seven freed buffers of every size under 1 KiB for
+    reuse, so working sets of many small sizes would fill that cache; a few
+    fixed sizes keep it, and the resident memory, small.  A repeated row
+    draws and looks up what its original does, so it changes no result.
+    """
+    n = len(cols[0])
+    extra = (n if n >= 1024 or n == 0 else 1 << (n - 1).bit_length()) - n
+    if not extra:
+        return cols
+    return tuple(np.concatenate((c, np.repeat(c[-1:], extra, axis=0))) for c in cols)
+
+
+class _ReplicaBatch:
+    """Replica states, and the pool: one row per drawn particle whose end is not yet applied.
+
+    A pool row is a death, or a branch whose children are born once it is
+    spawned (`open` until then).  A replica's `checked` time is the earliest
+    open branch it has: every event before it is known, and has been applied.
+    """
+
+    def __init__(self, params, initial, env_seeds, tree_seeds, horizon, caps):
+        horizon = float(horizon)
+        if not math.isfinite(horizon) or horizon < 0.0:
+            raise ValueError("horizon must be finite and >= 0")
+        env_seeds = np.asarray(env_seeds, dtype=np.uint64)
+        tree_seeds = np.asarray(tree_seeds, dtype=np.uint64)
+        if env_seeds.shape != tree_seeds.shape or env_seeds.ndim != 1 or len(env_seeds) < 1:
+            raise ValueError("need one env seed and one tree seed per replica, at least one replica")
+        d = params.dimension
+        sites = sorted(initial)
+        counts = [int(initial[s]) for s in sites]
+        if any(c < 0 for c in counts) or sum(counts) < 1:
+            raise ValueError("a process start needs counts >= 0 and at least one particle")
+        if any(len(s) != d for s in sites):
+            raise ValueError("initial sites and params dimensions differ")
+        self.root_sites = np.repeat(np.array(sites, dtype=np.int64).reshape(-1, d), counts, axis=0)
+        n = self.n = len(env_seeds)
+        self.field_base = np.zeros(n, dtype=np.uint64)  # filled as replicas start
+        self.tree_base = mix64(tree_seeds)
+        self.params, self.initial, self.caps = params, initial, caps
+        self.env_seeds, self.tree_seeds = env_seeds, tree_seeds
+        self.horizon = horizon
+        self.cdf = np.asarray(params._cdf_list)
+        growth = params.birth_rate * (params.offspring_mean - 1.0)
+        self.lookahead = 1.0 / growth if growth > 0.0 else math.inf
+        self.streams = PackedStreams(params.disaster_rate, horizon, _BLOCK_CELLS)
+        self.state = np.zeros(n, dtype=np.int8)  # 0 waiting, 1 running, 2 done
+        self.alive = np.zeros(n, dtype=np.int64)  # alive once every checked event is applied
+        self.limit = np.zeros(n)  # branches before it may be spawned: checked + lookahead
+        self.work = np.zeros(n, dtype=np.int64)  # 3 * particles + 2 * jumps drawn so far
+        self.capped = np.zeros(n, dtype=bool)
+        self.survives = np.zeros(n, dtype=bool)
+        self.rerun = np.zeros(n, dtype=bool)
+        self.next = 0
+        # pool columns, grown by doubling and compacted in place; rows [0, n_pool) are used
+        self.columns = {"rep": np.empty(64, dtype=np.int32), "time": np.empty(64),
+                        "rank": np.empty(64, dtype=np.int8), "nc": np.empty(64, dtype=np.int32),
+                        "key": np.empty(64, dtype=np.uint64), "site": np.empty((64, d), dtype=np.int64),
+                        "open": np.empty(64, dtype=bool)}
+        self.n_pool = 0
+
+    def _pool(self) -> dict:
+        """Views of the used pool rows."""
+        return {k: v[:self.n_pool] for k, v in self.columns.items()}
+
+    def run(self) -> ReplicaOutcome:
+        peak = 0
+        while self.next < self.n or (self.state == 1).any():
+            births = [self._admit(), self._spawn()]
+            rep, key, t0, site = (np.concatenate(cols) for cols in zip(*births))
+            peak = max(peak, self.n_pool + len(rep))
+            if len(rep):
+                self._resolve(rep, key, t0, site)
+            self._settle()
+        p = self.params
+        for i in np.flatnonzero(self.rerun):  # the event cap could have tripped: ask the heap loop
+            field = DisasterField(int(self.env_seeds[i]), p.disaster_rate, p.dimension)
+            res = simulate(p, self.initial, field, 0.0, self.horizon, int(self.tree_seeds[i]),
+                           caps=self.caps, record_events=False)
+            self.capped[i], self.survives[i] = res.capped, res.final_count > 0
+        return ReplicaOutcome(self.capped, self.survives, peak)
+
+    def _admit(self):
+        """Start waiting replicas while the pool holds under half its budget of rows,
+        with _REPLICA_ROWS rows of that budget for each running replica."""
+        budget = _LIVE_BLOCKS * _BLOCK_CELLS
+        running = int(np.count_nonzero(self.state == 1))
+        room = min((budget // 2 - self.n_pool) // len(self.root_sites),
+                   budget // _REPLICA_ROWS - running)
+        if not running:
+            room = max(room, 1)
+        k = min(max(room, 0), self.n - self.next)
+        n0 = len(self.root_sites)
+        idx = np.arange(self.next, self.next + k, dtype=np.int32)
+        self.next += k
+        p = self.params
+        for i in idx.tolist():
+            self.field_base[i] = DisasterField(int(self.env_seeds[i]), p.disaster_rate,
+                                               p.dimension).base_key
+        self.state[idx] = 1
+        self.alive[idx] = n0
+        self.limit[idx] = self.lookahead
+        self.work[idx] = 3 * n0
+        rep = np.repeat(idx, n0)
+        lineage = np.tile(np.arange(n0, dtype=np.uint64), k)
+        key = mix64(self.tree_base[rep] ^ (lineage + np.uint64(GOLDEN)))  # fold(base, lineage)
+        return rep, key, np.zeros(len(rep)), np.tile(self.root_sites, (k, 1))
+
+    def _spawn(self):
+        """Children of the open branches before `limit`.
+
+        Oldest replicas first: a replica takes part only if it, its children
+        and the replicas before it stay within the budget of rows (the first
+        always does); the others wait a round.
+        """
+        pool = self._pool()
+        rep = pool["rep"]
+        due = pool["open"] & (pool["time"] < self.limit[rep])
+        run = np.flatnonzero(self.state == 1)
+        rows = (np.bincount(rep, minlength=self.n)
+                + np.bincount(rep[due], weights=pool["nc"][due], minlength=self.n))[run]
+        take = np.zeros(self.n, dtype=bool)
+        take[run[np.add.accumulate(rows) <= _LIVE_BLOCKS * _BLOCK_CELLS]] = True
+        take[run[:1]] = True
+        sel = np.flatnonzero(due & take[rep])
+        pool["open"][sel] = False
+        nc = pool["nc"][sel]
+        par = np.repeat(sel, nc)
+        j = np.arange(len(par)) - np.repeat(np.add.accumulate(nc) - nc, nc)
+        key = mix64(pool["key"][par] ^ (j.astype(np.uint64) + np.uint64(GOLDEN)))  # child_key(j)
+        kids = rep[par]
+        self.work += 3 * np.bincount(kids, minlength=self.n)
+        return kids, key, pool["time"][par], pool["site"][par]
+
+    def _resolve(self, rep, key, t0, site) -> None:
+        """Draw the lives of newborn particles, _BLOCK_CELLS at a time, into the pool."""
+        parts = []
+        for lo in range(0, len(rep), _BLOCK_CELLS):
+            sl = slice(lo, lo + _BLOCK_CELLS)
+            parts.append((rep[sl], key[sl], *self._lives(rep[sl], key[sl], t0[sl], site[sl])))
+        rep, key, time, rank, nc, site, jumps = (np.concatenate(c) for c in zip(*parts))
+        self.work += 2 * np.bincount(rep, weights=jumps, minlength=self.n).astype(np.int64)
+        ends = rank != _SURVIVES
+        rows = {"rep": rep, "time": time, "rank": rank, "nc": nc, "key": key, "site": site,
+                "open": (rank == _BRANCH) & (nc > 0)}
+        n0, k = self.n_pool, int(np.count_nonzero(ends))
+        for name, col in rows.items():
+            buf = self.columns[name] = _room(self.columns[name], n0, k)
+            buf[n0:n0 + k] = col[ends]
+        self.n_pool += k
+
+    def _lives(self, rep, key, t0, site):
+        """Each particle's life to its end: (time, rank, children, site, jumps).
+
+        Its draws: counter 0 the branch gap, 1 the first jump gap, then a
+        (direction, gap) pair per jump, and the offspring uniform after j
+        jumps at 2 + 2 j.  It dies at the first disaster at its site in (t0,
+        e] at birth and in [a, e] after a jump at a, where e is its next jump,
+        its branch or the horizon; a disaster at a is the arrival kill.
+        """
+        p, horizon = self.params, self.horizon
+        d, n_dirs = p.dimension, 2 * p.dimension
+        m = len(key)
+        rep, key, t0, site = _padded(rep, key, t0, site)
+        t_branch = t0 + counter_exponential(key, 0, p.birth_rate)
+        t_jump = t0 + counter_exponential(key, 1, p.jump_rate)
+        lim = np.minimum(t_branch, horizon)
+        tau = self._first_disaster(rep, site, np.nextafter(t0, np.inf))
+        dead = tau <= np.minimum(t_jump, lim)
+        end = np.where(dead, tau, lim)
+        rank = np.where(dead, _DISASTER, np.where(t_branch <= horizon, _BRANCH, _SURVIVES)).astype(np.int8)
+        end_site = site.copy()
+        jumps = np.zeros(len(key), dtype=np.int64)
+        act = np.flatnonzero(~dead & (t_jump < t_branch) & (t_jump <= horizon))
+        here, at0 = site[act], t_jump[act]
+        col = 1  # jump number of the block's first column
+        while len(act):
+            act, here, at0 = _padded(act, here, at0)
+            w = max(1, min(_JUMP_COLUMNS, _BLOCK_CELLS // len(act)))
+            u = counter_uniform(key[act, None], 2 * col + np.arange(2 * w))
+            # running sums by np.add.accumulate, here and below: numpy 2.4's cumsum
+            # keeps a small object per call
+            times = np.add.accumulate(
+                np.concatenate((at0[:, None], -np.log(u[:, 1::2]) / p.jump_rate), axis=1), axis=1)
+            pick = np.minimum((u[:, 0::2] * n_dirs).astype(np.int64), n_dirs - 1)
+            step = (pick & 1) * 2 - 1
+            moves = np.zeros((len(act), w, d), dtype=np.int64)
+            for c in range(d):
+                moves[:, :, c] = np.where(pick >> 1 == c, step, 0)
+            sites = here[:, None, :] + np.add.accumulate(moves, axis=1)
+            at = times[:, :w]
+            made = (at < t_branch[act, None]) & (at <= horizon)
+            stop = np.minimum(times[:, 1:], lim[act, None])
+            strike = np.full(at.shape, np.inf)  # first disaster from each arrival on
+            r, c = np.nonzero(made)
+            strike[r, c] = self._first_disaster(rep[act[r]], sites[r, c], at[r, c])
+            # every row of `act` is written; rows that jump on are written again later
+            hit = strike <= stop
+            struck = hit.any(axis=1)
+            rows = np.arange(len(act))
+            first = hit.argmax(axis=1)
+            t_hit = strike[rows, first]
+            n_made = made.sum(axis=1)
+            last = np.where(struck, first, n_made - 1)  # column of the last site reached
+            end[act] = np.where(struck, t_hit, end[act])
+            rank[act] = np.where(struck, np.where(t_hit == at[rows, first], _STRUCK, _DISASTER), rank[act])
+            jumps[act] = np.where(struck, col + first, col - 1 + n_made)
+            end_site[act] = np.where((last >= 0)[:, None], sites[rows, np.maximum(last, 0)], here)
+            go = ~struck & (n_made == w)
+            act, here, at0 = act[go], sites[go, -1], times[go, -1]
+            col += w
+        u = counter_uniform(key, 2 + 2 * jumps)
+        nc = np.where(rank == _BRANCH, np.searchsorted(self.cdf, u, side="left"), 0).astype(np.int32)
+        return end[:m], rank[:m], nc[:m], end_site[:m], jumps[:m]
+
+    def _first_disaster(self, rep, coords, a) -> np.ndarray:
+        """First disaster time >= a at each row's site, in its replica's field; inf if none."""
+        n = len(a)
+        rep, coords, a = _padded(rep, coords, a)
+        keys = site_keys_at(self.field_base[rep], coords)
+        return self.streams.first_from(keys, rep, a)[:n]
+
+    def _settle(self) -> None:
+        """Apply every event before each replica's checked time, in the heap loop's order.
+
+        A replica stops at its first branch with alive - 1 + children >
+        max_alive (capped), when nothing open is left (done), or when its
+        work bound passes max_events (rerun on the heap loop).
+        """
+        pool, n = self._pool(), self.n
+        rep, time, is_open = pool["rep"], pool["time"], pool["open"]
+        checked = np.full(n, np.inf)
+        np.minimum.at(checked, rep[is_open], time[is_open])
+        due = time < checked[rep]
+        idx = np.flatnonzero(due)
+        tripped = np.zeros(n, dtype=bool)
+        if len(idx):
+            idx = idx[np.lexsort((pool["rank"][idx], time[idx], rep[idx]))]
+            ev, nc = rep[idx], pool["nc"][idx]
+            branch = pool["rank"][idx] == _BRANCH
+            delta = np.where(branch, nc - 1, -1)
+            before = np.add.accumulate(delta) - delta
+            first = np.flatnonzero(np.r_[True, ev[1:] != ev[:-1]])
+            before -= np.repeat(before[first], np.diff(np.r_[first, len(ev)]))
+            trip = branch & (self.alive[ev] + before - 1 + nc > self.caps.max_alive)
+            tripped[ev[trip]] = True
+            self.alive += np.bincount(ev, weights=delta, minlength=n).astype(np.int64)
+        running = self.state == 1
+        rerun = running & ~tripped & (self.work > self.caps.max_events)
+        done = running & ~tripped & ~rerun & (checked == np.inf)
+        self.capped |= tripped
+        self.survives |= tripped | (done & (self.alive > 0))
+        self.rerun |= rerun
+        self.state[tripped | rerun | done] = 2
+        self.limit = np.where(running, checked + self.lookahead, self.limit)
+        keep = ~due & (self.state[rep] != 2)
+        self.n_pool = int(np.count_nonzero(keep))
+        for col in pool.values():
+            col[:self.n_pool] = col[keep]
+        self.streams.drop(self.state == 2)
+
+
+# ---------------------------------------------------------------------------
 # replica-level estimators
 # ---------------------------------------------------------------------------
 
@@ -431,25 +778,21 @@ def survival_frequency(params: BRWParams, horizon: float, n_reps: int, seed: int
                        initial: Mapping[Site, int] | None = None) -> SurvivalEstimate:
     """Fraction of independent (environment, tree) replicas alive at `horizon`.
 
-    A replica that trips the population cap is counted as surviving: it held
-    `max_alive` particles at the trip time, and dying out from there has
-    probability at most (single-particle extinction)^max_alive.  The cap
-    fraction is reported so callers can judge that reading.
+    The replicas run on the batch engine (survive_replicas), which gives
+    simulate's answers without its heap loop.  A replica that trips the
+    population cap is counted as surviving: it held `max_alive` particles at
+    the trip time, and dying out from there has probability at most
+    (single-particle extinction)^max_alive.  The cap fraction is reported so
+    callers can judge that reading.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     start = initial if initial is not None else {(0,) * params.dimension: 1}
-    survived = 0
-    capped = 0
-    for i in range(n_reps):
-        fld = DisasterField(derive_seed(seed, "bsurv-env", i), params.disaster_rate, params.dimension)
-        res = simulate(params, start, fld, 0.0, horizon, derive_seed(seed, "bsurv-tree", i),
-                       caps=caps, record_events=False)
-        if res.capped:
-            capped += 1
-            survived += 1
-        elif res.final_count > 0:
-            survived += 1
+    seeds = [np.fromiter((derive_seed(seed, label, i) for i in range(n_reps)), np.uint64, n_reps)
+             for label in ("bsurv-env", "bsurv-tree")]
+    out = survive_replicas(params, start, *seeds, horizon, caps=caps)
+    survived = int(np.count_nonzero(out.capped | out.alive))
+    capped = int(np.count_nonzero(out.capped))
     return SurvivalEstimate.binomial(survived / n_reps, n_reps, capped / n_reps)
 
 

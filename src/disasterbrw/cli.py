@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -433,7 +434,11 @@ def _add_common(sp, *, model: bool = False):
         sp.add_argument("--d", type=int, default=1)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged, and a
+    program that calls main() many times (a benchmark, the tests) should not rebuild
+    ~100 actions per call."""
     ap = _Parser(prog="disasterbrw", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -522,6 +527,9 @@ _RANGE_CHECKS = [
     ("threads", lambda v: 1 <= v <= 256, "threads must be in 1..256"),
     ("rows", lambda v: 1 <= v <= 10_000, "rows must be in 1..10000"),
     ("p", lambda v: 0.0 <= v <= 1.0, "p must be in [0, 1]"),
+    ("horizon", lambda v: math.isfinite(v) and v >= 0.0, "horizon must be finite and >= 0"),
+    ("cap_alive", lambda v: v >= 1, "cap_alive must be >= 1"),
+    ("cap_events", lambda v: v >= 1, "cap_events must be >= 1"),
 ]
 
 

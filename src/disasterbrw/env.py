@@ -51,6 +51,169 @@ def _block_size(rate: float, span: float) -> int:
     return max(8, int(math.ceil(mean + 10.0 * math.sqrt(mean) + 16.0)))
 
 
+def _gap_sums(keys: np.ndarray, n: int, rate: float) -> np.ndarray:
+    """Times 0..n-1 of the streams of `keys` (one row each): running sums of their gaps.
+
+    Counter c of a row's key gives its c-th gap, -log(u)/rate; add.accumulate
+    adds them left to right, as the scalar loop does, so every bit agrees
+    with it.  (Not cumsum: numpy 2.4's cumsum keeps a small object per call.)
+    """
+    bits = mix64(keys[:, None] + (np.arange(n, dtype=np.uint64) * np.uint64(GOLDEN))[None, :])
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
+    return np.add.accumulate(-np.log(u) / rate, axis=1)
+
+
+def site_keys_at(base_keys: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Site keys of the rows of an (m, d) coordinate array, row i in the field whose
+    DisasterField.base_key is base_keys[i]: one call keys the sites of many fields."""
+    h = base_keys
+    g = np.uint64(GOLDEN)
+    for j in range(coords.shape[1]):
+        h = mix64(h ^ (zigzag(coords[:, j]) + g))
+    return h
+
+
+class PackedStreams:
+    """Disaster times in (0, t_max] of many site streams, for fields of one rate.
+
+    A stream is a pure function of its site key and the rate, so the streams
+    of every field of that rate share one pool.  Stream i's times lie at
+    times[off[i]:off[i] + len[i]] of one flat array, and an open-addressing
+    hash table maps site keys (uniform 64-bit words, so their low bits index
+    it) to stream numbers.  Looking up many keys, and their first disasters
+    after given times, is then a few vectorized steps.  Unknown keys are
+    materialized together, `block_cells` uniforms at a time, by the matrix
+    path of DisasterField.bulk_streams.  Every stream is tagged with an
+    owner, and drop() forgets the streams of owners that are done.  Arrays
+    grow by doubling and are compacted at their size, so a long run
+    allocates few distinct sizes.
+    """
+
+    def __init__(self, rate: float, t_max: float, block_cells: int):
+        self.rate = float(rate)
+        self.t_max = float(t_max)
+        self.block_cells = block_cells
+        self._n = 0  # streams
+        self._used = 0  # times
+        self._key = np.empty(64, dtype=np.uint64)
+        self._off = np.empty(64, dtype=np.int32)
+        self._len = np.empty(64, dtype=np.int32)
+        self._owner = np.empty(64, dtype=np.int32)
+        self._times = np.empty(1024)  # one slot past the used part keeps bisection reads in bounds
+        self._table = np.full(256, -1, dtype=np.int32)  # slot -> stream number; -1 empty
+
+    def first_from(self, keys: np.ndarray, owners: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Per query i: the first disaster time >= a[i] in stream keys[i], or inf."""
+        if self.rate == 0.0 or not len(keys):
+            return np.full(len(keys), np.inf)
+        i = self._find(keys, owners)
+        lo = self._off[i]
+        n = self._len[i]
+        end = lo + n
+        times = self._times
+        for _ in range(int(n.max(initial=0)).bit_length()):  # lower bound, all rows in step
+            half = n >> 1
+            mid = lo + half
+            go = (times[mid] < a) & (n > 0)
+            lo = np.where(go, mid + 1, lo)
+            n = np.where(go, n - half - 1, half)
+        return np.where(lo < end, times[lo], np.inf)
+
+    def _probe(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's table slot: the one holding its stream, or the empty one ending its probe."""
+        table, mask = self._table, len(self._table) - 1
+        slot = (keys & np.uint64(mask)).astype(np.int64)
+        while True:
+            i = table[slot]
+            on = (i >= 0) & (self._key[np.maximum(i, 0)] != keys)
+            if not on.any():
+                return slot
+            slot = np.where(on, (slot + 1) & mask, slot)
+
+    def _find(self, keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Stream numbers of `keys`, materializing the unknown ones."""
+        slot = self._probe(keys)
+        miss = np.flatnonzero(self._table[slot] < 0)
+        size = len(self._table)
+        while 2 * (self._n + len(miss)) > size:  # keep the table at most half full
+            size *= 2
+        if size > len(self._table):
+            self._rehash(size)
+            slot = self._probe(keys)
+        while len(miss):  # one key claims each empty slot; the others probe on (or find it)
+            s = slot[miss]
+            code = -2 - np.arange(len(miss), dtype=np.int32)
+            self._table[s] = code
+            first = self._table[s] == code
+            self._table[s[first]] = self._add(keys[miss[first]], owners[miss[first]])
+            miss = miss[~first]
+            slot[miss] = self._probe(keys[miss])
+            miss = miss[self._table[slot[miss]] < 0]
+        return self._table[slot]
+
+    def _rehash(self, size: int) -> None:
+        self._table = np.full(size, -1, dtype=np.int32)
+        ids = np.arange(self._n, dtype=np.int32)
+        while len(ids):  # distinct keys: each empty slot goes to its last writer
+            s = self._probe(self._key[ids])
+            self._table[s] = ids
+            ids = ids[self._table[s] != ids]
+
+    def _add(self, keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        """Materialize the streams of distinct unseen `keys`; their stream numbers."""
+        n0, n1 = self._n, self._n + len(keys)
+        for name in ("_key", "_off", "_len", "_owner"):
+            setattr(self, name, _room(getattr(self, name), n0, len(keys)))
+        self._key[n0:n1] = keys
+        self._owner[n0:n1] = owners
+        n_block = _block_size(self.rate, self.t_max)
+        rows = max(1, self.block_cells // n_block)
+        for lo in range(n0, n1, rows):
+            hi = min(n1, lo + rows)
+            n = n_block
+            sums = _gap_sums(self._key[lo:hi], n, self.rate)
+            while sums[:, -1].min() <= self.t_max:  # a row ends early: redraw longer, same bits
+                n *= 2
+                sums = _gap_sums(self._key[lo:hi], n, self.rate)
+            keep = sums <= self.t_max
+            lengths = keep.sum(axis=1)
+            total = int(lengths.sum())
+            self._times = _room(self._times, self._used, total + 1)
+            np.compress(keep.ravel(), sums.ravel(), out=self._times[self._used:self._used + total])
+            self._off[lo:hi] = self._used + np.add.accumulate(lengths) - lengths
+            self._len[lo:hi] = lengths
+            self._used += total
+        self._n = n1
+        return np.arange(n0, n1, dtype=np.int32)
+
+    def drop(self, done: np.ndarray) -> None:
+        """Forget the streams whose owner is done (done[owner] True), once they are a
+        quarter of the pool."""
+        n = self._n
+        keep = ~done[self._owner[:n]]
+        if 4 * int(keep.sum()) >= 3 * n:
+            return
+        lengths = self._len[:n][keep]
+        off = np.add.accumulate(lengths) - lengths
+        src = np.repeat(self._off[:n][keep] - off, lengths) + np.arange(int(lengths.sum()))
+        times = np.empty_like(self._times)
+        times[:len(src)] = self._times[src]
+        self._times, self._used, self._n = times, len(src), len(lengths)
+        for name, col in (("_key", self._key[:n][keep]), ("_off", off), ("_len", lengths),
+                          ("_owner", self._owner[:n][keep])):
+            getattr(self, name)[:self._n] = col
+        self._rehash(len(self._table))
+
+
+def _room(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """`buf`, or a copy of its first `used` entries at double the size, with room for `extra` more."""
+    if used + extra <= len(buf):
+        return buf
+    grown = np.empty((max(2 * len(buf), used + extra),) + buf.shape[1:], dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
+
+
 class DisasterField:
     """Seeded family of independent rate-`rate` Poisson disaster streams."""
 
@@ -62,7 +225,7 @@ class DisasterField:
         self.seed = int(seed)
         self.rate = float(rate)
         self.dimension = int(dimension)
-        self._base_key = fold(mix64_int(self.seed), self.dimension)
+        self.base_key = fold(mix64_int(self.seed), self.dimension)
         self._streams: dict[int, _SiteStream] = {}
         self._sites: dict[tuple, _SiteStream] = {}  # point-query cache by site tuple
 
@@ -71,7 +234,7 @@ class DisasterField:
     def site_key(self, site: Sequence[int]) -> int:
         if len(site) != self.dimension:
             raise ValueError(f"site has {len(site)} coordinates, field has dimension {self.dimension}")
-        h = self._base_key
+        h = self.base_key
         for c in site:
             h = fold(h, zigzag_int(int(c)))
         return h
@@ -81,12 +244,7 @@ class DisasterField:
         coords = np.asarray(coords)
         if coords.ndim != 2 or coords.shape[1] != self.dimension:
             raise ValueError("coords must have shape (m, dimension)")
-        h = np.full(coords.shape[0], self._base_key, dtype=np.uint64)
-        g = np.uint64(GOLDEN)
-        for j in range(self.dimension):
-            v = zigzag(coords[:, j])
-            h = mix64(h ^ (v + g))
-        return h
+        return site_keys_at(np.full(coords.shape[0], self.base_key, dtype=np.uint64), coords)
 
     # -- stream materialization ---------------------------------------------
 
@@ -161,13 +319,9 @@ class DisasterField:
         if new:
             n_block = _block_size(self.rate, t_max)
             chunk = max(1, 4_000_000 // n_block)
-            ctr_row = np.arange(n_block, dtype=np.uint64) * np.uint64(GOLDEN)
             for lo in range(0, len(new), chunk):
                 part = new[lo : lo + chunk]
-                kk = keys[np.array(part, dtype=np.intp)]
-                bits = mix64(kk[:, None] + ctr_row[None, :])
-                u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
-                times = np.cumsum(-np.log(u) / self.rate, axis=1)
+                times = _gap_sums(keys[np.array(part, dtype=np.intp)], n_block, self.rate)
                 for row, i in enumerate(part):
                     s = self._stream(ks[i])
                     s.times = times[row].copy()

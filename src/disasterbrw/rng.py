@@ -41,16 +41,32 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def counter_u64(key: int, counters: np.ndarray) -> np.ndarray:
-    """Word `counters[i]` of the stream identified by `key` (uint64 array)."""
-    c = counters.astype(np.uint64, copy=False)
-    return mix64(np.uint64(key & _M64) + c * _U_GOLDEN)
+def counter_u64(key, counters) -> np.ndarray:
+    """Word `counters` of the stream(s) identified by `key` (uint64 array).
+
+    `key` is one int, or a uint64 array of keys broadcast against `counters`
+    (one particle per row, say).
+    """
+    k = np.uint64(key & _M64) if isinstance(key, int) else np.asarray(key, dtype=np.uint64)
+    c = np.asarray(counters).astype(np.uint64, copy=False)
+    return mix64(k + c * _U_GOLDEN)
 
 
-def counter_uniform(key: int, counters: np.ndarray) -> np.ndarray:
-    """Uniforms in (0, 1] indexed by counter; block-size independent."""
+def counter_uniform(key, counters) -> np.ndarray:
+    """Uniforms in (0, 1] indexed by counter; block-size independent.
+
+    Element for element the draws of ParticleStream.uniform.
+    """
     bits = counter_u64(key, counters)
     return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
+
+
+def counter_exponential(key, counters, rate: float) -> np.ndarray:
+    """ParticleStream.exponential's draws at `counters`: inf everywhere at rate 0."""
+    u = counter_uniform(key, counters)
+    if rate <= 0.0:
+        return np.full(u.shape, np.inf)
+    return -np.log(u) / rate
 
 
 def zigzag_int(n: int) -> int:

@@ -17,9 +17,12 @@ from disasterbrw.brw import (
     simulate,
     site_counts,
     survival_frequency,
+    survive_replicas,
 )
+from disasterbrw import brw
 from disasterbrw.env import DisasterField, SuperposedField, superpose
-from disasterbrw.rng import ParticleStream, counter_uniform, fold, mix64_int
+from disasterbrw.rng import (ParticleStream, counter_exponential, counter_uniform, derive_seed, fold,
+                             mix64_int)
 from helpers import WalkPath, extinction_time, replay_site_counts, simulate_oracle
 
 
@@ -431,3 +434,115 @@ def test_offspring_count_at_a_cdf_atom_takes_the_lower_count(monkeypatch):
         monkeypatch.setattr(ParticleStream, "uniform", lambda self, u=u: u)
         res = simulate(params, {(0,): 1}, DisasterField(1, 0.0, 1), 0.0, t_branch, 5)
         assert res.final_count == n_children
+
+
+# ---------------------------------------------------------------------------
+# replica-batch engine
+# ---------------------------------------------------------------------------
+
+THREE = offspring_pmf({0: 0.3, 1: 0.2, 3: 0.5})
+NONE = (1.0,)  # every branch leaves no child
+
+
+def _engine_corpus():
+    """(label, params, initial, horizon, caps) over the batch engine's paths."""
+    o1, o2, o3 = (0,), (0, 0), (0, 0, 0)
+    yield "alive cap", BRWParams(2.0, 1.5, ALWAYS_TWO, 1.0, 1), {o1: 1}, 3.0, Caps(max_alive=10)
+    yield "alive cap", BRWParams(8.0, 2.0, THREE, 1.0, 2), {o2: 1}, 2.0, Caps(max_alive=30)
+    yield "alive cap", BRWParams(1.0, 1.5, BINARY, 0.5, 3), {o3: 2}, 3.0, Caps(max_alive=3)
+    yield "alive cap", BRWParams(8.0, 2.0, ALWAYS_TWO, 1.0, 1), {o1: 1}, 6.0, Caps(max_alive=50)
+    yield "no jumps", BRWParams(0.0, 1.0, ALWAYS_TWO, 1.0, 1), {o1: 1}, 2.0, Caps(max_alive=20)
+    yield "no births", BRWParams(2.0, 0.0, NONE, 1.0, 2), {o2: 1}, 3.0, Caps()
+    yield "no disasters", BRWParams(2.0, 1.0, (0.1, 0.4, 0.5), 0.0, 1), {o1: 1}, 3.0, Caps(max_alive=20)
+    yield "no children", BRWParams(1.0, 2.0, NONE, 0.5, 3), {o3: 3}, 2.0, Caps()
+    yield "horizon 0", BRWParams(2.0, 1.0, ALWAYS_TWO, 1.0, 1), {o1: 2}, 0.0, Caps()
+    yield "several sites", BRWParams(1.0, 1.0, BINARY, 1.0, 2), {o2: 2, (1, 0): 1, (0, -2): 3}, 2.0, \
+        Caps(max_alive=12)
+    yield "event cap", BRWParams(4.0, 2.0, ALWAYS_TWO, 0.5, 1), {o1: 1}, 3.0, Caps(max_events=80)
+    yield "event cap", BRWParams(2.0, 1.0, THREE, 1.0, 2), {o2: 1}, 2.0, Caps(max_events=25)
+    yield "both caps", BRWParams(2.0, 2.0, ALWAYS_TWO, 0.5, 1), {o1: 1}, 3.0, Caps(8, 200)
+
+
+def test_batch_engine_matches_heap_loop():
+    tripped = {"alive cap": 0, "event cap": 0}
+    for k, (label, params, initial, horizon, caps) in enumerate(_engine_corpus()):
+        env = [derive_seed(k, "env", i) for i in range(40)]
+        tree = [derive_seed(k, "tree", i) for i in range(40)]
+        out = survive_replicas(params, initial, env, tree, horizon, caps=caps)
+        for i in range(40):
+            field = DisasterField(env[i], params.disaster_rate, params.dimension)
+            res = simulate(params, initial, field, 0.0, horizon, tree[i], caps=caps,
+                           record_events=False)
+            assert (out.capped[i], out.alive[i]) == (res.capped, res.final_count > 0), (label, i)
+        if label in tripped:
+            tripped[label] += int(out.capped.sum())
+    print(f"replicas that tripped each cap: {tripped}")
+    assert min(tripped.values()) >= 3, tripped
+
+
+def test_batch_engine_does_not_depend_on_its_blocks(monkeypatch):
+    cases = [(params, initial, horizon, caps)
+             for label, params, initial, horizon, caps in _engine_corpus()
+             if label in ("alive cap", "several sites", "event cap")][:4]
+    seeds = [derive_seed(9, "block", i) for i in range(24)]
+    want = [survive_replicas(*case[:2], seeds, seeds[::-1], case[2], caps=case[3]) for case in cases]
+    monkeypatch.setattr(brw, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(brw, "_LIVE_BLOCKS", 1)
+    monkeypatch.setattr(brw, "_JUMP_COLUMNS", 1)
+    for case, w in zip(cases, want):
+        got = survive_replicas(*case[:2], seeds, seeds[::-1], case[2], caps=case[3])
+        assert got.capped.tolist() == w.capped.tolist()
+        assert got.alive.tolist() == w.alive.tolist()
+        assert got.peak_live < w.peak_live
+
+
+def test_batch_engine_holds_a_budget_not_the_population(monkeypatch):
+    monkeypatch.setattr(brw, "_BLOCK_CELLS", 256)
+    budget = brw._LIVE_BLOCKS * brw._BLOCK_CELLS
+    params = BRWParams(8.0, 2.0, ALWAYS_TWO, 1.0, 1)
+    seeds = [derive_seed(4, "budget", i) for i in range(300)]
+    out = survive_replicas(params, {(0,): 1}, seeds, seeds[::-1], 3.0, caps=Caps(max_alive=10_000))
+    sizes = [simulate(params, {(0,): 1}, DisasterField(s, 1.0, 1), 0.0, 3.0, t,
+                      record_events=False).final_count for s, t in zip(seeds, seeds[::-1])]
+    assert not out.capped.any() and out.alive.tolist() == [n > 0 for n in sizes]
+    # the trees hold over ten budgets at the horizon, each under one budget
+    assert sum(sizes) > 10 * budget and max(sizes) < budget
+    assert out.peak_live <= 2 * budget
+
+
+def test_counter_draws_are_particle_stream_draws_bit_for_bit():
+    gen = np.random.default_rng(17)
+    keys = gen.integers(0, np.iinfo(np.uint64).max, 3000, dtype=np.uint64, endpoint=True)
+    ctrs = gen.integers(0, 5000, 3000)
+    uniforms = counter_uniform(keys, ctrs)
+    for rate in (0.0, 0.5, 8.0):
+        draws = counter_exponential(keys, ctrs, rate)
+        want_u, want_e = np.empty(3000), np.empty(3000)
+        for j, (key, ctr) in enumerate(zip(keys.tolist(), ctrs.tolist())):
+            st = ParticleStream(key)
+            st.ctr = ctr
+            want_e[j] = st.exponential(rate)
+            assert st.ctr == ctr + 1  # rate 0 still spends its counter
+            st.ctr = ctr
+            want_u[j] = st.uniform()
+        assert draws.view(np.uint64).tolist() == want_e.view(np.uint64).tolist()
+        assert uniforms.view(np.uint64).tolist() == want_u.view(np.uint64).tolist()
+    assert np.isinf(counter_exponential(keys, ctrs, 0.0)).all()
+    grid = counter_uniform(keys[:50, None], np.arange(6))
+    assert all((grid[:, c] == counter_uniform(keys[:50], np.full(50, c))).all() for c in range(6))
+
+
+class _NoStreams:
+    dimension = 1
+
+    def disasters_in_window(self, *_args):
+        raise AssertionError("a stream was drawn")
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_non_finite_horizon_is_rejected_before_any_stream(horizon):
+    params = BRWParams(1.0, 1.0, ALWAYS_TWO, 1.0, 1)
+    with pytest.raises(ValueError):
+        simulate(params, {(0,): 1}, _NoStreams(), 0.0, horizon, 1)
+    with pytest.raises(ValueError):
+        survive_replicas(params, {(0,): 1}, [1], [2], horizon)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from disasterbrw import cli, walk
 from disasterbrw.walk import SurvivalEstimate
 
@@ -26,6 +28,24 @@ def test_unknown_flag_is_config_error():
 def test_bad_range_is_config_error():
     assert cli.main(["annealed", "--seed", "1", "--n", "0"]) == 1
     assert cli.main(["perc", "--seed", "1", "--p", "1.5"]) == 1
+
+
+@pytest.mark.parametrize("flags", [["--horizon", "nan"], ["--horizon", "-1"], ["--cap-alive", "0"],
+                                   ["--cap-alive", "-5"], ["--cap-events", "0"]])
+def test_bad_horizon_or_cap_is_config_error(flags):
+    assert cli.main(["brw-survival", "--seed", "1", "--horizon", "1", "--n-reps", "3", *flags]) == 1
+    assert cli.main(["sweep", "--seed", "1", "--q", "0:0.0,2:1.0", "--horizon", "1", "--n-reps", "3",
+                     *flags]) == 1
+
+
+def test_infinite_horizon_is_rejected_before_any_run(monkeypatch):
+    def run(*_args, **_kwargs):
+        raise AssertionError("an infinite horizon reached the estimator")
+
+    monkeypatch.setattr(cli.brw_mod, "survival_frequency", run)
+    monkeypatch.setattr(cli.brw_mod, "coupled_birth_rate_survival", run)
+    assert cli.main(["brw-survival", "--seed", "1", "--horizon", "inf"]) == 1
+    assert cli.main(["sweep", "--seed", "1", "--q", "0:0.0,2:1.0", "--horizon", "inf"]) == 1
 
 
 def test_bad_offspring_literal_is_config_error():
