@@ -23,10 +23,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .brw import BRWParams, Box, Caps, CapTripped, Comparison, Event, simulate
+from .brw import BRWParams, Box, Caps, CapTripped, Event, simulate
 from .env import DisasterField
 from .rng import derive_seed
-from .walk import _binom_se
 
 Site = tuple[int, ...]
 
@@ -321,96 +320,3 @@ def zero_pattern_product_bound(joint, copies: int):
     slack = rhs - lhs
     holds = lhs <= rhs if exact else lhs <= rhs + 1e-12
     return holds, slack
-
-
-# ---------------------------------------------------------------------------
-# exit-count product bounds (Monte Carlo)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProductBoundReport:
-    name: str
-    lhs: float
-    lhs_se: float
-    rhs_prob: float
-    rhs_prob_se: float
-    additive_derived: float
-    additive_printed: float
-    violation_sigma: float
-
-    @property
-    def violated(self) -> bool:
-        return self.violation_sigma > 3.0
-
-
-def _product_with_se(ps: np.ndarray, ses: np.ndarray) -> tuple[float, float]:
-    prod = float(np.prod(ps))
-    if prod == 0.0:
-        return 0.0, 0.0
-    rel = np.sqrt(((ses / np.where(ps > 0, ps, 1.0)) ** 2).sum())
-    return prod, prod * rel
-
-
-def exit_product_bounds_check(params: BRWParams, eta: Mapping[Site, int], box: SpaceTimeBox,
-                              k_top: int, k_face: int, copies: int, n_reps: int, seed: int,
-                              *, caps: Caps = Caps(max_alive=50_000, max_events=5_000_000)) -> list[ProductBoundReport]:
-    """Monte Carlo check of three product bounds on exit counts.
-
-    Per-orthant probabilities are estimated for the process started from
-    `copies * eta`, tail probabilities for the process from `eta`.  For each
-    family of size n (top orthants, face orthants, the two totals) the bound
-    adds ((n-1)/n)^(n*copies); the report also carries the n^(-n*copies)
-    variant for reference (the two agree in one dimension).  A bound counts
-    as violated only beyond 3 combined sigmas.
-    """
-    d = params.dimension
-    region = box.interior_region()
-    eta_big = {s: c * copies for s, c in eta.items()}
-
-    def batch(start, tag):
-        tv = np.empty((n_reps, 2**d), dtype=np.int64)
-        fv = np.empty((n_reps, d * 2**d), dtype=np.int64)
-        for i in range(n_reps):
-            fld = DisasterField(derive_seed(seed, tag, "env", i), params.disaster_rate, d)
-            res = simulate(params, start, fld, 0.0, box.t_end,
-                           derive_seed(seed, tag, "tree", i), trunc=region, caps=caps)
-            if res.capped:
-                raise CapTripped("cap tripped during product-bound check")
-            ec = exit_counts(res.events, box)
-            tv[i] = ec.top_vector()
-            fv[i] = ec.face_vector()
-        return tv, fv
-
-    tv_big, fv_big = batch(eta_big, "epb-big")
-    tv_one, fv_one = batch(eta, "epb-one")
-
-    def prob(mask: np.ndarray) -> tuple[float, float]:
-        p = float(mask.mean())
-        return p, _binom_se(p, n_reps)
-
-    reports = []
-    specs = [
-        ("top-orthants", tv_big, k_top, tv_one.sum(axis=1), 2**d),
-        ("face-orthants", fv_big, k_face, fv_one.sum(axis=1), d * 2**d),
-    ]
-    for name, big, kk, one_total, fam in specs:
-        ps, ses = zip(*(prob(big[:, j] <= kk) for j in range(big.shape[1])))
-        lhs, lhs_se = _product_with_se(np.array(ps), np.array(ses))
-        rp, rse = prob(one_total <= fam * kk)
-        derived = ((fam - 1) / fam) ** (fam * copies)
-        printed = float(fam) ** (-fam * copies)
-        viol = Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se).violated_at
-        reports.append(ProductBoundReport(name=name, lhs=lhs, lhs_se=lhs_se, rhs_prob=rp,
-                                          rhs_prob_se=rse, additive_derived=derived,
-                                          additive_printed=printed, violation_sigma=viol))
-    # combined: P(face total <= K) P(top total <= K') vs P(total <= K + K') + 4^-S
-    pf, sef = prob(fv_big.sum(axis=1) <= k_face)
-    pt, set_ = prob(tv_big.sum(axis=1) <= k_top)
-    lhs, lhs_se = _product_with_se(np.array([pf, pt]), np.array([sef, set_]))
-    rp, rse = prob(fv_one.sum(axis=1) + tv_one.sum(axis=1) <= k_face + k_top)
-    derived = 4.0 ** (-copies)
-    viol = Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se).violated_at
-    reports.append(ProductBoundReport(name="combined-totals", lhs=lhs, lhs_se=lhs_se,
-                                      rhs_prob=rp, rhs_prob_se=rse, additive_derived=derived,
-                                      additive_printed=derived, violation_sigma=viol))
-    return reports

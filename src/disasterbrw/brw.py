@@ -65,9 +65,9 @@ It gets the same answers as simulate, replica for replica, because:
   its exact meaning.  (A replica that trips the alive cap is capped
   whichever cap the heap loop meets first.)
 
-simulate stays the one general engine: event logs, snapshots, truncation,
-growth rates, the coupled sweep and the box embeddings use it, and it is the
-reference the batch engine is tested against.
+simulate stays the one general engine: event logs, truncation, the
+population at the horizon, growth rates, the coupled sweep and the box
+embeddings use it, and it is the reference the batch engine is tested against.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -185,16 +185,6 @@ class ParticleRecord:
     birth_site: Site
     end_time: float | None = None
     end_cause: str | None = None  # branch | disaster | left-truncation-region | horizon | cap
-    jumps: list = dc_field(default_factory=list)  # (time, new_site) when paths recorded
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    time: float
-    alive: tuple[tuple[ParticleId, Site], ...]  # sorted by particle id
-
-    def __len__(self) -> int:
-        return len(self.alive)
 
 
 @dataclass(frozen=True)
@@ -206,7 +196,6 @@ class Caps:
 @dataclass
 class SimResult:
     events: list
-    snapshots: list
     records: dict
     capped: bool
     cap_time: float | None
@@ -227,13 +216,10 @@ class CapTripped(RuntimeError):
 
 def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: float,
              horizon: float, seed: int, *, trunc: Box | None = None, caps: Caps = Caps(),
-             snapshot_times: Sequence[float] = (), snapshot_flavor: str = "post",
              record_events: bool = True) -> SimResult:
     """Run the branching system from `initial` over [start_time, horizon].
 
-    snapshot_flavor "post" applies every event at the snapshot instant before
-    reporting; "pre" reports the state just before events at that instant
-    (the left limit, under which particles killed exactly then still count).
+    `final_alive` is the state after every event at the horizon is applied.
     Truncated runs remove a particle the moment it jumps out of `trunc`.
     Cap trips flag the result rather than raising; flagged replicas must be
     excluded from unbiased statistics by the caller.
@@ -244,11 +230,6 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
         raise ValueError("horizon must be >= start_time")
     if field.dimension != params.dimension:
         raise ValueError("field and params dimensions differ")
-    if snapshot_flavor not in ("post", "pre"):
-        raise ValueError("snapshot_flavor must be 'post' or 'pre'")
-    snap_times = sorted(map(float, snapshot_times))
-    if snap_times and (snap_times[0] < start_time or snap_times[-1] > horizon):
-        raise ValueError("snapshot times must lie in [start_time, horizon]")
     if sum(initial.values()) < 1:
         raise ValueError("a process start needs at least one particle")
 
@@ -334,29 +315,12 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
 
     capped = False
     cap_time: float | None = None
-    snapshots: list[Snapshot] = []
-    snap_i = 0
-    next_snap = snap_times[0] if snap_times else math.inf
     n_events = 0
-
-    def emit_snapshots_up_to(next_time: float) -> float:
-        """Emit snapshots strictly due before the next event is applied; next snapshot time."""
-        nonlocal snap_i
-        while snap_i < len(snap_times):
-            ts = snap_times[snap_i]
-            due = (next_time > ts) if snapshot_flavor == "post" else (next_time >= ts)
-            if not due:
-                return ts
-            snapshots.append(Snapshot(time=ts, alive=tuple(sorted(position.items()))))
-            snap_i += 1
-        return math.inf
 
     while heap:
         time, rank, _seq, payload = heappop(heap)
         if time > horizon:
             break
-        if time >= next_snap:
-            next_snap = emit_snapshots_up_to(time)
         n_events += 1
         if n_events > max_events:
             capped, cap_time = True, time
@@ -400,9 +364,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             continue
         vacate(pid)
         struck = occupy(pid, new_site, time)
-        if record_events:
-            records[pid].jumps.append((time, new_site))
-            events.append(Event(time, "jump", pid, new_site))
+        log(time, "jump", pid, new_site)
         if struck:  # post-jump tie rule: a disaster at the arrival instant kills
             log(time, "disaster", pid, new_site)
             kill(pid, time, "disaster")
@@ -410,7 +372,6 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             continue
         heappush(heap, (time + st.exponential(jump_rate), 2, tick(), pid))
 
-    emit_snapshots_up_to(math.inf)
     final = tuple(sorted(position.items()))
     for pid, _site in final:
         rec = records[pid]
@@ -418,7 +379,6 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
         rec.end_cause = "cap" if capped else "horizon"
     return SimResult(
         events=events,
-        snapshots=snapshots,
         records=records,
         capped=capped,
         cap_time=cap_time,
@@ -428,44 +388,6 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
         horizon=horizon,
         final_alive=final,
     )
-
-
-# ---------------------------------------------------------------------------
-# derived views
-# ---------------------------------------------------------------------------
-
-def site_counts(snapshot: Snapshot) -> Configuration:
-    """Multiset tally of alive particles by site."""
-    out: Configuration = {}
-    for _pid, site in snapshot.alive:
-        out[site] = out.get(site, 0) + 1
-    return out
-
-
-def dominates(snapshot: Snapshot, config: Mapping[Site, int]) -> bool:
-    """True iff every site holds at least the configured particle count."""
-    counts = site_counts(snapshot)
-    return all(counts.get(site, 0) >= need for site, need in config.items() if need > 0)
-
-
-def serialize_events(events: Iterable[Event]):
-    """One line per event: time<TAB>kind<TAB>id<TAB>site (ids dot-joined, sites comma-joined)."""
-    for ev in events:
-        pid = ".".join(str(i) for i in ev.pid)
-        site = ",".join(str(c) for c in ev.site)
-        yield f"{ev.time:.17g}\t{ev.kind}\t{pid}\t{site}"
-
-
-def parse_events(lines: Iterable[str]) -> list[Event]:
-    out = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        t, kind, pid, site = line.split("\t")
-        out.append(Event(float(t), kind, tuple(int(x) for x in pid.split(".")),
-                         tuple(int(x) for x in site.split(","))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +760,10 @@ def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed:
     sizes = np.empty(n_reps)
     for i in range(n_reps):
         res = simulate(params, {(0,) * params.dimension: 1}, field, 0.0, t,
-                       derive_seed(seed, "moment-tree", i), caps=caps,
-                       snapshot_times=[t], record_events=False)
+                       derive_seed(seed, "moment-tree", i), caps=caps, record_events=False)
         if res.capped:
             raise CapTripped("population cap tripped during moment check; raise caps")
-        sizes[i] = len(res.snapshots[0])
+        sizes[i] = res.final_count
     lhs = float(sizes.mean())
     lhs_se = float(sizes.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
     nw = n_walkers if n_walkers is not None else n_reps

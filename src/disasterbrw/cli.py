@@ -524,6 +524,7 @@ _RANGE_CHECKS = [
     ("n_walkers", lambda v: v >= 1, "n_walkers must be >= 1"),
     ("n_reps", lambda v: v >= 1, "n_reps must be >= 1"),
     ("n_fields", lambda v: v >= 1, "n_fields must be >= 1"),
+    ("n_batches", lambda v: v >= 1, "n_batches must be >= 1"),
     ("threads", lambda v: 1 <= v <= 256, "threads must be in 1..256"),
     ("rows", lambda v: 1 <= v <= 10_000, "rows must be in 1..10000"),
     ("p", lambda v: 0.0 <= v <= 1.0, "p must be in [0, 1]"),

@@ -67,10 +67,10 @@ def sample_offspring(field, params: BRWParams, period: float, period_index: int,
     for i in range(n_reps):
         res = simulate(params, {origin: 1}, field, t0, t1,
                        derive_seed(seed, "offspring", period_index, i),
-                       caps=caps, snapshot_times=[t1], record_events=False)
+                       caps=caps, record_events=False)
         if res.capped:
             raise CapTripped("population cap tripped while sampling offspring")
-        counts[i] = sum(1 for _pid, site in res.snapshots[0].alive if site == origin)
+        counts[i] = sum(1 for _pid, site in res.final_alive if site == origin)
     top = int(counts.max(initial=0))
     pmf = np.bincount(counts, minlength=top + 1) / n_reps
     return OffspringSample(period_index=period_index, pmf=tuple(float(x) for x in pmf),

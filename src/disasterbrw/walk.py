@@ -146,7 +146,9 @@ def _survival_batch(field, jump_rate: float, t: float, n_walkers: int, gen: np.r
         j0 = 0
         while j0 <= kmax and len(rows):
             j1 = min(kmax + 1, j0 + max(1, _BLOCK_CELLS // len(rows)))
-            pos = here[:, None, :] + np.cumsum(moves[rows, j0:j1], axis=1)
+            # np.add.accumulate, not np.cumsum: numpy 2.4's cumsum keeps a small
+            # object alive per call; int64 because add.accumulate keeps int8
+            pos = here[:, None, :] + np.add.accumulate(moves[rows, j0:j1], axis=1, dtype=np.int64)
             a = edges[rows, j0:j1]
             b = edges[rows, j0 + 1:j1 + 1]
             hit = _hits(field, t, a, b, pos, None if namespaces is None else namespaces[lo + rows])
@@ -217,6 +219,10 @@ def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if jump_rate < 0 or disaster_rate < 0:
+        raise ValueError("rates must be >= 0")
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
     gen = as_generator(rng)
     if disaster_rate == 0.0 or t == 0.0:
         return SurvivalEstimate.binomial(1.0, n_samples)

@@ -250,7 +250,7 @@ def survival_batch_oracle(field, jump_rate, t, n_walkers, gen, namespaces=None):
 
 
 def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=None,
-                    caps=None, snapshot_times=(), snapshot_flavor="post", record_events=True):
+                    caps=None, record_events=True):
     """brw.simulate with a disaster lookup on every occupation and every arrival.
 
     The heap loop as first written: each occupation asks the field for the
@@ -261,11 +261,10 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
     """
     import heapq
 
-    from disasterbrw.brw import Caps, Event, ParticleRecord, SimResult, Snapshot
+    from disasterbrw.brw import Caps, Event, ParticleRecord, SimResult
     from disasterbrw.rng import ParticleStream, fold, mix64_int
 
     caps = caps or Caps()
-    snap_times = sorted(float(t) for t in snapshot_times)
     q_cdf = params.offspring_cdf()
     events, records, streams, position, occupancy, pending, heap = [], {}, {}, {}, {}, {}, []
     pop_t, pop_n = [start_time], [0]
@@ -315,16 +314,9 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
     pop_t.append(start_time)
     pop_n.append(len(position))
 
-    def snap_up_to(next_time):
-        while snap_times and (next_time > snap_times[0] if snapshot_flavor == "post"
-                              else next_time >= snap_times[0]):
-            snapshots.append(Snapshot(time=snap_times.pop(0), alive=tuple(sorted(position.items()))))
-
-    capped, cap_time, snapshots, n_events = False, None, [], 0
+    capped, cap_time, n_events = False, None, 0
     while heap and heap[0][0] <= horizon:
-        time, rank, _seq, payload = heap[0]
-        snap_up_to(time)
-        heapq.heappop(heap)
+        time, rank, _seq, payload = heapq.heappop(heap)
         n_events += 1
         if n_events > caps.max_events:
             capped, cap_time = True, time
@@ -362,8 +354,6 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
             else:
                 vacate(pid)
                 occupy(pid, new_site, time)
-                if record_events:
-                    records[pid].jumps.append((time, new_site))
                 log(time, "jump", pid, new_site)
                 if not len(field.disasters_in_window(new_site, time, np.nextafter(time, np.inf))):
                     push(time + st.exponential(params.jump_rate), 2, pid)
@@ -373,18 +363,17 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
         pop_t.append(time)
         pop_n.append(len(position))
 
-    snap_up_to(math.inf)
     final = tuple(sorted(position.items()))
     for pid, _site in final:
         records[pid].end_time = horizon
         records[pid].end_cause = "cap" if capped else "horizon"
-    return SimResult(events=events, snapshots=snapshots, records=records, capped=capped,
+    return SimResult(events=events, records=records, capped=capped,
                      cap_time=cap_time, pop_times=np.asarray(pop_t), pop_counts=np.asarray(pop_n),
                      start_time=start_time, horizon=horizon, final_alive=final)
 
 
 def replay_site_counts(events, at_time: float) -> dict:
-    """Recount occupancy at `at_time` from an event log (oracle for snapshots)."""
+    """Recount occupancy at `at_time` from an event log (oracle for a run's final population)."""
     pos: dict = {}
     for ev in events:
         if ev.time > at_time:

@@ -1,5 +1,7 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -8,14 +10,15 @@ from disasterbrw.boxes import (
     SpaceTimeBox,
     classify_exit,
     exit_counts,
-    exit_product_bounds_check,
     face_regions,
     fkg_test,
     top_regions,
     zero_pattern_product_bound,
 )
-from disasterbrw.brw import BRWParams, offspring_pmf, simulate
+from disasterbrw.brw import BRWParams, Caps, CapTripped, Comparison, offspring_pmf, simulate
 from disasterbrw.env import DisasterField
+from disasterbrw.rng import derive_seed
+from disasterbrw.walk import _binom_se
 
 from helpers import exit_counts_oracle
 
@@ -81,6 +84,10 @@ def _oracle_exit_counts(result, box):
     faces = {r: 0 for r in face_regions(box.dimension)}
     recs = result.records
     L = box.half_width
+    jumps = {}
+    for ev in result.events:
+        if ev.kind == "jump":
+            jumps.setdefault(ev.pid, []).append((ev.time, ev.site))
 
     def full_path(pid):
         chain = [pid[: i + 1] for i in range(len(pid))]
@@ -89,7 +96,7 @@ def _oracle_exit_counts(result, box):
             r = recs[node]
             if node == chain[0]:
                 moves.append((r.birth_time, r.birth_site))
-            for jump in r.jumps:
+            for jump in jumps.get(node, ()):
                 if jump[0] <= recs[pid].end_time or recs[pid].end_time is None:
                     moves.append(jump)
         return moves
@@ -302,6 +309,95 @@ def test_zero_pattern_rejects_bad_pmf():
 
 
 # -- exit product bounds ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ProductBoundReport:
+    name: str
+    lhs: float
+    lhs_se: float
+    rhs_prob: float
+    rhs_prob_se: float
+    additive_derived: float
+    additive_printed: float
+    violation_sigma: float
+
+    @property
+    def violated(self) -> bool:
+        return self.violation_sigma > 3.0
+
+
+def _product_with_se(ps: np.ndarray, ses: np.ndarray) -> tuple[float, float]:
+    prod = float(np.prod(ps))
+    if prod == 0.0:
+        return 0.0, 0.0
+    rel = np.sqrt(((ses / np.where(ps > 0, ps, 1.0)) ** 2).sum())
+    return prod, prod * rel
+
+
+def exit_product_bounds_check(params: BRWParams, eta: Mapping[tuple[int, ...], int], box: SpaceTimeBox,
+                              k_top: int, k_face: int, copies: int, n_reps: int, seed: int,
+                              *, caps: Caps = Caps(max_alive=50_000, max_events=5_000_000)) -> list[ProductBoundReport]:
+    """Monte Carlo check of three product bounds on exit counts.
+
+    Per-orthant probabilities are estimated for the process started from
+    `copies * eta`, tail probabilities for the process from `eta`.  For each
+    family of size n (top orthants, face orthants, the two totals) the bound
+    adds ((n-1)/n)^(n*copies); the report also carries the n^(-n*copies)
+    variant for reference (the two agree in one dimension).  A bound counts
+    as violated only beyond 3 combined sigmas.
+    """
+    d = params.dimension
+    region = box.interior_region()
+    eta_big = {s: c * copies for s, c in eta.items()}
+
+    def batch(start, tag):
+        tv = np.empty((n_reps, 2**d), dtype=np.int64)
+        fv = np.empty((n_reps, d * 2**d), dtype=np.int64)
+        for i in range(n_reps):
+            fld = DisasterField(derive_seed(seed, tag, "env", i), params.disaster_rate, d)
+            res = simulate(params, start, fld, 0.0, box.t_end,
+                           derive_seed(seed, tag, "tree", i), trunc=region, caps=caps)
+            if res.capped:
+                raise CapTripped("cap tripped during product-bound check")
+            ec = exit_counts(res.events, box)
+            tv[i] = ec.top_vector()
+            fv[i] = ec.face_vector()
+        return tv, fv
+
+    tv_big, fv_big = batch(eta_big, "epb-big")
+    tv_one, fv_one = batch(eta, "epb-one")
+
+    def prob(mask: np.ndarray) -> tuple[float, float]:
+        p = float(mask.mean())
+        return p, _binom_se(p, n_reps)
+
+    reports = []
+    specs = [
+        ("top-orthants", tv_big, k_top, tv_one.sum(axis=1), 2**d),
+        ("face-orthants", fv_big, k_face, fv_one.sum(axis=1), d * 2**d),
+    ]
+    for name, big, kk, one_total, fam in specs:
+        ps, ses = zip(*(prob(big[:, j] <= kk) for j in range(big.shape[1])))
+        lhs, lhs_se = _product_with_se(np.array(ps), np.array(ses))
+        rp, rse = prob(one_total <= fam * kk)
+        derived = ((fam - 1) / fam) ** (fam * copies)
+        printed = float(fam) ** (-fam * copies)
+        viol = Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se).violated_at
+        reports.append(ProductBoundReport(name=name, lhs=lhs, lhs_se=lhs_se, rhs_prob=rp,
+                                          rhs_prob_se=rse, additive_derived=derived,
+                                          additive_printed=printed, violation_sigma=viol))
+    # combined: P(face total <= K) P(top total <= K') vs P(total <= K + K') + 4^-S
+    pf, sef = prob(fv_big.sum(axis=1) <= k_face)
+    pt, set_ = prob(tv_big.sum(axis=1) <= k_top)
+    lhs, lhs_se = _product_with_se(np.array([pf, pt]), np.array([sef, set_]))
+    rp, rse = prob(fv_one.sum(axis=1) + tv_one.sum(axis=1) <= k_face + k_top)
+    derived = 4.0 ** (-copies)
+    viol = Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se).violated_at
+    reports.append(ProductBoundReport(name="combined-totals", lhs=lhs, lhs_se=lhs_se,
+                                      rhs_prob=rp, rhs_prob_se=rse, additive_derived=derived,
+                                      additive_printed=derived, violation_sigma=viol))
+    return reports
+
 
 def test_exit_product_bounds_one_dimension():
     params = BRWParams(1.0, 1.0, BINARY, 1.0, 1)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,14 +9,10 @@ from disasterbrw.brw import (
     Caps,
     centered_box,
     coupled_birth_rate_survival,
-    dominates,
     growth_rate,
     moment_identity_check,
     offspring_pmf,
-    parse_events,
-    serialize_events,
     simulate,
-    site_counts,
     survival_frequency,
     survive_replicas,
 )
@@ -62,7 +59,8 @@ def test_single_particle_no_branching_reduces_to_walk():
         fld = DisasterField(seed=300 + i, rate=1.0, dimension=1)
         res = simulate(params, {(0,): 1}, fld, 0.0, 5.0, 400 + i)
         rec = res.records[(0,)]
-        path = WalkPath(start_site=(0,), jumps=tuple(rec.jumps), horizon=5.0)
+        jumps = tuple((ev.time, ev.site) for ev in res.events if ev.kind == "jump")
+        path = WalkPath(start_site=(0,), jumps=jumps, horizon=5.0)
         fld2 = DisasterField(seed=300 + i, rate=1.0, dimension=1)
         ext = extinction_time(path, fld2)
         if rec.end_cause == "disaster":
@@ -87,37 +85,24 @@ def test_galton_watson_mean_oracle():
     params = BRWParams(0.0, 1.0, offspring_pmf({0: 0.25, 2: 0.75}), 0.0, 1)
     fld = DisasterField(1, 0.0, 1)
     t = 1.5
-    sizes = np.array([len(simulate(params, {(0,): 1}, fld, 0.0, t, 10_000 + i,
-                                   snapshot_times=[t], record_events=False).snapshots[0])
+    sizes = np.array([simulate(params, {(0,): 1}, fld, 0.0, t, 10_000 + i,
+                               record_events=False).final_count
                       for i in range(10_000)])
     target = math.exp(params.birth_rate * (params.offspring_mean - 1.0) * t)
     assert abs(sizes.mean() - target) < 3 * sizes.std(ddof=1) / math.sqrt(len(sizes))
 
 
-def test_site_counts_and_dominates():
-    params = BRWParams(1.0, 1.0, BINARY, 1.0, 1)
-    fld = DisasterField(5, 1.0, 1)
-    res = simulate(params, {(0,): 3, (2,): 1}, fld, 0.0, 2.0, 9, snapshot_times=[2.0])
-    snap = res.snapshots[0]
-    counts = site_counts(snap)
-    assert sum(counts.values()) == len(snap)
-    assert dominates(snap, {})
-    assert dominates(snap, counts)
-    if counts:
-        bumped = dict(counts)
-        some = next(iter(bumped))
-        bumped[some] += 1
-        assert not dominates(snap, bumped)
-
-
 def test_snapshots_match_event_log_replay():
+    # a run to horizon s ends in the state at s of a longer run, so comparing
+    # final populations of shorter runs compares one process at several times
     params = BRWParams(1.0, 1.0, BINARY, 1.0, 1)
     for i in range(30):
         fld = DisasterField(seed=600 + i, rate=1.0, dimension=1)
-        res = simulate(params, {(0,): 2}, fld, 0.0, 3.0, 700 + i,
-                       snapshot_times=[0.7, 1.9, 3.0])
-        for snap in res.snapshots:
-            assert site_counts(snap) == replay_site_counts(res.events, snap.time)
+        full = simulate(params, {(0,): 2}, fld, 0.0, 3.0, 700 + i)
+        for s in (0.7, 1.9, 3.0):
+            res = simulate(params, {(0,): 2}, fld, 0.0, s, 700 + i)
+            counts = Counter(site for _pid, site in res.final_alive)
+            assert counts == replay_site_counts(full.events, s)
 
 
 def test_disaster_kills_site_atomically():
@@ -155,11 +140,10 @@ def test_truncated_process_dominated_pathwise():
     for i in range(50):
         fa = DisasterField(seed=1000 + i, rate=1.0, dimension=1)
         fb = DisasterField(seed=1000 + i, rate=1.0, dimension=1)
-        full = simulate(params, {(0,): 1}, fa, 0.0, 3.0, 50 + i, snapshot_times=[1.0, 2.0, 3.0])
-        trunc = simulate(params, {(0,): 1}, fb, 0.0, 3.0, 50 + i, trunc=box,
-                         snapshot_times=[1.0, 2.0, 3.0])
-        for sf, st in zip(full.snapshots, trunc.snapshots):
-            assert set(p for p, _ in st.alive) <= set(p for p, _ in sf.alive)
+        for h in (1.0, 2.0, 3.0):
+            full = simulate(params, {(0,): 1}, fa, 0.0, h, 50 + i)
+            trunc = simulate(params, {(0,): 1}, fb, 0.0, h, 50 + i, trunc=box)
+            assert set(p for p, _ in trunc.final_alive) <= set(p for p, _ in full.final_alive)
 
 
 def test_denser_environment_dominated_pathwise():
@@ -170,34 +154,11 @@ def test_denser_environment_dominated_pathwise():
         f1 = DisasterField(seed=2000 + i, rate=1.0, dimension=1)
         fa = DisasterField(seed=2000 + i, rate=1.0, dimension=1)
         fb = DisasterField(seed=9000 + i, rate=0.5, dimension=1)
-        r1 = simulate(base, {(0,): 1}, f1, 0.0, 3.0, 70 + i, snapshot_times=[1.5, 3.0])
-        r2 = simulate(dense, {(0,): 1}, superpose(fa, fb), 0.0, 3.0, 70 + i,
-                      snapshot_times=[1.5, 3.0])
-        for s1, s2 in zip(r1.snapshots, r2.snapshots):
-            assert set(p for p, _ in s2.alive) <= set(p for p, _ in s1.alive)
-
-
-def test_snapshot_flavors_differ_only_at_disaster_instants():
-    params = BRWParams(0.0, 0.0, (1.0,), 1.0, 1)
-    fld = DisasterField(seed=3001, rate=1.0, dimension=1)
-    t_hit = fld.first_disaster_after((0,), 0.0, 50.0)
-    fld2 = DisasterField(seed=3001, rate=1.0, dimension=1)
-    pre = simulate(params, {(0,): 1}, fld2, 0.0, t_hit, 1, snapshot_times=[t_hit],
-                   snapshot_flavor="pre")
-    fld3 = DisasterField(seed=3001, rate=1.0, dimension=1)
-    post = simulate(params, {(0,): 1}, fld3, 0.0, t_hit, 1, snapshot_times=[t_hit],
-                    snapshot_flavor="post")
-    assert len(pre.snapshots[0]) == 1  # left limit: the particle still counts
-    assert len(post.snapshots[0]) == 0
-
-
-def test_event_log_round_trip():
-    params = BRWParams(1.0, 1.0, BINARY, 1.0, 2)
-    fld = DisasterField(77, 1.0, 2)
-    res = simulate(params, {(0, 0): 2}, fld, 0.0, 2.0, 3)
-    lines = list(serialize_events(res.events))
-    back = parse_events(lines)
-    assert back == res.events
+        dense_field = superpose(fa, fb)
+        for h in (1.5, 3.0):
+            r1 = simulate(base, {(0,): 1}, f1, 0.0, h, 70 + i)
+            r2 = simulate(dense, {(0,): 1}, dense_field, 0.0, h, 70 + i)
+            assert set(p for p, _ in r2.final_alive) <= set(p for p, _ in r1.final_alive)
 
 
 def test_caps_flag_not_raise():
@@ -339,15 +300,13 @@ def _oracle_corpus():
         initial = {(0,) * d: 1 + i % 3}
         if i % 5 == 0:
             initial[(1,) + (0,) * (d - 1)] = 2
-        kw = {"record_events": i % 9 != 4, "snapshot_flavor": "pre" if i % 4 < 2 else "post"}
+        kw = {"record_events": i % 9 != 4}
         if i % 3 == 0:
             kw["caps"] = Caps(max_alive=int(pick([3, 5, 10])))
         elif i % 3 == 1:
             kw["caps"] = Caps(max_events=int(pick([10, 30, 100])))
         if i % 5 == 1:
             kw["trunc"] = centered_box(int(pick([1, 2, 3])), d)
-        if i % 2 == 0:
-            kw["snapshot_times"] = [start, start + 0.37 * (horizon - start), horizon]
         yield params, initial, make_field, start, horizon, 77 + i, kw
 
 
@@ -358,7 +317,6 @@ def test_simulate_matches_heap_loop_oracle():
         got = simulate(params, initial, field, start, horizon, seed, **kw)
         want = simulate_oracle(params, initial, make_field(), start, horizon, seed, **kw)
         assert got.events == want.events
-        assert [(s.time, s.alive) for s in got.snapshots] == [(s.time, s.alive) for s in want.snapshots]
         assert got.records == want.records
         assert (got.capped, got.cap_time, got.final_alive) == (want.capped, want.cap_time, want.final_alive)
         assert got.pop_times.tolist() == want.pop_times.tolist()
@@ -420,11 +378,9 @@ def test_disaster_fires_before_a_branch_at_the_same_instant():
     t_branch, _ = _first_draws(seed)
     field = _PinnedField({(0,): [t_branch]})
     # the horizon sits on both: a disaster at the horizon still fires
-    res = simulate(BRWParams(0.0, 1.0, ALWAYS_TWO, 1.0, 1), {(0,): 1}, field, 0.0, t_branch,
-                   seed, snapshot_times=[t_branch], snapshot_flavor="pre")
+    res = simulate(BRWParams(0.0, 1.0, ALWAYS_TWO, 1.0, 1), {(0,): 1}, field, 0.0, t_branch, seed)
     assert [(ev.kind, ev.time) for ev in res.events] == [("birth", 0.0), ("disaster", t_branch)]
     assert res.records[(0,)].end_cause == "disaster" and len(res.records) == 1
-    assert len(res.snapshots[0]) == 1  # the left limit still holds the particle
 
 
 def test_offspring_count_at_a_cdf_atom_takes_the_lower_count(monkeypatch):

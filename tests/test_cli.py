@@ -28,6 +28,10 @@ def test_unknown_flag_is_config_error():
 def test_bad_range_is_config_error():
     assert cli.main(["annealed", "--seed", "1", "--n", "0"]) == 1
     assert cli.main(["perc", "--seed", "1", "--p", "1.5"]) == 1
+    assert cli.main(["annealed", "--seed", "1", "--alpha", "-1"]) == 1
+    assert cli.main(["annealed", "--seed", "1", "--kappa", "-1"]) == 1
+    assert cli.main(["annealed", "--seed", "1", "--d", "0"]) == 1
+    assert cli.main(["boxes-fkg", "--seed", "1", "--n-batches", "0"]) == 1
 
 
 @pytest.mark.parametrize("flags", [["--horizon", "nan"], ["--horizon", "-1"], ["--cap-alive", "0"],
