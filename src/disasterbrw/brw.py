@@ -26,9 +26,11 @@ Each particle owns a counter-based random stream keyed by (seed, id), so a
 particle's draws are independent of which other particles exist; see the
 rng module for why that makes path-wise couplings exact.
 
-survive_replicas answers the one question survival_frequency asks, "capped?"
-and "alive at the horizon?", for many replicas at once, without the heap.
-It gets the same answers as simulate, replica for replica, because:
+survive_replicas answers what survival_frequency, moment_identity_check and
+gw_embed.sample_offspring ask: "capped?", "how many particles are alive at
+the horizon?" and "how many of them sit on a start site?", for many replicas
+at once, without the heap.  It gets the same answers as simulate, replica
+for replica, because:
 
 * Lives are pure.  Given the field, a particle's life is a function of its
   key, birth time and birth site alone: counter 0 is its branch gap, 1 its
@@ -43,7 +45,9 @@ It gets the same answers as simulate, replica for replica, because:
   is its next jump, its branch or the horizon: a disaster fires before a
   branch or jump at its instant, one at the horizon still kills, and one at
   the arrival instant is the post-jump kill.  A jump tied with the branch
-  never happens (branch before jump).
+  never happens (branch before jump).  A root born at the start time is
+  born at t0 too, so a disaster at that very instant spares it, as in the
+  heap loop.
 * The alive cap is checked in time order.  A replica's events are complete
   up to its earliest branch whose children are not yet drawn.  Each round
   sorts the events before that time by (time, rank), with the heap loop's
@@ -56,6 +60,9 @@ It gets the same answers as simulate, replica for replica, because:
   branches less than 1 / (birth_rate * (mean - 1)) ahead of that time, so a
   replica overshoots its cap by a bounded factor, and replicas start and
   advance only while the pool holds about _LIVE_BLOCKS blocks of rows.
+  Once every event of an uncapped replica is applied, the alive count is
+  its population at the horizon; a particle that outlives the horizon also
+  adds to its replica's start-site count when it ends on a start site.
 * The event cap is bounded, not ported.  The heap loop counts stale clocks
   and disasters at empty sites, which the arrays never see.  Its pops are at
   most its pushes: three per particle (branch clock, first jump clock, a
@@ -65,9 +72,9 @@ It gets the same answers as simulate, replica for replica, because:
   its exact meaning.  (A replica that trips the alive cap is capped
   whichever cap the heap loop meets first.)
 
-simulate stays the one general engine: event logs, truncation, the
-population at the horizon, growth rates, the coupled sweep and the box
-embeddings use it, and it is the reference the batch engine is tested against.
+simulate stays the one general engine: event logs, truncation, growth
+rates, the coupled sweep and the box embeddings use it, and it is the
+reference the batch engine is tested against.
 """
 
 from __future__ import annotations
@@ -83,8 +90,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .env import DisasterField, PackedStreams, _room, site_keys_at
-from .rng import (GOLDEN, ParticleStream, counter_exponential, counter_uniform, derive_seed, fold,
-                  mix64, mix64_int)
+from .rng import (_M64, GOLDEN, ParticleStream, counter_exponential, counter_uniform, derive_seed,
+                  derive_seeds, fold, mix64, mix64_int)
 from .walk import SurvivalEstimate, estimate_survival
 
 MAX_OFFSPRING_SUPPORT = 64
@@ -411,19 +418,43 @@ _DISASTER, _BRANCH, _STRUCK, _SURVIVES = 0, 1, 2, 3
 class ReplicaOutcome(NamedTuple):
     capped: np.ndarray  # bool per replica: a cap tripped
     alive: np.ndarray  # bool per replica: final_count > 0 (True when capped)
+    final_count: np.ndarray  # int per replica: particles alive at the horizon (if not capped)
+    home_count: np.ndarray  # int per replica: those of them on a site of `initial` (if not capped)
     peak_live: int  # the most particles the engine held at once
 
 
 def survive_replicas(params: BRWParams, initial: Mapping[Site, int], env_seeds, tree_seeds,
-                     horizon: float, *, caps: Caps = Caps()) -> ReplicaOutcome:
-    """simulate's (capped, final_count > 0) for many replicas at once.
+                     horizon: float, *, start_time: float = 0.0, caps: Caps = Caps()) -> ReplicaOutcome:
+    """simulate's capped flag and population at the horizon for many replicas at once.
 
     Replica i is simulate(params, initial, DisasterField(env_seeds[i],
-    params.disaster_rate, params.dimension), 0.0, horizon, tree_seeds[i],
-    caps=caps); the module docstring says why the answers are the same.
-    The seeds are sequences of ints or uint64 arrays.
+    params.disaster_rate, params.dimension), start_time, horizon,
+    tree_seeds[i], caps=caps); the module docstring says why the answers are
+    the same.  The seeds are sequences of ints or uint64 arrays, and replicas
+    may share an env seed.  The counts mean nothing for capped replicas.
     """
-    return _ReplicaBatch(params, initial, env_seeds, tree_seeds, horizon, caps).run()
+    return _ReplicaBatch(params, initial, env_seeds, tree_seeds, start_time, horizon, caps).run()
+
+
+def replicas_in_field(params: BRWParams, field, tree_seeds, start_time: float, horizon: float,
+                      caps: Caps) -> ReplicaOutcome:
+    """survive_replicas for one particle at the origin per tree seed, all in `field`.
+
+    The engine rebuilds the field from its seed, so `field` must be a
+    DisasterField of params' disaster rate and dimension (ValueError
+    otherwise).  Raises CapTripped when a tree trips `caps`: the callers'
+    statistics need every tree's population.
+    """
+    if not (isinstance(field, DisasterField) and field.rate == params.disaster_rate
+            and field.dimension == params.dimension):
+        raise ValueError("trees in one field need a DisasterField with params' disaster rate "
+                         "and dimension")
+    env_seeds = np.full(len(tree_seeds), field.seed & _M64, dtype=np.uint64)
+    out = survive_replicas(params, {(0,) * params.dimension: 1}, env_seeds, tree_seeds, horizon,
+                           start_time=start_time, caps=caps)
+    if out.capped.any():
+        raise CapTripped("a tree in one field tripped a population or event cap; raise caps")
+    return out
 
 
 def _padded(*cols):
@@ -449,10 +480,10 @@ class _ReplicaBatch:
     open branch it has: every event before it is known, and has been applied.
     """
 
-    def __init__(self, params, initial, env_seeds, tree_seeds, horizon, caps):
-        horizon = float(horizon)
-        if not math.isfinite(horizon) or horizon < 0.0:
-            raise ValueError("horizon must be finite and >= 0")
+    def __init__(self, params, initial, env_seeds, tree_seeds, start_time, horizon, caps):
+        start_time, horizon = float(start_time), float(horizon)
+        if not (math.isfinite(horizon) and 0.0 <= start_time <= horizon):
+            raise ValueError("need 0 <= start_time <= horizon and a finite horizon")
         env_seeds = np.asarray(env_seeds, dtype=np.uint64)
         tree_seeds = np.asarray(tree_seeds, dtype=np.uint64)
         if env_seeds.shape != tree_seeds.shape or env_seeds.ndim != 1 or len(env_seeds) < 1:
@@ -465,22 +496,24 @@ class _ReplicaBatch:
         if any(len(s) != d for s in sites):
             raise ValueError("initial sites and params dimensions differ")
         self.root_sites = np.repeat(np.array(sites, dtype=np.int64).reshape(-1, d), counts, axis=0)
+        # start sites, for home_count; not np.unique(axis=0), which imports numpy.ma (~2 MB)
+        self.home_sites = np.array([s for s, c in zip(sites, counts) if c], dtype=np.int64).reshape(-1, d)
         n = self.n = len(env_seeds)
         self.field_base = np.zeros(n, dtype=np.uint64)  # filled as replicas start
         self.tree_base = mix64(tree_seeds)
         self.params, self.initial, self.caps = params, initial, caps
         self.env_seeds, self.tree_seeds = env_seeds, tree_seeds
-        self.horizon = horizon
+        self.start_time, self.horizon = start_time, horizon
         self.cdf = np.asarray(params._cdf_list)
         growth = params.birth_rate * (params.offspring_mean - 1.0)
         self.lookahead = 1.0 / growth if growth > 0.0 else math.inf
         self.streams = PackedStreams(params.disaster_rate, horizon, _BLOCK_CELLS)
         self.state = np.zeros(n, dtype=np.int8)  # 0 waiting, 1 running, 2 done
         self.alive = np.zeros(n, dtype=np.int64)  # alive once every checked event is applied
+        self.home = np.zeros(n, dtype=np.int64)  # particles outliving the horizon on a start site
         self.limit = np.zeros(n)  # branches before it may be spawned: checked + lookahead
         self.work = np.zeros(n, dtype=np.int64)  # 3 * particles + 2 * jumps drawn so far
         self.capped = np.zeros(n, dtype=bool)
-        self.survives = np.zeros(n, dtype=bool)
         self.rerun = np.zeros(n, dtype=bool)
         self.next = 0
         # pool columns, grown by doubling and compacted in place; rows [0, n_pool) are used
@@ -504,12 +537,14 @@ class _ReplicaBatch:
                 self._resolve(rep, key, t0, site)
             self._settle()
         p = self.params
+        homes = set(map(tuple, self.home_sites.tolist()))
         for i in np.flatnonzero(self.rerun):  # the event cap could have tripped: ask the heap loop
             field = DisasterField(int(self.env_seeds[i]), p.disaster_rate, p.dimension)
-            res = simulate(p, self.initial, field, 0.0, self.horizon, int(self.tree_seeds[i]),
-                           caps=self.caps, record_events=False)
-            self.capped[i], self.survives[i] = res.capped, res.final_count > 0
-        return ReplicaOutcome(self.capped, self.survives, peak)
+            res = simulate(p, self.initial, field, self.start_time, self.horizon,
+                           int(self.tree_seeds[i]), caps=self.caps, record_events=False)
+            self.capped[i], self.alive[i] = res.capped, res.final_count
+            self.home[i] = sum(site in homes for _pid, site in res.final_alive)
+        return ReplicaOutcome(self.capped, self.capped | (self.alive > 0), self.alive, self.home, peak)
 
     def _admit(self):
         """Start waiting replicas while the pool holds under half its budget of rows,
@@ -525,17 +560,17 @@ class _ReplicaBatch:
         idx = np.arange(self.next, self.next + k, dtype=np.int32)
         self.next += k
         p = self.params
-        for i in idx.tolist():
-            self.field_base[i] = DisasterField(int(self.env_seeds[i]), p.disaster_rate,
-                                               p.dimension).base_key
+        seeds, which = np.unique(self.env_seeds[idx], return_inverse=True)
+        base = [DisasterField(s, p.disaster_rate, p.dimension).base_key for s in seeds.tolist()]
+        self.field_base[idx] = np.array(base, dtype=np.uint64)[which]
         self.state[idx] = 1
         self.alive[idx] = n0
-        self.limit[idx] = self.lookahead
+        self.limit[idx] = self.start_time + self.lookahead
         self.work[idx] = 3 * n0
         rep = np.repeat(idx, n0)
         lineage = np.tile(np.arange(n0, dtype=np.uint64), k)
         key = mix64(self.tree_base[rep] ^ (lineage + np.uint64(GOLDEN)))  # fold(base, lineage)
-        return rep, key, np.zeros(len(rep)), np.tile(self.root_sites, (k, 1))
+        return rep, key, np.full(len(rep), self.start_time), np.tile(self.root_sites, (k, 1))
 
     def _spawn(self):
         """Children of the open branches before `limit`.
@@ -572,6 +607,9 @@ class _ReplicaBatch:
         rep, key, time, rank, nc, site, jumps = (np.concatenate(c) for c in zip(*parts))
         self.work += 2 * np.bincount(rep, weights=jumps, minlength=self.n).astype(np.int64)
         ends = rank != _SURVIVES
+        out = np.flatnonzero(~ends)
+        home = (site[out, None, :] == self.home_sites).all(axis=2).any(axis=1)
+        self.home += np.bincount(rep[out[home]], minlength=self.n)
         rows = {"rep": rep, "time": time, "rank": rank, "nc": nc, "key": key, "site": site,
                 "open": (rank == _BRANCH) & (nc > 0)}
         n0, k = self.n_pool, int(np.count_nonzero(ends))
@@ -680,7 +718,6 @@ class _ReplicaBatch:
         rerun = running & ~tripped & (self.work > self.caps.max_events)
         done = running & ~tripped & ~rerun & (checked == np.inf)
         self.capped |= tripped
-        self.survives |= tripped | (done & (self.alive > 0))
         self.rerun |= rerun
         self.state[tripped | rerun | done] = 2
         self.limit = np.where(running, checked + self.lookahead, self.limit)
@@ -710,8 +747,7 @@ def survival_frequency(params: BRWParams, horizon: float, n_reps: int, seed: int
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
     start = initial if initial is not None else {(0,) * params.dimension: 1}
-    seeds = [np.fromiter((derive_seed(seed, label, i) for i in range(n_reps)), np.uint64, n_reps)
-             for label in ("bsurv-env", "bsurv-tree")]
+    seeds = [derive_seeds(n_reps, seed, label) for label in ("bsurv-env", "bsurv-tree")]
     out = survive_replicas(params, start, *seeds, horizon, caps=caps)
     survived = int(np.count_nonzero(out.capped | out.alive))
     capped = int(np.count_nonzero(out.capped))
@@ -753,17 +789,14 @@ def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed:
     In a fixed environment, the expected number of alive particles at time t
     equals exp(birth_rate*(mean-1)*t) times the single-particle survival
     probability, so the two Monte Carlo estimates target one number.
-    Raises CapTripped when a tree trips `caps`: a capped size would bias lhs.
+    The trees run on the batch engine (replicas_in_field), so `field` must
+    be a DisasterField of params' rate and dimension.  Raises CapTripped when
+    a tree trips `caps`: a capped size would bias lhs.
     """
     if t == 0.0:
         return Comparison(lhs=1.0, lhs_se=0.0, rhs=1.0, rhs_se=0.0)
-    sizes = np.empty(n_reps)
-    for i in range(n_reps):
-        res = simulate(params, {(0,) * params.dimension: 1}, field, 0.0, t,
-                       derive_seed(seed, "moment-tree", i), caps=caps, record_events=False)
-        if res.capped:
-            raise CapTripped("population cap tripped during moment check; raise caps")
-        sizes[i] = res.final_count
+    out = replicas_in_field(params, field, derive_seeds(n_reps, seed, "moment-tree"), 0.0, t, caps)
+    sizes = out.final_count.astype(np.float64)
     lhs = float(sizes.mean())
     lhs_se = float(sizes.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
     nw = n_walkers if n_walkers is not None else n_reps

@@ -20,7 +20,8 @@ Lattice dumps (perc --dump) are "k l occupied open" lines.
 Exit codes: 0 success, 1 config error, 2 oracle-suite failure, 3 statistical
 acceptance failure or a tripped population cap.  A check that needs uncapped
 runs (moment-check, embed, boxes-fkg) stops at the first cap trip, logs one
-"cap tripped: ..." line and writes no output.
+"cap tripped: ..." line and writes no output; moment-check and embed run each
+field's trees as one batch, so they stop at the first field whose batch trips.
 """
 
 from __future__ import annotations
@@ -518,7 +519,9 @@ def build_parser() -> _Parser:
 
 
 _RANGE_CHECKS = [
-    ("t", lambda v: v >= 0.0, "t must be >= 0"),
+    ("t", lambda v: math.isfinite(v) and v >= 0.0, "t must be finite and >= 0"),
+    ("t_lyap", lambda v: math.isfinite(v) and v > 0.0, "t_lyap must be finite and > 0"),
+    ("period", lambda v: math.isfinite(v) and v >= 0.0, "period must be finite and >= 0"),
     ("n", lambda v: v >= 1, "n must be >= 1"),
     ("n_env", lambda v: v >= 1, "n_env must be >= 1"),
     ("n_walkers", lambda v: v >= 1, "n_walkers must be >= 1"),

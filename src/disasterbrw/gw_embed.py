@@ -8,6 +8,10 @@ Disjoint periods read disjoint slices of the environment, so those laws form
 an i.i.d. sequence over periods, and the mean of the first one ties to the
 pinned single-particle survival via the growth factor exp(birth_rate*(m-1)T).
 
+Each period's law is sampled from independent trees in one field, which run
+together on the replica-batch engine (brw.replicas_in_field): one array pass
+for all trees, not one heap loop per tree.
+
 The phase classifier combines the Lyapunov estimate with the branching
 growth rate: sign of birth_rate*(m-1) + p_hat decides survival vs extinction,
 with a 3-sigma dead band reported as "critical-band".
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brw import BRWParams, Caps, CapTripped, Comparison, simulate
-from .rng import derive_seed
+from .brw import BRWParams, Caps, Comparison, replicas_in_field
+from .rng import derive_seed, derive_seeds
 from .walk import _binom_se, estimate_lyapunov, estimate_survival
 
 
@@ -51,26 +55,20 @@ class OffspringSample:
 
 def sample_offspring(field, params: BRWParams, period: float, period_index: int,
                      n_reps: int, seed: int,
-                     caps: Caps = Caps(max_alive=100_000, max_events=10_000_000)) -> OffspringSample:
+                     *, caps: Caps = Caps(max_alive=100_000, max_events=10_000_000)) -> OffspringSample:
     """Empirical law of origin occupancy after one period, in a fixed field.
 
     Starts one particle at the origin at (period_index-1)*period and counts
     particles at the origin at period_index*period, over n_reps independent
-    trees sharing the field.
+    trees sharing the field, a DisasterField of params' rate and dimension
+    (ValueError otherwise).  Raises brw.CapTripped when a tree trips `caps`.
     """
     if period <= 0.0 or period_index < 1 or n_reps < 1:
         raise ValueError("need period > 0, period_index >= 1, n_reps >= 1")
-    origin = (0,) * params.dimension
     t0 = (period_index - 1) * period
     t1 = period_index * period
-    counts = np.zeros(n_reps, dtype=np.int64)
-    for i in range(n_reps):
-        res = simulate(params, {origin: 1}, field, t0, t1,
-                       derive_seed(seed, "offspring", period_index, i),
-                       caps=caps, record_events=False)
-        if res.capped:
-            raise CapTripped("population cap tripped while sampling offspring")
-        counts[i] = sum(1 for _pid, site in res.final_alive if site == origin)
+    trees = derive_seeds(n_reps, seed, "offspring", period_index)
+    counts = replicas_in_field(params, field, trees, t0, t1, caps).home_count
     top = int(counts.max(initial=0))
     pmf = np.bincount(counts, minlength=top + 1) / n_reps
     return OffspringSample(period_index=period_index, pmf=tuple(float(x) for x in pmf),

@@ -99,6 +99,12 @@ def derive_seed(seed: int, *parts: int | str) -> int:
     return h
 
 
+def derive_seeds(n: int, seed: int, *parts: int | str) -> np.ndarray:
+    """derive_seed(seed, *parts, i) for i in range(n), as a uint64 array."""
+    h = np.uint64(derive_seed(seed, *parts))
+    return mix64(h ^ (zigzag(np.arange(n)) + _U_GOLDEN))
+
+
 @lru_cache(maxsize=4096)
 def _fold_label(h: int, label: str) -> int:
     """Absorb a string label into a running key: a salt word, then its UTF-8 bytes.

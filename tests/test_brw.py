@@ -7,6 +7,7 @@ import pytest
 from disasterbrw.brw import (
     BRWParams,
     Caps,
+    CapTripped,
     centered_box,
     coupled_birth_rate_survival,
     growth_rate,
@@ -18,8 +19,8 @@ from disasterbrw.brw import (
 )
 from disasterbrw import brw
 from disasterbrw.env import DisasterField, SuperposedField, superpose
-from disasterbrw.rng import (ParticleStream, counter_exponential, counter_uniform, derive_seed, fold,
-                             mix64_int)
+from disasterbrw.rng import (ParticleStream, counter_exponential, counter_uniform, derive_seed,
+                             derive_seeds, fold, mix64_int)
 from helpers import WalkPath, extinction_time, replay_site_counts, simulate_oracle
 
 
@@ -206,6 +207,22 @@ def test_moment_identity_no_disasters():
     target = math.exp(params.birth_rate * (params.offspring_mean - 1.0))
     assert chk.rhs == pytest.approx(target, rel=1e-12)  # survival is exactly 1
     assert abs(chk.lhs - target) < 3 * chk.lhs_se
+
+
+@pytest.mark.parametrize("field", [DisasterField(23, 0.5, 1), DisasterField(23, 1.0, 2),
+                                   superpose(DisasterField(23, 0.5, 1), DisasterField(24, 0.5, 1))])
+def test_moment_identity_needs_a_disaster_field_of_the_model(field):
+    with pytest.raises(ValueError):
+        moment_identity_check(BRWParams(1.0, 1.0, BINARY, 1.0, 1), field, 2.0, 20, 11)
+
+
+def test_moment_identity_raises_when_an_event_cap_rerun_trips(monkeypatch):
+    reruns = []
+    monkeypatch.setattr(brw, "simulate", lambda *a, **k: reruns.append(a) or simulate(*a, **k))
+    params = BRWParams(2.0, 1.0, ALWAYS_TWO, 1.0, 1)
+    with pytest.raises(CapTripped):
+        moment_identity_check(params, DisasterField(23, 1.0, 1), 2.0, 20, 11, caps=Caps(max_events=2))
+    assert reruns
 
 
 def test_moment_identity_generic_field():
@@ -419,21 +436,75 @@ def _engine_corpus():
     yield "both caps", BRWParams(2.0, 2.0, ALWAYS_TWO, 0.5, 1), {o1: 1}, 3.0, Caps(8, 200)
 
 
+def _assert_engine_matches(params, initial, env, tree, start, horizon, caps, label):
+    """survive_replicas against simulate, replica for replica: the capped flag, and for an
+    uncapped replica its population at the horizon and the part of it on a start site."""
+    out = survive_replicas(params, initial, env, tree, horizon, start_time=start, caps=caps)
+    for i in range(len(env)):
+        field = DisasterField(env[i], params.disaster_rate, params.dimension)
+        res = simulate(params, initial, field, start, horizon, tree[i], caps=caps,
+                       record_events=False)
+        assert (out.capped[i], out.alive[i]) == (res.capped, res.capped or res.final_count > 0), \
+            (label, start, i)
+        if not res.capped:
+            home = sum(site in initial for _pid, site in res.final_alive)
+            assert (out.final_count[i], out.home_count[i]) == (res.final_count, home), (label, start, i)
+    return out
+
+
 def test_batch_engine_matches_heap_loop():
     tripped = {"alive cap": 0, "event cap": 0}
     for k, (label, params, initial, horizon, caps) in enumerate(_engine_corpus()):
         env = [derive_seed(k, "env", i) for i in range(40)]
         tree = [derive_seed(k, "tree", i) for i in range(40)]
-        out = survive_replicas(params, initial, env, tree, horizon, caps=caps)
-        for i in range(40):
-            field = DisasterField(env[i], params.disaster_rate, params.dimension)
-            res = simulate(params, initial, field, 0.0, horizon, tree[i], caps=caps,
-                           record_events=False)
-            assert (out.capped[i], out.alive[i]) == (res.capped, res.final_count > 0), (label, i)
+        out = _assert_engine_matches(params, initial, env, tree, 0.0, horizon, caps, label)
         if label in tripped:
             tripped[label] += int(out.capped.sum())
     print(f"replicas that tripped each cap: {tripped}")
     assert min(tripped.values()) >= 3, tripped
+
+
+def test_batch_engine_counts_from_a_start_time_in_one_field(monkeypatch):
+    reruns = []
+
+    def heap_loop(*args, **kwargs):
+        reruns.append(args[3])  # the rerun's start time
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(brw, "simulate", heap_loop)
+    seen = Counter()
+    for k, (label, params, initial, horizon, caps) in enumerate(_engine_corpus()):
+        env = [derive_seed(k, "shared-env")] * 30  # every replica in one field
+        origin = min(initial)
+        struck = DisasterField(env[0], params.disaster_rate, params.dimension).stream_times(origin, 5.0)
+        # the last start time is a disaster at a start site: it spares the roots born there
+        for j, start in enumerate([0.5, 1.3, *struck[:1].tolist()]):
+            tree = [derive_seed(k, "tree", j, i) for i in range(30)]
+            out = _assert_engine_matches(params, initial, env, tree, start, start + horizon, caps, label)
+            ok = ~out.capped
+            seen[f"d = {params.dimension}"] += 1
+            seen["disaster at the start"] += j == 2
+            seen["alive cap"] += int((out.capped & (caps.max_alive < Caps().max_alive)).sum())
+            seen["on a start site"] += int((ok & (out.home_count > 0)).sum())
+            seen["off the start sites"] += int((ok & (out.final_count > out.home_count)).sum())
+    seen["event-cap reruns"] = sum(start > 0.0 for start in reruns)
+    print(dict(seen))
+    assert min(seen.values()) >= 3, seen
+
+
+def test_batch_engine_builds_one_field_per_distinct_env_seed(monkeypatch):
+    built = []
+
+    class Field(DisasterField):
+        def __init__(self, seed, *args):
+            built.append(seed)
+            super().__init__(seed, *args)
+
+    monkeypatch.setattr(brw, "DisasterField", Field)
+    params = BRWParams(2.0, 1.0, BINARY, 1.0, 2)
+    env = [5, 7, 5, 5, 7, 9] * 10
+    survive_replicas(params, {(0, 0): 1}, env, derive_seeds(60, 3, "tree"), 2.0)
+    assert sorted(built) == [5, 7, 9]
 
 
 def test_batch_engine_does_not_depend_on_its_blocks(monkeypatch):
@@ -449,6 +520,9 @@ def test_batch_engine_does_not_depend_on_its_blocks(monkeypatch):
         got = survive_replicas(*case[:2], seeds, seeds[::-1], case[2], caps=case[3])
         assert got.capped.tolist() == w.capped.tolist()
         assert got.alive.tolist() == w.alive.tolist()
+        for counts in ("final_count", "home_count"):
+            assert np.where(got.capped, -1, getattr(got, counts)).tolist() == \
+                np.where(w.capped, -1, getattr(w, counts)).tolist()
         assert got.peak_live < w.peak_live
 
 
@@ -464,6 +538,15 @@ def test_batch_engine_holds_a_budget_not_the_population(monkeypatch):
     # the trees hold over ten budgets at the horizon, each under one budget
     assert sum(sizes) > 10 * budget and max(sizes) < budget
     assert out.peak_live <= 2 * budget
+
+
+def test_derive_seeds_are_derive_seed_bit_for_bit():
+    for parts in [(), ("bsurv-env",), ("offspring", 3), (-2, "x", 7), ("ünï", -(2**40))]:
+        for seed in (0, 12345, -7, 2**64 - 1):
+            got = derive_seeds(10_000, seed, *parts)
+            assert got.dtype == np.uint64 and len(got) == 10_000
+            assert got.tolist() == [derive_seed(seed, *parts, i) for i in range(10_000)]
+    assert derive_seeds(0, 1, "none").tolist() == []
 
 
 def test_counter_draws_are_particle_stream_draws_bit_for_bit():

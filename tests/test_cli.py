@@ -25,13 +25,20 @@ def test_unknown_flag_is_config_error():
     assert cli.main(["annealed", "--seed", "1", "--nope", "3"]) == 1
 
 
-def test_bad_range_is_config_error():
+def test_bad_range_is_config_error(capsys):
     assert cli.main(["annealed", "--seed", "1", "--n", "0"]) == 1
     assert cli.main(["perc", "--seed", "1", "--p", "1.5"]) == 1
     assert cli.main(["annealed", "--seed", "1", "--alpha", "-1"]) == 1
     assert cli.main(["annealed", "--seed", "1", "--kappa", "-1"]) == 1
     assert cli.main(["annealed", "--seed", "1", "--d", "0"]) == 1
     assert cli.main(["boxes-fkg", "--seed", "1", "--n-batches", "0"]) == 1
+    capsys.readouterr()
+    # bad times fail a range check, which names the flag, before any estimator runs
+    for command, flag, value in [("lyapunov", "t", "inf"), ("moment-check", "t", "inf"),
+                                 ("phase", "t-lyap", "nan"), ("phase", "t-lyap", "0"),
+                                 ("embed", "period", "nan"), ("embed", "period", "-1")]:
+        assert cli.main([command, "--seed", "1", f"--{flag}", value]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {flag.replace('-', '_')}: ")
 
 
 @pytest.mark.parametrize("flags", [["--horizon", "nan"], ["--horizon", "-1"], ["--cap-alive", "0"],
@@ -240,18 +247,31 @@ def test_perc_dump_lattice(tmp_path):
         assert op <= occ or (k, l) == (0, 0)  # open implies occupied
 
 
-def test_cap_trip_is_exit_three_without_traceback(tmp_path, monkeypatch, capsys):
+def _assert_cap_trip_exits_three(command, check, tmp_path, monkeypatch, capsys):
     from disasterbrw import brw
 
-    monkeypatch.setitem(brw.moment_identity_check.__kwdefaults__, "caps", brw.Caps(max_alive=1))
+    monkeypatch.setitem(check.__kwdefaults__, "caps", brw.Caps(max_alive=1))
     out = tmp_path / "m.csv"
-    code = cli.main(["moment-check", "--seed", "3", "--n-fields", "2", "--n-reps", "20",
+    code = cli.main([command, "--seed", "3", "--n-fields", "2", "--n-reps", "20",
                      "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("cap tripped: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_cap_trip_is_exit_three_without_traceback(tmp_path, monkeypatch, capsys):
+    from disasterbrw import brw
+
+    _assert_cap_trip_exits_three("moment-check", brw.moment_identity_check, tmp_path, monkeypatch,
+                                 capsys)
+
+
+def test_embed_cap_trip_is_exit_three_without_traceback(tmp_path, monkeypatch, capsys):
+    from disasterbrw import gw_embed
+
+    _assert_cap_trip_exits_three("embed", gw_embed.sample_offspring, tmp_path, monkeypatch, capsys)
 
 
 def test_survival_records_echo_their_caps(tmp_path):

@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
-from disasterbrw.brw import BRWParams, offspring_pmf
-from disasterbrw.env import DisasterField
+from disasterbrw import brw
+from disasterbrw.brw import BRWParams, Caps, CapTripped, offspring_pmf
+from disasterbrw.env import DisasterField, superpose
 from disasterbrw.gw_embed import (
     nonextinction_bound_check,
     offspring_mean_identity_check,
@@ -15,6 +17,7 @@ from disasterbrw.walk import estimate_survival
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
+brw_simulate = brw.simulate
 
 
 def test_offspring_sample_invariants():
@@ -23,6 +26,24 @@ def test_offspring_sample_invariants():
     s = sample_offspring(fld, params, 1.0, 1, 500, 7)
     assert abs(sum(s.pmf) - 1.0) < 1e-12
     assert abs(sum(k * p for k, p in enumerate(s.pmf)) - s.mean) < 1e-12
+
+
+@pytest.mark.parametrize("field", [DisasterField(3, 2.0, 1), DisasterField(3, 1.0, 2),
+                                   superpose(DisasterField(3, 0.5, 1), DisasterField(4, 0.5, 1))])
+def test_offspring_needs_a_disaster_field_of_the_model(field):
+    with pytest.raises(ValueError):
+        sample_offspring(field, BRWParams(1.0, 0.5, BINARY, 1.0, 1), 1.0, 1, 20, 7)
+
+
+@pytest.mark.parametrize("period_index", [1, 3])
+def test_offspring_raises_when_an_event_cap_rerun_trips(monkeypatch, period_index):
+    reruns = []
+    monkeypatch.setattr(brw, "simulate", lambda *a, **k: reruns.append(a[3]) or brw_simulate(*a, **k))
+    params = BRWParams(2.0, 1.0, (0.0, 0.0, 1.0), 1.0, 1)
+    with pytest.raises(CapTripped):
+        sample_offspring(DisasterField(3, 1.0, 1), params, 1.0, period_index, 20, 7,
+                         caps=Caps(max_events=2))
+    assert reruns and set(reruns) == {period_index - 1.0}  # from the period's start
 
 
 def test_no_branching_reduces_to_pinned_survival():
