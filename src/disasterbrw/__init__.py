@@ -6,7 +6,7 @@ env          seeded lazy Poisson disaster environment
 walk         single-particle survival and Lyapunov-exponent estimators
 brw          event-driven branching particle system
 gw_embed     origin-return offspring laws and the phase classifier
-orders       parity/majorization order theory with exact checks
+orders       parity order theory with exact checks
 boxes        space-time box exit counters and correlation checks
 percolation  oriented site percolation comparison
 cli          batch experiment driver

@@ -1,6 +1,6 @@
 """Space-time boxes, orthant exit counters, and correlation checks.
 
-A box is [0, T] x {-L..L}^d (optionally shifted).  Its boundary is the top
+A box is [0, T] x {-L..L}^d, based at the origin.  Its boundary is the top
 slice at time T plus the 2d faces where one coordinate equals +-L; the
 bottom slice is not boundary.  The top splits into 2^d orthants (sign of
 the first coordinate, then signs of the rest) and each face into 2^(d-1)
@@ -40,28 +40,19 @@ class SpaceTimeBox:
     half_width: int
     height: float
     dimension: int
-    t0: float = 0.0
-    x0: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.half_width < 1 or self.height <= 0.0 or self.dimension < 1:
             raise ValueError("need half_width >= 1, height > 0, dimension >= 1")
-        if self.x0 is None:
-            object.__setattr__(self, "x0", (0,) * self.dimension)
-        elif len(self.x0) != self.dimension:
-            raise ValueError("offset dimension mismatch")
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.height
-
-    def rel(self, site: Site) -> tuple[int, ...]:
-        return tuple([c - o for c, o in zip(site, self.x0)])
+        return self.height
 
     def interior_region(self) -> Box:
         """Sites strictly inside (never on a face); leaving it means hitting a face."""
         w = self.half_width - 1
-        return Box(lo=tuple(o - w for o in self.x0), hi=tuple(o + w for o in self.x0))
+        return Box(lo=(-w,) * self.dimension, hi=(w,) * self.dimension)
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ class ExitRegion:
 class _Regions(NamedTuple):
     top: tuple[ExitRegion, ...]
     face: tuple[ExitRegion, ...]
-    top_at: dict  # signs of the box-relative site -> its top region
+    top_at: dict  # signs of the site -> its top region
     face_at: dict  # (axis, *signs) -> the region of the face normal to axis
 
 
@@ -107,15 +98,15 @@ def face_regions(dimension: int) -> list[ExitRegion]:
     return list(_regions(dimension).face)
 
 
-def _signs(rel: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([sign_of(c) for c in rel])
+def _signs(site: Site) -> tuple[int, ...]:
+    return tuple([sign_of(c) for c in site])
 
 
-def _face_of(regions: _Regions, rel: tuple[int, ...], L: int) -> ExitRegion:
-    """Face region of a box-relative site on the shell; the smallest axis wins at edges."""
-    for ax, c in enumerate(rel):
+def _face_of(regions: _Regions, site: Site, L: int) -> ExitRegion:
+    """Face region of a site on the shell; the smallest axis wins at edges."""
+    for ax, c in enumerate(site):
         if abs(c) == L:
-            return regions.face_at[(ax, *_signs(rel))]
+            return regions.face_at[(ax, *_signs(site))]
     raise ValueError("point is interior, not on the boundary")
 
 
@@ -123,20 +114,19 @@ def classify_exit(box: SpaceTimeBox, t: float, site: Site) -> ExitRegion:
     """Unique boundary region containing (t, site).
 
     Precondition: the point lies on the boundary (t == t_end with the site
-    inside the closed box, or t in [t0, t_end) with sup-norm distance exactly
+    inside the closed box, or t in [0, t_end) with sup-norm distance exactly
     half_width).  At edges shared by several faces the smallest axis wins,
     and the top takes precedence at t == t_end; both ties are unreachable by
     first hits of lattice paths.
     """
-    rel = box.rel(site)
     L = box.half_width
-    if any(abs(c) > L for c in rel):
+    if any(abs(c) > L for c in site):
         raise ValueError("site outside the box")
     if t == box.t_end:
-        return _regions(box.dimension).top_at[_signs(rel)]
-    if not (box.t0 <= t < box.t_end):
+        return _regions(box.dimension).top_at[_signs(site)]
+    if not (0.0 <= t < box.t_end):
         raise ValueError("time outside the box")
-    return _face_of(_regions(box.dimension), rel, L)
+    return _face_of(_regions(box.dimension), site, L)
 
 
 @dataclass
@@ -144,14 +134,6 @@ class ExitCounts:
     box: SpaceTimeBox
     top: dict
     face: dict
-
-    @property
-    def total_top(self) -> int:
-        return sum(self.top.values())
-
-    @property
-    def total_face(self) -> int:
-        return sum(self.face.values())
 
     def top_vector(self) -> np.ndarray:
         return np.array([self.top[r] for r in _regions(self.box.dimension).top], dtype=np.int64)
@@ -164,7 +146,7 @@ def exit_counts(events: Iterable[Event], box: SpaceTimeBox,
                 log_horizon: float | None = None) -> ExitCounts:
     """First-hit face counts and untouched-survivor top counts from a log.
 
-    The log must cover [box.t0, box.t_end]; pass the simulation horizon as
+    The log must cover [0, box.t_end]; pass the simulation horizon as
     `log_horizon` to have that verified.  Children inherit the ancestral
     first-touch, so a lineage that touched the boundary contributes nothing
     afterwards; a shell landing exactly at t_end is not a strict-past touch
@@ -172,35 +154,16 @@ def exit_counts(events: Iterable[Event], box: SpaceTimeBox,
     """
     if log_horizon is not None and log_horizon < box.t_end:
         raise ValueError("event log ends before the box does")
-    L, t0, t_end, rel = box.half_width, box.t0, box.t_end, box.rel
+    L, t_end = box.half_width, box.t_end
     regions = _regions(box.dimension)
     tops = dict.fromkeys(regions.top, 0)
     faces = dict.fromkeys(regions.face, 0)
     pos: dict = {}
     touched: set = set()  # particles whose ancestral path has met the boundary
 
-    def touch(pid, site: Site, standing: bool = False) -> None:
-        """A first arrival on the shell, or beyond it unless `standing` at the window's opening."""
-        r = rel(site)
-        d = max(map(abs, r))
-        if d == L:
-            faces[_face_of(regions, r, L)] += 1
-            touched.add(pid)
-        elif d > L and not standing:
-            touched.add(pid)
-
-    def open_window() -> None:
-        for p, s in pos.items():
-            if p not in touched:
-                touch(p, s, standing=True)
-
-    started = False
     for time, kind, pid, site in events:
         if time > t_end:
             break
-        if not started and time >= t0:
-            started = True
-            open_window()
         if kind == "birth":
             pos[pid] = site
             if len(pid) > 1 and pid[:-1] in touched:
@@ -210,17 +173,17 @@ def exit_counts(events: Iterable[Event], box: SpaceTimeBox,
         else:  # branch, disaster
             pos.pop(pid, None)
             continue
-        if started and time < t_end and pid not in touched:
-            touch(pid, site)
+        if time < t_end and pid not in touched:
+            d = max(map(abs, site))
+            if d == L:
+                faces[_face_of(regions, site, L)] += 1
+            if d >= L:  # a first arrival on the shell or beyond it
+                touched.add(pid)
         if kind == "leave":
             del pos[pid]
-    if not started:
-        open_window()
     for pid, site in pos.items():
-        if pid not in touched:
-            r = rel(site)
-            if max(map(abs, r)) <= L:
-                tops[regions.top_at[_signs(r)]] += 1
+        if pid not in touched and max(map(abs, site)) <= L:
+            tops[regions.top_at[_signs(site)]] += 1
     return ExitCounts(box=box, top=tops, face=faces)
 
 
@@ -250,11 +213,9 @@ def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, in
     interior, which leaves exit counts untouched: a lineage is dead to the
     counters once it hits the shell.
     """
-    if box.t0 != 0.0:
-        raise ValueError("fkg_test expects a box based at time 0")
     for eta in (eta1, eta2):
         for site, cnt in eta.items():
-            if cnt > 0 and max(abs(c) for c in box.rel(site)) >= box.half_width:
+            if cnt > 0 and max(abs(c) for c in site) >= box.half_width:
                 raise ValueError("initial configurations must start strictly inside the box")
     region = box.interior_region()
     fs = np.empty(n_reps)

@@ -119,8 +119,8 @@ class BRWParams:
     dimension: int = 1
 
     def __post_init__(self):
-        if self.jump_rate < 0 or self.birth_rate < 0 or self.disaster_rate < 0:
-            raise ValueError("rates must be >= 0")
+        if not all(0 <= r < math.inf for r in (self.jump_rate, self.birth_rate, self.disaster_rate)):
+            raise ValueError("rates must be finite and >= 0")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         q = np.asarray(self.offspring, dtype=np.float64)
@@ -179,10 +179,6 @@ class Box:
 
     def contains(self, site: Site) -> bool:
         return all(l <= c <= h for c, l, h in zip(site, self.lo, self.hi))
-
-
-def centered_box(half_width: int, dimension: int) -> Box:
-    return Box(lo=(-half_width,) * dimension, hi=(half_width,) * dimension)
 
 
 @dataclass
@@ -733,22 +729,21 @@ class _ReplicaBatch:
 # ---------------------------------------------------------------------------
 
 def survival_frequency(params: BRWParams, horizon: float, n_reps: int, seed: int,
-                       *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000),
-                       initial: Mapping[Site, int] | None = None) -> SurvivalEstimate:
+                       *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000)) -> SurvivalEstimate:
     """Fraction of independent (environment, tree) replicas alive at `horizon`.
 
-    The replicas run on the batch engine (survive_replicas), which gives
-    simulate's answers without its heap loop.  A replica that trips the
-    population cap is counted as surviving: it held `max_alive` particles at
-    the trip time, and dying out from there has probability at most
-    (single-particle extinction)^max_alive.  The cap fraction is reported so
-    callers can judge that reading.
+    Each replica starts from one particle at the origin.  The replicas run
+    on the batch engine (survive_replicas), which gives simulate's answers
+    without its heap loop.  A replica that trips the population cap is
+    counted as surviving: it held `max_alive` particles at the trip time, and
+    dying out from there has probability at most (single-particle
+    extinction)^max_alive.  The cap fraction is reported so callers can judge
+    that reading.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
-    start = initial if initial is not None else {(0,) * params.dimension: 1}
     seeds = [derive_seeds(n_reps, seed, label) for label in ("bsurv-env", "bsurv-tree")]
-    out = survive_replicas(params, start, *seeds, horizon, caps=caps)
+    out = survive_replicas(params, {(0,) * params.dimension: 1}, *seeds, horizon, caps=caps)
     survived = int(np.count_nonzero(out.capped | out.alive))
     capped = int(np.count_nonzero(out.capped))
     return SurvivalEstimate.binomial(survived / n_reps, n_reps, capped / n_reps)
@@ -782,8 +777,7 @@ class Comparison:
 
 
 def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed: int,
-                          *, n_walkers: int | None = None,
-                          caps: Caps = Caps(max_alive=100_000, max_events=10_000_000)) -> Comparison:
+                          *, caps: Caps = Caps(max_alive=100_000, max_events=10_000_000)) -> Comparison:
     """Compare mean population at t against growth-factor-scaled survival.
 
     In a fixed environment, the expected number of alive particles at time t
@@ -799,8 +793,7 @@ def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed:
     sizes = out.final_count.astype(np.float64)
     lhs = float(sizes.mean())
     lhs_se = float(sizes.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
-    nw = n_walkers if n_walkers is not None else n_reps
-    surv = estimate_survival(field, params.jump_rate, t, nw, False, derive_seed(seed, "moment-walk"))
+    surv = estimate_survival(field, params.jump_rate, t, n_reps, False, derive_seed(seed, "moment-walk"))
     factor = math.exp(params.birth_rate * (params.offspring_mean - 1.0) * t)
     return Comparison(lhs=lhs, lhs_se=lhs_se, rhs=factor * surv.value, rhs_se=factor * surv.std_err)
 
@@ -814,11 +807,10 @@ class GrowthEstimate:
 
 
 def growth_rate(params: BRWParams, horizon: float, n_reps: int, seed: int,
-                *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000),
-                tail_fraction: float = 0.5) -> GrowthEstimate | None:
+                *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000)) -> GrowthEstimate | None:
     """Mean least-squares slope of log population over each survivor's tail window.
 
-    The window is the last `tail_fraction` of the replica's observed span
+    The window is the last half of the replica's observed span
     (capped runs end at the cap time).  Returns None when no replica survives.
     """
     slopes = []
@@ -834,7 +826,7 @@ def growth_rate(params: BRWParams, horizon: float, n_reps: int, seed: int,
             t_end = horizon
         else:
             continue
-        lo = t_end * (1.0 - tail_fraction)
+        lo = t_end * 0.5
         mask = (res.pop_times >= lo) & (res.pop_times <= t_end) & (res.pop_counts > 0)
         if mask.sum() < 3:
             continue
@@ -864,50 +856,45 @@ def coupled_birth_rate_survival(params_max: BRWParams, birth_rates: Sequence[flo
     continues the particle through its first child.  Requires an offspring
     law with no zero-children mass, under which the alive sets are nested in
     the birth rate, so the frequencies are monotone replica by replica.
+
+    A particle alive at the horizon is alive at rate b iff every ancestor it
+    descends from through a child other than the first has a mark <= b/max,
+    so each final particle needs only the largest of those marks, and the
+    replica survives at b iff the smallest of these over its final particles
+    is <= b/max.
     """
     if params_max.offspring[0] != 0.0:
         raise ValueError("the monotone birth-rate coupling needs offspring >= 1")
     rates = sorted(set(float(b) for b in birth_rates))
     if not rates or rates[-1] > params_max.birth_rate:
         raise ValueError("birth_rates must be <= params_max.birth_rate")
+    if rates[0] < 0.0:
+        raise ValueError("birth_rates must be >= 0")
     lam_max = params_max.birth_rate
     survived = {b: 0 for b in rates}
-    capped = {b: 0 for b in rates}
+    capped = 0
     for i in range(n_reps):
         fld = DisasterField(derive_seed(seed, "lcpl-env", i), params_max.disaster_rate,
                             params_max.dimension)
         res = simulate(params_max, {(0,) * params_max.dimension: 1}, fld, 0.0, horizon,
                        derive_seed(seed, "lcpl-tree", i), caps=caps, record_events=False)
+        if res.capped:
+            capped += 1
+            for b in rates:
+                survived[b] += 1
+            continue
         # branch-mark uniforms, keyed by the branching particle's id
         mark_key = derive_seed(seed, "lcpl-marks", i)
-        marks: dict[ParticleId, float] = {}
-        for pid, rec in res.records.items():
-            if rec.end_cause == "branch":
-                h = mark_key
-                for part in pid:
-                    h = fold(h, part)
-                marks[pid] = (mix64_int(h) >> 11) * 2.0 ** -53
+        need = math.inf  # smallest b/max at which some final particle is alive
+        for pid, _site in res.final_alive:
+            h, worst = mark_key, 0.0
+            for cut in range(1, len(pid)):
+                h = fold(h, pid[cut - 1])
+                if pid[cut] != 0:
+                    worst = max(worst, (mix64_int(h) >> 11) * 2.0 ** -53)
+            need = min(need, worst)
         for b in rates:
-            if res.capped:
-                capped[b] += 1
+            if need <= (b / lam_max if lam_max > 0 else 0.0):
                 survived[b] += 1
-                continue
-            thin = b / lam_max if lam_max > 0 else 0.0
-            alive = False
-            for pid, _site in res.final_alive:
-                ok = True
-                for cut in range(1, len(pid)):
-                    parent, child_idx = pid[:cut], pid[cut]
-                    u = marks.get(parent)
-                    if u is None:
-                        continue
-                    if u > thin and child_idx != 0:
-                        ok = False  # fake branch: only the first child continues
-                        break
-                if ok:
-                    alive = True
-                    break
-            if alive:
-                survived[b] += 1
-    return [SurvivalEstimate.binomial(survived[b] / n_reps, n_reps, capped[b] / n_reps)
+    return [SurvivalEstimate.binomial(survived[b] / n_reps, n_reps, capped / n_reps)
             for b in rates]

@@ -221,16 +221,19 @@ def cmd_phase(ns) -> tuple[list[dict], int]:
     return [rec], 0
 
 
-def _grid(text: str) -> list[float]:
+def _grid(text: str, name: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        grid = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as e:
-        raise ConfigError(f"bad grid {text!r}: {e}")
+        raise ConfigError(f"{name}: bad grid {text!r}: {e}")
+    if not grid or not all(map(math.isfinite, grid)):
+        raise ConfigError(f"{name}: grid {text!r} must list one or more finite values")
+    return grid
 
 
 def cmd_sweep(ns) -> tuple[list[dict], int]:
     if ns.p_grid:
-        ps = _grid(ns.p_grid)
+        ps = _grid(ns.p_grid, "p_grid")
         gen = np.random.default_rng(derive_seed(ns.seed, "sweep-perc"))
         uniforms = gen.random((ns.n_reps, ns.rows + 1, ns.rows + 1))
         recs = []
@@ -240,8 +243,8 @@ def cmd_sweep(ns) -> tuple[list[dict], int]:
                          **_echo(ns, ("seed", "rows", "n_reps")),
                          "survival": est.value, "std_err": est.std_err})
         return recs, 0
-    kappas = _grid(ns.kappa_grid) if ns.kappa_grid else [ns.kappa]
-    lams = sorted(_grid(ns.lam_grid)) if ns.lam_grid else [ns.lam]
+    kappas = _grid(ns.kappa_grid, "kappa_grid") if ns.kappa_grid else [ns.kappa]
+    lams = sorted(_grid(ns.lam_grid, "lam_grid")) if ns.lam_grid else [ns.lam]
     q = parse_offspring(ns.q)
     recs = []
 
@@ -421,7 +424,9 @@ def cmd_verify(ns) -> tuple[list[dict], int]:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, *, model: bool = False):
+def _add_common(sp, model: str = ""):
+    """Flags every subcommand takes; model "walk" adds the walk's rates and
+    dimension, "brw" adds the birth rate and offspring law too."""
     sp.add_argument("--config", default=None)
     sp.add_argument("--seed", type=int, default=None, help="mandatory (no wall-clock default)")
     sp.add_argument("--out", default=None)
@@ -429,10 +434,11 @@ def _add_common(sp, *, model: bool = False):
     sp.add_argument("--threads", type=int, default=1, help="accepted (1..256); has no effect")
     if model:
         sp.add_argument("--kappa", type=float, default=1.0)
-        sp.add_argument("--lam", type=float, default=1.0)
-        sp.add_argument("--q", default="0:0.5,2:0.5")
         sp.add_argument("--alpha", type=float, default=1.0)
         sp.add_argument("--d", type=int, default=1)
+    if model == "brw":
+        sp.add_argument("--lam", type=float, default=1.0)
+        sp.add_argument("--q", default="0:0.5,2:0.5")
 
 
 @functools.lru_cache(maxsize=None)
@@ -443,44 +449,44 @@ def build_parser() -> _Parser:
     ap = _Parser(prog="disasterbrw", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("annealed");    _add_common(sp, model=True)
+    sp = sub.add_parser("annealed");    _add_common(sp, "walk")
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--n", type=int, default=100_000)
     sp.set_defaults(fn=cmd_annealed)
 
-    sp = sub.add_parser("lyapunov");    _add_common(sp, model=True)
+    sp = sub.add_parser("lyapunov");    _add_common(sp, "walk")
     sp.add_argument("--t", type=float, default=4.0)
     sp.add_argument("--n-env", type=int, default=100)
     sp.add_argument("--n-walkers", type=int, default=2000)
     sp.add_argument("--pin", action="store_true")
     sp.set_defaults(fn=cmd_lyapunov)
 
-    sp = sub.add_parser("brw-survival"); _add_common(sp, model=True)
+    sp = sub.add_parser("brw-survival"); _add_common(sp, "brw")
     sp.add_argument("--horizon", type=float, default=10.0)
     sp.add_argument("--n-reps", type=int, default=200)
     sp.add_argument("--cap-alive", type=int, default=10_000)
     sp.add_argument("--cap-events", type=int, default=5_000_000)
     sp.set_defaults(fn=cmd_brw_survival)
 
-    sp = sub.add_parser("moment-check"); _add_common(sp, model=True)
+    sp = sub.add_parser("moment-check"); _add_common(sp, "brw")
     sp.add_argument("--t", type=float, default=2.0)
     sp.add_argument("--n-reps", type=int, default=400)
     sp.add_argument("--n-fields", type=int, default=50)
     sp.set_defaults(fn=cmd_moment_check)
 
-    sp = sub.add_parser("embed");       _add_common(sp, model=True)
+    sp = sub.add_parser("embed");       _add_common(sp, "brw")
     sp.add_argument("--period", type=float, default=2.0)
     sp.add_argument("--n-reps", type=int, default=1000)
     sp.add_argument("--n-fields", type=int, default=50)
     sp.set_defaults(fn=cmd_embed)
 
-    sp = sub.add_parser("phase");       _add_common(sp, model=True)
+    sp = sub.add_parser("phase");       _add_common(sp, "brw")
     sp.add_argument("--t-lyap", type=float, default=4.0)
     sp.add_argument("--n-env", type=int, default=100)
     sp.add_argument("--n-walkers", type=int, default=3000)
     sp.set_defaults(fn=cmd_phase)
 
-    sp = sub.add_parser("sweep");       _add_common(sp, model=True)
+    sp = sub.add_parser("sweep");       _add_common(sp, "brw")
     sp.add_argument("--kappa-grid", default=None)
     sp.add_argument("--lam-grid", default=None)
     sp.add_argument("--p-grid", default=None)
@@ -491,7 +497,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--cap-events", type=int, default=5_000_000)
     sp.set_defaults(fn=cmd_sweep)
 
-    sp = sub.add_parser("boxes-fkg");   _add_common(sp, model=True)
+    sp = sub.add_parser("boxes-fkg");   _add_common(sp, "brw")
     sp.add_argument("--box-l", type=int, default=3)
     sp.add_argument("--box-t", type=float, default=1.0)
     sp.add_argument("--start-count", type=int, default=1)
@@ -501,7 +507,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-batches", type=int, default=20)
     sp.set_defaults(fn=cmd_boxes_fkg)
 
-    sp = sub.add_parser("perc");        _add_common(sp, model=True)
+    sp = sub.add_parser("perc");        _add_common(sp, "brw")
     sp.add_argument("--mode", choices=("indep", "brw"), default="indep")
     sp.add_argument("--p", type=float, default=0.8)
     sp.add_argument("--rows", type=int, default=50)
@@ -519,6 +525,9 @@ def build_parser() -> _Parser:
 
 
 _RANGE_CHECKS = [
+    ("kappa", lambda v: math.isfinite(v) and v >= 0.0, "kappa must be finite and >= 0"),
+    ("lam", lambda v: math.isfinite(v) and v >= 0.0, "lam must be finite and >= 0"),
+    ("alpha", lambda v: math.isfinite(v) and v >= 0.0, "alpha must be finite and >= 0"),
     ("t", lambda v: math.isfinite(v) and v >= 0.0, "t must be finite and >= 0"),
     ("t_lyap", lambda v: math.isfinite(v) and v > 0.0, "t_lyap must be finite and > 0"),
     ("period", lambda v: math.isfinite(v) and v >= 0.0, "period must be finite and >= 0"),

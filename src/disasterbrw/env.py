@@ -218,8 +218,8 @@ class DisasterField:
     """Seeded family of independent rate-`rate` Poisson disaster streams."""
 
     def __init__(self, seed: int, rate: float = 1.0, dimension: int = 1):
-        if rate < 0.0:
-            raise ValueError("disaster rate must be >= 0")
+        if not 0.0 <= rate < math.inf:
+            raise ValueError("disaster rate must be finite and >= 0")
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.seed = int(seed)

@@ -76,7 +76,7 @@ def sample_offspring(field, params: BRWParams, period: float, period_index: int,
 
 
 def offspring_mean_identity_check(field, params: BRWParams, period: float, n_reps: int,
-                                  seed: int, *, n_walkers: int | None = None) -> Comparison:
+                                  seed: int) -> Comparison:
     """First-period offspring mean vs growth-factor-scaled pinned survival.
 
     Both Monte Carlo estimates target the same quenched number, so their
@@ -85,8 +85,7 @@ def offspring_mean_identity_check(field, params: BRWParams, period: float, n_rep
     if period == 0.0:
         return Comparison(lhs=1.0, lhs_se=0.0, rhs=1.0, rhs_se=0.0)
     sample = sample_offspring(field, params, period, 1, n_reps, derive_seed(seed, "ident-trees"))
-    nw = n_walkers if n_walkers is not None else n_reps
-    pinned = estimate_survival(field, params.jump_rate, period, nw, True,
+    pinned = estimate_survival(field, params.jump_rate, period, n_reps, True,
                                derive_seed(seed, "ident-walkers"))
     factor = math.exp(params.birth_rate * (params.offspring_mean - 1.0) * period)
     return Comparison(lhs=sample.mean, lhs_se=sample.mean_std_err,
@@ -94,7 +93,7 @@ def offspring_mean_identity_check(field, params: BRWParams, period: float, n_rep
 
 
 def nonextinction_bound_check(field, params: BRWParams, period: float, n_reps: int,
-                              seed: int, *, n_walkers: int | None = None) -> Comparison:
+                              seed: int) -> Comparison:
     """Check 1 - q_hat(0) >= exp(-birth_rate*period*q(0)) * pinned survival.
 
     Following a single line of first children through the tree survives all
@@ -104,39 +103,11 @@ def nonextinction_bound_check(field, params: BRWParams, period: float, n_reps: i
     """
     sample = sample_offspring(field, params, period, 1, n_reps, derive_seed(seed, "bound-trees"))
     lhs = 1.0 - sample.p_zero
-    nw = n_walkers if n_walkers is not None else n_reps
-    pinned = estimate_survival(field, params.jump_rate, period, nw, True,
+    pinned = estimate_survival(field, params.jump_rate, period, n_reps, True,
                                derive_seed(seed, "bound-walkers"))
     factor = math.exp(-params.birth_rate * period * params.offspring[0])
     return Comparison(lhs=lhs, lhs_se=_binom_se(lhs, n_reps), rhs=factor * pinned.value,
                       rhs_se=factor * pinned.std_err)
-
-
-def suggest_period(params: BRWParams, lo: float = 0.5, hi: float = 50.0) -> float:
-    """Period T with annealed expected offspring mean in [lo, hi].
-
-    Uses exp(b(m-1)T) * E[pinned survival(T)], where the annealed pinned
-    survival factorizes as exp(-alpha T) * P(walk at origin at T); each
-    coordinate of the walk is a rate kappa/d walk whose return probability is
-    the exponentially scaled Bessel term ive(0, kappa T / d).
-    """
-    from scipy import special
-
-    growth = params.birth_rate * (params.offspring_mean - 1.0)
-
-    def annealed_mean(t: float) -> float:
-        ret = special.ive(0, params.jump_rate * t / params.dimension) ** params.dimension
-        return math.exp((growth - params.disaster_rate) * t) * ret
-
-    best, best_t = -math.inf, 1.0
-    for t in np.linspace(0.25, 8.0, 32):
-        v = annealed_mean(float(t))
-        if lo <= v <= hi:
-            return float(t)
-        score = -abs(math.log(max(v, 1e-300)) - math.log(math.sqrt(lo * hi)))
-        if score > best:
-            best, best_t = score, float(t)
-    return best_t
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 The objects here are exact: the law of the per-bin parity vector when k
 balls fall into bins with given weights, the prefix partial order on even
-bit vectors, majorization of distributions, a monotone two-ball coupling
-between consecutive even ball counts, and likelihood-ratio / ratio bounds
-for conditioned jump counts of simple random walks.
+bit vectors, a monotone two-ball coupling between consecutive even ball
+counts, and likelihood-ratio / ratio bounds for conditioned jump counts of
+simple random walks.
 
 Everything quantifies over small state spaces and is checked against
 enumeration oracles in the tests; probability arithmetic for the walk
@@ -106,14 +106,6 @@ class DistOnSigma:
         if (self.probs < -1e-12).any() or abs(self.probs.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must be nonnegative and sum to 1")
 
-    def prob_of(self, bits: Sequence[int]) -> float:
-        code = sum(int(b) << i for i, b in enumerate(bits))
-        codes = (self.patterns.astype(np.int64) << np.arange(self.n_bits)).sum(axis=1)
-        hit = np.flatnonzero(codes == code)
-        if not len(hit):
-            raise KeyError("pattern has odd parity or wrong length")
-        return float(self.probs[hit[0]])
-
 
 def parity_dist(weights, k: int) -> DistOnSigma:
     """Exact law of per-bin parities when k balls fall with the given weights.
@@ -151,34 +143,10 @@ def parity_dist(weights, k: int) -> DistOnSigma:
 
 
 # ---------------------------------------------------------------------------
-# majorization
-# ---------------------------------------------------------------------------
-
-def _mass_vector(dist) -> np.ndarray:
-    if isinstance(dist, DistOnSigma):
-        return np.asarray(dist.probs, dtype=np.float64)
-    return np.asarray(dist, dtype=np.float64)
-
-
-def majorization_leq(mu, nu, tol: float = 1e-12) -> bool:
-    """True iff mu is majorized by nu (mu's mass is more spread out).
-
-    Compares descending partial sums: every top-k sum of mu must not exceed
-    nu's.  The uniform distribution is below everything; equal distributions
-    compare both ways.
-    """
-    a = np.sort(_mass_vector(mu))[::-1].cumsum()
-    b = np.sort(_mass_vector(nu))[::-1].cumsum()
-    if len(a) != len(b):
-        raise ValueError("distributions must live on the same space")
-    return bool((a <= b + tol).all())
-
-
-# ---------------------------------------------------------------------------
 # monotonicity of the parity law and the two-ball coupling
 # ---------------------------------------------------------------------------
 
-def parity_monotonicity_violations(weights, half_count: int, tol: float = 1e-12) -> list:
+def parity_monotonicity_violations(weights, half_count: int) -> list:
     """Pairs (I, J, P(I), P(J)) with I prefix-below J but P(I) < P(J).
 
     With ascending weights and an even ball count 2*half_count the exact
@@ -192,7 +160,7 @@ def parity_monotonicity_violations(weights, half_count: int, tol: float = 1e-12)
         for j, pj in enumerate(pats):
             if i == j:
                 continue
-            if prefix_leq(pi, pj) and dist.probs[i] < dist.probs[j] - tol:
+            if prefix_leq(pi, pj) and dist.probs[i] < dist.probs[j] - 1e-12:
                 out.append((pi, pj, float(dist.probs[i]), float(dist.probs[j])))
     return out
 

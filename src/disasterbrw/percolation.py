@@ -271,17 +271,16 @@ def bit_correlations(bits: np.ndarray, min_distance: int) -> list[CorrelationEnt
 
 def sample_occupancy_bits(params: BRWParams, half_width: int, period: float,
                           block_radius: int, copies_root: int, n_bits: int, n_reps: int,
-                          seed: int, *, truncated: bool = True,
-                          caps: Caps = Caps(max_alive=20_000, max_events=2_000_000)) -> np.ndarray:
+                          seed: int,
+                          *, caps: Caps = Caps(max_alive=20_000, max_events=2_000_000)) -> np.ndarray:
     """One lattice-row occupancy bit per start, n_bits starts sharing each environment.
 
     Bit l starts a full block at first coordinate 4*L*l and asks whether a
-    copy re-forms one staircase step down-left within five periods.  With
-    `truncated`, each start's particles are confined to its own +-5L slab,
-    so bits at horizontal distance > 2 read disjoint sets of disaster
-    streams and are exactly independent; without truncation particles from
-    different starts may overlap and correlate.  Raises CapTripped when a run
-    trips `caps`: its event log stops at the trip, so its bit would be biased.
+    copy re-forms one staircase step down-left within five periods.  Each
+    start's particles are confined to its own +-5L slab, so bits at
+    horizontal distance > 2 read disjoint sets of disaster streams and are
+    exactly independent.  Raises CapTripped when a run trips `caps`: its
+    event log stops at the trip, so its bit would be biased.
     """
     d = params.dimension
     L = half_width
@@ -292,12 +291,8 @@ def sample_occupancy_bits(params: BRWParams, half_width: int, period: float,
             center = 4 * L * l
             start = block_config([(center + s[0],) + s[1:] for s in cube_sites(block_radius, d)],
                                  copies_root * copies_root)
-            if truncated:
-                lo = (center - 5 * L,) + (-5 * L,) * (d - 1)
-                hi = (center + 5 * L,) + (5 * L,) * (d - 1)
-                region = Box(lo=lo, hi=hi)
-            else:
-                region = None
+            region = Box(lo=(center - 5 * L,) + (-5 * L,) * (d - 1),
+                         hi=(center + 5 * L,) + (5 * L,) * (d - 1))
             res = simulate(params, start, fld, 0.0, 6.0 * period,
                            derive_seed(seed, "probe-tree", i, l), trunc=region, caps=caps)
             if res.capped:

@@ -54,9 +54,6 @@ class LyapunovEstimate:
     std_err: float
     censor_fraction: float
 
-    def __iter__(self):
-        return iter((self.p_hat, self.std_err, self.censor_fraction))
-
 
 def _binom_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -201,6 +198,8 @@ def estimate_survival(field, jump_rate: float, t: float, n_walkers: int,
     """
     if n_walkers < 1:
         raise ValueError("n_walkers must be >= 1")
+    if not 0.0 <= jump_rate < math.inf:
+        raise ValueError("jump_rate must be finite and >= 0")
     gen = as_generator(rng)
     survived, at_origin = _survival_batch(field, jump_rate, t, n_walkers, gen)
     ok = survived & at_origin if pin_to_origin else survived

@@ -131,53 +131,14 @@ def brute_force_extinction(path, field) -> float | None:
     return min(hits) if hits else None
 
 
-def hinge_majorized(mu, nu, tol: float = 1e-12) -> bool:
-    """mu majorized by nu via the hinge-function characterization."""
-    mu = list(mu)
-    nu = list(nu)
-    cuts = sorted(set(mu) | set(nu))
-    for c in cuts:
-        lhs = sum(max(x - c, 0.0) for x in mu)
-        rhs = sum(max(x - c, 0.0) for x in nu)
-        if lhs > rhs + tol:
-            return False
-    return abs(sum(mu) - sum(nu)) <= tol
-
-
-def t_transform_majorized(mu, nu, tol: float = 1e-12) -> bool:
-    """mu majorized by nu iff Robin-Hood moves drive nu's vector onto mu's."""
-    x = np.sort(np.asarray(mu, dtype=np.float64))[::-1].copy()
-    y = np.sort(np.asarray(nu, dtype=np.float64))[::-1].copy()
-    if abs(x.sum() - y.sum()) > tol:
-        return False
-    for _ in range(4 * len(x) ** 2):
-        y = np.sort(y)[::-1]
-        diff = y - x
-        if np.abs(diff).max() <= tol:
-            return True
-        over = np.flatnonzero(diff > tol)
-        under = np.flatnonzero(diff < -tol)
-        if not len(over) or not len(under):
-            return False
-        a, b = over[0], under[0]
-        if a > b:
-            return False  # nu's surplus sits below its deficit: not majorized
-        move = min(diff[a], -diff[b])
-        y[a] -= move
-        y[b] += move
-    return False
-
-
-def convex_family_consistent(mu, nu, tol: float = 1e-9) -> bool:
-    """Necessary conditions from the convex family x**(-delta) on (0, 1]."""
-    mu = np.asarray(mu)
-    nu = np.asarray(nu)
-    if (mu <= 0).any() or (nu <= 0).any():
-        return True  # family not applicable
-    for delta in np.arange(0.1, 0.95, 0.1):
-        if (mu**-delta).sum() > (nu**-delta).sum() + tol:
-            return False
-    return True
+def prob_of(dist, bits) -> float:
+    """Probability of one even-parity pattern under an orders.DistOnSigma."""
+    code = sum(int(b) << i for i, b in enumerate(bits))
+    codes = (dist.patterns.astype(np.int64) << np.arange(dist.n_bits)).sum(axis=1)
+    hit = np.flatnonzero(codes == code)
+    if not len(hit):
+        raise KeyError("pattern has odd parity or wrong length")
+    return float(dist.probs[hit[0]])
 
 
 def exact_parity_enumeration(weights, k: int) -> dict:
@@ -372,6 +333,62 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
                      start_time=start_time, horizon=horizon, final_alive=final)
 
 
+def centered_box(half_width: int, dimension: int):
+    """The truncation region {-half_width..half_width}^dimension."""
+    from disasterbrw.brw import Box
+
+    return Box(lo=(-half_width,) * dimension, hi=(half_width,) * dimension)
+
+
+def coupled_sweep_oracle(params_max, birth_rates, horizon, n_reps, seed, *, caps):
+    """brw.coupled_birth_rate_survival by its first route: a mark per branched particle.
+
+    Every branched particle's mark is stored from the run's records, and each
+    rate walks every prefix of every final particle.  Returns, per sorted
+    rate, (survived, capped) replica counts.
+    """
+    from disasterbrw.brw import simulate
+    from disasterbrw.env import DisasterField
+    from disasterbrw.rng import derive_seed, fold, mix64_int
+
+    rates = sorted(set(float(b) for b in birth_rates))
+    lam_max = params_max.birth_rate
+    survived = {b: 0 for b in rates}
+    capped = {b: 0 for b in rates}
+    for i in range(n_reps):
+        fld = DisasterField(derive_seed(seed, "lcpl-env", i), params_max.disaster_rate,
+                            params_max.dimension)
+        res = simulate(params_max, {(0,) * params_max.dimension: 1}, fld, 0.0, horizon,
+                       derive_seed(seed, "lcpl-tree", i), caps=caps, record_events=False)
+        mark_key = derive_seed(seed, "lcpl-marks", i)
+        marks = {}
+        for pid, rec in res.records.items():
+            if rec.end_cause == "branch":
+                h = mark_key
+                for part in pid:
+                    h = fold(h, part)
+                marks[pid] = (mix64_int(h) >> 11) * 2.0 ** -53
+        for b in rates:
+            if res.capped:
+                capped[b] += 1
+                survived[b] += 1
+                continue
+            thin = b / lam_max if lam_max > 0 else 0.0
+            alive = False
+            for pid, _site in res.final_alive:
+                ok = True
+                for cut in range(1, len(pid)):
+                    u = marks.get(pid[:cut])
+                    if u is not None and u > thin and pid[cut] != 0:
+                        ok = False  # fake branch: only the first child continues
+                        break
+                if ok:
+                    alive = True
+                    break
+            survived[b] += alive
+    return [(survived[b], capped[b]) for b in rates]
+
+
 def replay_site_counts(events, at_time: float) -> dict:
     """Recount occupancy at `at_time` from an event log (oracle for a run's final population)."""
     pos: dict = {}
@@ -560,17 +577,16 @@ def first_block_oracle(field, site, t_max: float) -> np.ndarray:
 def classify_exit_oracle(box, t: float, site):
     from disasterbrw.boxes import ExitRegion, sign_of
 
-    rel = box.rel(site)
     L = box.half_width
-    if any(abs(c) > L for c in rel):
+    if any(abs(c) > L for c in site):
         raise ValueError("site outside the box")
     if t == box.t_end:
-        return ExitRegion("top", 0, sign_of(rel[0]), tuple(sign_of(c) for c in rel[1:]))
-    if not (box.t0 <= t < box.t_end):
+        return ExitRegion("top", 0, sign_of(site[0]), tuple(sign_of(c) for c in site[1:]))
+    if not (0.0 <= t < box.t_end):
         raise ValueError("time outside the box")
-    for ax, c in enumerate(rel):
+    for ax, c in enumerate(site):
         if abs(c) == L:
-            theta = tuple(sign_of(rel[j]) for j in range(box.dimension) if j != ax)
+            theta = tuple(sign_of(site[j]) for j in range(box.dimension) if j != ax)
             return ExitRegion("face", ax, sign_of(c), theta)
     raise ValueError("point is interior, not on the boundary")
 
@@ -586,18 +602,18 @@ def exit_counts_oracle(events, box) -> tuple[dict, dict]:
     touched: dict = {}
 
     def on_shell(site) -> bool:
-        return max(abs(c) for c in box.rel(site)) == L
+        return max(abs(c) for c in site) == L
 
     def outside(site) -> bool:
-        return max(abs(c) for c in box.rel(site)) > L
+        return max(abs(c) for c in site) > L
 
     started = False
 
     def open_window() -> None:
         for pid, site in pos.items():
             if touched[pid] is None and on_shell(site):
-                faces[classify_exit_oracle(box, box.t0, site)] += 1
-                touched[pid] = box.t0
+                faces[classify_exit_oracle(box, 0.0, site)] += 1
+                touched[pid] = 0.0
 
     def note_arrival(pid, site, time: float) -> None:
         if started and time < box.t_end and touched.get(pid) is None \
@@ -609,7 +625,7 @@ def exit_counts_oracle(events, box) -> tuple[dict, dict]:
     for ev in events:
         if ev.time > box.t_end:
             break
-        if not started and ev.time >= box.t0:
+        if not started and ev.time >= 0.0:
             started = True
             open_window()
         if ev.kind == "birth":

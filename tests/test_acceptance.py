@@ -311,8 +311,7 @@ def test_criterion_15_percolation_sanity():
 
     probe_params = BRWParams(2.0, 2.0, ALWAYS_TWO, 0.7, 1)
     bits = sample_occupancy_bits(probe_params, half_width=2, period=0.35, block_radius=0,
-                                 copies_root=1, n_bits=6, n_reps=250, seed=SEED + 903,
-                                 truncated=True)
+                                 copies_root=1, n_bits=6, n_reps=250, seed=SEED + 903)
     entries = bit_correlations(bits, min_distance=3)
     probe_ok = bool(entries) and all(abs(e.corr) <= 3 * e.std_err for e in entries)
 

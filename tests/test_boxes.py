@@ -69,12 +69,6 @@ def test_boundary_partition_exhaustive():
             assert top_seen == tops
 
 
-def test_classification_with_offsets():
-    box = SpaceTimeBox(half_width=2, height=1.0, dimension=1, t0=3.0, x0=(10,))
-    assert classify_exit(box, 4.0, (10,)).kind == "top"
-    assert classify_exit(box, 3.5, (12,)).kind == "face"
-
-
 # -- exit counts ----------------------------------------------------------------
 
 def _oracle_exit_counts(result, box):
@@ -106,8 +100,7 @@ def _oracle_exit_counts(result, box):
         moves = [(t, s) for t, s in full_path(pid) if t <= end]
         hit = None
         for t, s in moves:
-            rel = box.rel(s)
-            if box.t0 <= t <= box.t_end and max(abs(c) for c in rel) == L:
+            if 0.0 <= t <= box.t_end and max(abs(c) for c in s) == L:
                 hit = (t, s)
                 break
         own_alive_at_end = rec.end_time is None or rec.end_time >= box.t_end
@@ -126,7 +119,7 @@ def _oracle_exit_counts(result, box):
                 faces[classify_exit(box, t, s)] += 1
         elif hit is None and lineage_alive:
             pos = moves[-1][1]
-            if max(abs(c) for c in box.rel(pos)) <= L:
+            if max(abs(c) for c in pos) <= L:
                 tops[classify_exit(box, box.t_end, pos)] += 1
     return tops, faces
 
@@ -137,7 +130,7 @@ def test_exit_counts_trivial_cases():
     fld = DisasterField(1, 0.0, 1)
     res = simulate(params, {(0,): 1}, fld, 0.0, 1.0, 1)
     ec = exit_counts(res.events, SpaceTimeBox(3, 1.0, 1), res.horizon)
-    assert ec.total_top == 1 and ec.total_face == 0
+    assert sum(ec.top.values()) == 1 and sum(ec.face.values()) == 0
 
 
 def test_exit_counts_all_zero_when_everyone_dies_inside():
@@ -148,7 +141,7 @@ def test_exit_counts_all_zero_when_everyone_dies_inside():
     fld2 = DisasterField(seed=3001, rate=1.0, dimension=1)
     res = simulate(params, {(0,): 1}, fld2, 0.0, t_hit + 1.0, 1)
     ec = exit_counts(res.events, SpaceTimeBox(3, t_hit + 1.0, 1), res.horizon)
-    assert ec.total_top == 0 and ec.total_face == 0
+    assert sum(ec.top.values()) == 0 and sum(ec.face.values()) == 0
 
 
 def test_exit_counts_log_coverage_check():
@@ -180,7 +173,7 @@ def test_exit_counts_conservation():
         res = simulate(params, {(0, 0): 2}, fld, 0.0, 1.0, 7800 + i)
         ec = exit_counts(res.events, box, res.horizon)
         tops, faces = _oracle_exit_counts(res, box)
-        assert ec.total_top + ec.total_face == sum(tops.values()) + sum(faces.values())
+        assert sum(ec.top.values()) + sum(ec.face.values()) == sum(tops.values()) + sum(faces.values())
 
 
 def test_truncated_run_matches_untruncated_exit_counts():
@@ -199,15 +192,13 @@ def test_truncated_run_matches_untruncated_exit_counts():
 
 
 def _oracle_boxes(rng, d: int, res):
-    """Boxes for one log: shifted, opening after 0, and closing at an event instant."""
-    x0 = tuple(int(c) for c in rng.integers(-1, 2, d))
-    boxes = [SpaceTimeBox(2, 1.5, d), SpaceTimeBox(1, 0.9, d, t0=0.4, x0=x0),
-             SpaceTimeBox(2, 1.2, d, t0=0.3, x0=x0)]
+    """Boxes for one log, some closing at an event instant."""
+    boxes = [SpaceTimeBox(2, 1.5, d), SpaceTimeBox(1, 0.9, d), SpaceTimeBox(2, 1.2, d)]
     arrivals = [ev.time for ev in res.events if ev.kind in ("jump", "leave") and ev.time > 0.5]
     if arrivals:  # an arrival exactly at t_end counts on the top, not on a face
         t_end = arrivals[int(rng.integers(len(arrivals)))]
-        boxes.append(SpaceTimeBox(2, t_end - 0.25, d, t0=0.25, x0=x0))
-        boxes.append(SpaceTimeBox(1, t_end, d, x0=x0))
+        boxes.append(SpaceTimeBox(2, t_end, d))
+        boxes.append(SpaceTimeBox(1, t_end, d))
     return boxes
 
 

@@ -8,7 +8,6 @@ from disasterbrw.brw import (
     BRWParams,
     Caps,
     CapTripped,
-    centered_box,
     coupled_birth_rate_survival,
     growth_rate,
     moment_identity_check,
@@ -21,7 +20,8 @@ from disasterbrw import brw
 from disasterbrw.env import DisasterField, SuperposedField, superpose
 from disasterbrw.rng import (ParticleStream, counter_exponential, counter_uniform, derive_seed,
                              derive_seeds, fold, mix64_int)
-from helpers import WalkPath, extinction_time, replay_site_counts, simulate_oracle
+from helpers import (WalkPath, centered_box, coupled_sweep_oracle, extinction_time, replay_site_counts,
+                     simulate_oracle)
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
@@ -262,6 +262,27 @@ def test_coupled_birth_rates_monotone_and_calibrated():
                                 caps=Caps(max_alive=800, max_events=10**6))
     sigma = math.hypot(ests[-1].std_err, direct.std_err)
     assert abs(ests[-1].value - direct.value) < 3 * sigma
+
+
+@pytest.mark.parametrize("params_max, rates, horizon, cap, capped", [
+    (BRWParams(1.0, 2.0, ALWAYS_TWO, 1.0, 1), [0.0, 0.5, 1.0, 2.0], 3.0, 10_000, False),
+    (BRWParams(8.0, 2.0, ALWAYS_TWO, 1.0, 1), [0.5, 1.0, 2.0], 4.0, 30, True),
+    (BRWParams(2.0, 1.5, ALWAYS_TWO, 1.0, 2), [0.25, 0.75, 1.5], 3.0, 40, True),
+    (BRWParams(1.0, 3.0, offspring_pmf({1: 0.5, 2: 0.5}), 0.8, 1), [1.0, 2.0, 3.0], 3.0, 10_000, False),
+], ids=["uncapped", "capped", "d2-capped", "one-or-two-children"])
+def test_coupled_birth_rates_match_mark_dict_oracle(params_max, rates, horizon, cap, capped):
+    caps = Caps(max_alive=cap, max_events=10**6)
+    n_reps = 60
+    got = coupled_birth_rate_survival(params_max, rates, horizon, n_reps, 29, caps=caps)
+    want = coupled_sweep_oracle(params_max, rates, horizon, n_reps, 29, caps=caps)
+    assert [(e.value, e.cap_fraction) for e in got] == [(s / n_reps, c / n_reps) for s, c in want]
+    assert (got[0].cap_fraction > 0) == capped
+    assert 0 < got[-1].value < 1
+
+
+def test_coupled_birth_rates_reject_negative_rates():
+    with pytest.raises(ValueError):
+        coupled_birth_rate_survival(BRWParams(1.0, 2.0, ALWAYS_TWO, 1.0, 1), [-1.0, 1.0], 1.0, 3, 1)
 
 
 def test_coupled_birth_rates_reject_zero_offspring_mass():

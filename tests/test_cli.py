@@ -25,7 +25,7 @@ def test_unknown_flag_is_config_error():
     assert cli.main(["annealed", "--seed", "1", "--nope", "3"]) == 1
 
 
-def test_bad_range_is_config_error(capsys):
+def test_bad_range_is_config_error(capsys, monkeypatch):
     assert cli.main(["annealed", "--seed", "1", "--n", "0"]) == 1
     assert cli.main(["perc", "--seed", "1", "--p", "1.5"]) == 1
     assert cli.main(["annealed", "--seed", "1", "--alpha", "-1"]) == 1
@@ -39,6 +39,50 @@ def test_bad_range_is_config_error(capsys):
                                  ("embed", "period", "nan"), ("embed", "period", "-1")]:
         assert cli.main([command, "--seed", "1", f"--{flag}", value]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {flag.replace('-', '_')}: ")
+
+    # non-finite rates are config errors too; the estimators would hang or print nan
+    def run(*_args, **_kwargs):
+        raise AssertionError("a non-finite rate reached the estimator")
+
+    for mod, name in [(cli.brw_mod, "survival_frequency"), (cli.gw_embed, "offspring_mean_identity_check"),
+                      (cli.gw_embed, "phase_classify"), (cli.walk, "estimate_lyapunov")]:
+        monkeypatch.setattr(mod, name, run)
+    for command, flag, value in [("brw-survival", "kappa", "inf"), ("embed", "kappa", "inf"),
+                                 ("phase", "lam", "nan"), ("lyapunov", "kappa", "nan"),
+                                 ("lyapunov", "alpha", "nan"), ("brw-survival", "alpha", "inf")]:
+        assert cli.main([command, "--seed", "1", f"--{flag}", value]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+
+
+def _one_config_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("grid", [["--lam-grid", ","], ["--kappa-grid", ","], ["--p-grid", ","],
+                                  ["--lam-grid=-1,0.5"], ["--lam-grid=0.5,nan"],
+                                  ["--kappa-grid=1,inf"], ["--lam-grid", "0.5,x"]],
+                         ids=["lam-empty", "kappa-empty", "p-empty", "lam-negative", "lam-nan",
+                              "kappa-inf", "lam-unparsable"])
+def test_bad_grid_is_config_error(grid, capsys, monkeypatch):
+    real = cli.brw_mod.coupled_birth_rate_survival
+
+    def run(params_max, rates, *args, **kwargs):  # a non-finite rate would hang the sweep
+        assert all(map(math.isfinite, [params_max.jump_rate, *rates])), "non-finite rate"
+        return real(params_max, rates, *args, **kwargs)
+
+    monkeypatch.setattr(cli.brw_mod, "coupled_birth_rate_survival", run)
+    assert cli.main(["sweep", "--seed", "1", "--q", "2:1", "--horizon", "1", "--n-reps", "3",
+                     *grid]) == 1
+    _one_config_error_line(capsys)
+
+
+def test_model_flags_only_where_they_are_read(capsys):
+    for command in ("annealed", "lyapunov"):
+        for flag, value in (("--lam", "2"), ("--q", "2:1")):
+            assert cli.main([command, "--seed", "1", flag, value]) == 1
+            _one_config_error_line(capsys)
 
 
 @pytest.mark.parametrize("flags", [["--horizon", "nan"], ["--horizon", "-1"], ["--cap-alive", "0"],

@@ -11,7 +11,6 @@ from disasterbrw.gw_embed import (
     offspring_mean_identity_check,
     phase_classify,
     sample_offspring,
-    suggest_period,
 )
 from disasterbrw.walk import estimate_survival
 
@@ -143,17 +142,6 @@ def test_nonextinction_bound_violation_rate_small():
         chk = nonextinction_bound_check(fld, params, 1.0, 600, 6300 + i)
         violations += chk.violated_at > 3.0
     assert violations / n_fields <= 0.02
-
-
-def test_suggest_period_in_workable_band():
-    from scipy import special
-
-    params = BRWParams(2.0, 1.5, (0.0, 0.0, 1.0), 1.0, 1)
-    t = suggest_period(params)
-    growth = params.birth_rate * (params.offspring_mean - 1.0)
-    ret = special.ive(0, params.jump_rate * t) ** 1
-    expected = math.exp((growth - 1.0) * t) * ret
-    assert 0.5 <= expected <= 50.0
 
 
 def test_phase_no_disasters_supercritical():

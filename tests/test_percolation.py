@@ -303,8 +303,7 @@ def test_probe_raises_on_a_cap_trip():
 def test_probe_truncated_construction_uncorrelated_at_distance_three():
     params = BRWParams(2.0, 2.0, ALWAYS_TWO, 0.7, 1)
     bits = sample_occupancy_bits(params, half_width=2, period=0.35, block_radius=0,
-                                 copies_root=1, n_bits=6, n_reps=250, seed=17,
-                                 truncated=True)
+                                 copies_root=1, n_bits=6, n_reps=250, seed=17)
     means = bits.mean(axis=0)
     assert ((means > 0.05) & (means < 0.95)).all(), means  # non-degenerate bits
     entries = bit_correlations(bits, min_distance=3)
@@ -318,21 +317,9 @@ def test_probe_neighbor_bits_do_correlate():
     # distance 1 is expected (positive disasters hurt both)
     params = BRWParams(2.0, 2.0, ALWAYS_TWO, 0.7, 1)
     bits = sample_occupancy_bits(params, half_width=2, period=0.35, block_radius=0,
-                                 copies_root=1, n_bits=3, n_reps=250, seed=19,
-                                 truncated=True)
+                                 copies_root=1, n_bits=3, n_reps=250, seed=19)
     entries = bit_correlations(bits, min_distance=1)
     assert any(e.distance <= 2 for e in entries)
-
-
-def test_probe_untruncated_construction_runs():
-    # without truncation, starts can reach each other's slabs: long-range
-    # correlation may appear, so only the mechanics are asserted here
-    params = BRWParams(2.0, 1.5, ALWAYS_TWO, 0.7, 1)
-    bits = sample_occupancy_bits(params, half_width=2, period=0.3, block_radius=0,
-                                 copies_root=1, n_bits=4, n_reps=40, seed=29,
-                                 truncated=False,
-                                 caps=Caps(max_alive=2000, max_events=10**6))
-    assert bits.shape == (40, 4)
 
 
 # -- survival vs disaster rate ----------------------------------------------------------
