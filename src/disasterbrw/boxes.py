@@ -2,9 +2,15 @@
 
 A box is [0, T] x {-L..L}^d, based at the origin.  Its boundary is the top
 slice at time T plus the 2d faces where one coordinate equals +-L; the
-bottom slice is not boundary.  The top splits into 2^d orthants (sign of
-the first coordinate, then signs of the rest) and each face into 2^(d-1)
-orthants, with sign(0) = +1 throughout.
+bottom slice is not boundary.
+
+Exit counts are two int64 vectors indexed by orthant codes.  The orthant
+code of a coordinate tuple has one bit per coordinate, set when that
+coordinate is negative (so sign(0) = +1), the first coordinate highest.
+- top, 2^d entries: entry code(site) counts particles alive at T on `site`.
+- face, d 2^d entries: entry axis * 2^d + code((site[axis], *the other
+  coordinates)) counts first hits of `site` on the face normal to `axis`;
+  the smallest axis wins at edges.
 
 Exit counters follow first-hit semantics on the particle tree: a particle's
 trajectory includes its ancestors' path, so a lineage contributes at most
@@ -17,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as iter_product
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -28,11 +32,6 @@ from .env import DisasterField
 from .rng import derive_seed
 
 Site = tuple[int, ...]
-
-
-def sign_of(v: int) -> int:
-    """Sign with sign(0) = +1."""
-    return 1 if v >= 0 else -1
 
 
 @dataclass(frozen=True)
@@ -55,91 +54,17 @@ class SpaceTimeBox:
         return Box(lo=(-w,) * self.dimension, hi=(w,) * self.dimension)
 
 
-@dataclass(frozen=True)
-class ExitRegion:
-    kind: str  # "top" or "face"
-    axis: int  # 0 for top; face normal axis otherwise
-    sign: int  # sign of the distinguished coordinate
-    theta: tuple[int, ...]  # orthant signs of the remaining d-1 coordinates
-
-    def __post_init__(self):
-        if self.kind not in ("top", "face"):
-            raise ValueError("kind must be 'top' or 'face'")
-        if self.kind == "top" and self.axis != 0:
-            raise ValueError("top regions are signed along the first axis")
-        if self.sign not in (-1, 1) or any(t not in (-1, 1) for t in self.theta):
-            raise ValueError("signs must be +-1")
+class ExitCounts(NamedTuple):
+    top: np.ndarray  # 2^d counts, by orthant code of the site
+    face: np.ndarray  # d 2^d counts, by axis * 2^d + orthant code of (site[axis], *the others)
 
 
-class _Regions(NamedTuple):
-    top: tuple[ExitRegion, ...]
-    face: tuple[ExitRegion, ...]
-    top_at: dict  # signs of the site -> its top region
-    face_at: dict  # (axis, *signs) -> the region of the face normal to axis
-
-
-@lru_cache(maxsize=None)
-def _regions(dimension: int) -> _Regions:
-    """Every exit region of a dimension, built and validated once."""
-    thetas = list(iter_product((1, -1), repeat=dimension - 1))
-    top = tuple(ExitRegion("top", 0, s, th) for s in (1, -1) for th in thetas)
-    face = tuple(ExitRegion("face", ax, s, th) for ax in range(dimension) for s in (1, -1)
-                 for th in thetas)
-    top_at = {(r.sign, *r.theta): r for r in top}
-    face_at = {(r.axis, *r.theta[:r.axis], r.sign, *r.theta[r.axis:]): r for r in face}
-    return _Regions(top, face, top_at, face_at)
-
-
-def top_regions(dimension: int) -> list[ExitRegion]:
-    return list(_regions(dimension).top)
-
-
-def face_regions(dimension: int) -> list[ExitRegion]:
-    return list(_regions(dimension).face)
-
-
-def _signs(site: Site) -> tuple[int, ...]:
-    return tuple([sign_of(c) for c in site])
-
-
-def _face_of(regions: _Regions, site: Site, L: int) -> ExitRegion:
-    """Face region of a site on the shell; the smallest axis wins at edges."""
-    for ax, c in enumerate(site):
-        if abs(c) == L:
-            return regions.face_at[(ax, *_signs(site))]
-    raise ValueError("point is interior, not on the boundary")
-
-
-def classify_exit(box: SpaceTimeBox, t: float, site: Site) -> ExitRegion:
-    """Unique boundary region containing (t, site).
-
-    Precondition: the point lies on the boundary (t == t_end with the site
-    inside the closed box, or t in [0, t_end) with sup-norm distance exactly
-    half_width).  At edges shared by several faces the smallest axis wins,
-    and the top takes precedence at t == t_end; both ties are unreachable by
-    first hits of lattice paths.
-    """
-    L = box.half_width
-    if any(abs(c) > L for c in site):
-        raise ValueError("site outside the box")
-    if t == box.t_end:
-        return _regions(box.dimension).top_at[_signs(site)]
-    if not (0.0 <= t < box.t_end):
-        raise ValueError("time outside the box")
-    return _face_of(_regions(box.dimension), site, L)
-
-
-@dataclass
-class ExitCounts:
-    box: SpaceTimeBox
-    top: dict
-    face: dict
-
-    def top_vector(self) -> np.ndarray:
-        return np.array([self.top[r] for r in _regions(self.box.dimension).top], dtype=np.int64)
-
-    def face_vector(self) -> np.ndarray:
-        return np.array([self.face[r] for r in _regions(self.box.dimension).face], dtype=np.int64)
+def _code(coords) -> int:
+    """Orthant code: one bit per coordinate, set when it is negative, the first highest."""
+    code = 0
+    for c in coords:
+        code = 2 * code + (c < 0)
+    return code
 
 
 def exit_counts(events: Iterable[Event], box: SpaceTimeBox,
@@ -154,10 +79,9 @@ def exit_counts(events: Iterable[Event], box: SpaceTimeBox,
     """
     if log_horizon is not None and log_horizon < box.t_end:
         raise ValueError("event log ends before the box does")
-    L, t_end = box.half_width, box.t_end
-    regions = _regions(box.dimension)
-    tops = dict.fromkeys(regions.top, 0)
-    faces = dict.fromkeys(regions.face, 0)
+    L, t_end, d = box.half_width, box.t_end, box.dimension
+    tops = [0] * 2**d
+    faces = [0] * (d * 2**d)
     pos: dict = {}
     touched: set = set()  # particles whose ancestral path has met the boundary
 
@@ -174,17 +98,18 @@ def exit_counts(events: Iterable[Event], box: SpaceTimeBox,
             pos.pop(pid, None)
             continue
         if time < t_end and pid not in touched:
-            d = max(map(abs, site))
-            if d == L:
-                faces[_face_of(regions, site, L)] += 1
-            if d >= L:  # a first arrival on the shell or beyond it
+            reach = max(map(abs, site))
+            if reach == L:
+                ax = [abs(c) for c in site].index(L)
+                faces[ax * 2**d + _code((site[ax], *site[:ax], *site[ax + 1:]))] += 1
+            if reach >= L:  # a first arrival on the shell or beyond it
                 touched.add(pid)
         if kind == "leave":
             del pos[pid]
     for pid, site in pos.items():
         if pid not in touched and max(map(abs, site)) <= L:
-            tops[regions.top_at[_signs(site)]] += 1
-    return ExitCounts(box=box, top=tops, face=faces)
+            tops[_code(site)] += 1
+    return ExitCounts(np.array(tops, dtype=np.int64), np.array(faces, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +132,8 @@ def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, in
 
     Per replica one environment is drawn; two independent trees start from
     eta1 and eta2 in it, and f, g (nonnegative, coordinate-wise nondecreasing
-    in the exit-count vectors; not checked) are evaluated on their counters.
+    in the exit-count vectors; not checked) are evaluated on their counters,
+    f(top, face) as exit_counts returns them.
     Shared disasters are the only coupling, and they hurt both trees, so the
     covariance target is nonnegative.  Both trees run truncated to the box
     interior, which leaves exit counts untouched: a lineage is dead to the
@@ -229,8 +155,8 @@ def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, in
             if res.capped:
                 raise CapTripped("cap tripped inside fkg_test; shrink the box or rates")
             out.append(exit_counts(res.events, box))
-        fs[i] = f(out[0].top_vector(), out[0].face_vector())
-        gs[i] = g(out[1].top_vector(), out[1].face_vector())
+        fs[i] = f(*out[0])
+        gs[i] = g(*out[1])
     h = (fs - fs.mean()) * (gs - gs.mean())
     cov = float(h.sum() / (n_reps - 1)) if n_reps > 1 else 0.0
     se = float(h.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
@@ -242,25 +168,17 @@ def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, in
 # product bound for zero patterns
 # ---------------------------------------------------------------------------
 
-def zero_pattern_product_bound(joint, copies: int):
+def zero_pattern_product_bound(joint: Mapping, copies: int):
     """Check prod_i P(X_i = 0)^S <= P(all zero) + (m/(m+1))^((m+1)S).
 
-    `joint` maps {0,1}^(m+1) patterns (tuples, or an array indexed by bit
-    code) to probabilities; S = copies.  Works in exact arithmetic when fed
-    Fractions.  Returns (holds, slack) with slack = rhs - lhs.
+    `joint` maps {0,1}^(m+1) patterns (tuples) to probabilities; S = copies.
+    Works in exact arithmetic when fed Fractions.  Returns (holds, slack)
+    with slack = rhs - lhs.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    if isinstance(joint, Mapping):
-        items = list(joint.items())
-        width = len(items[0][0])
-        probs = {tuple(int(b) for b in k): v for k, v in items}
-    else:
-        arr = list(joint)
-        width = int(math.log2(len(arr)))
-        if 2**width != len(arr):
-            raise ValueError("array joint must have 2^(m+1) entries")
-        probs = {tuple((i >> b) & 1 for b in range(width)): v for i, v in enumerate(arr)}
+    probs = {tuple(int(b) for b in k): v for k, v in joint.items()}
+    width = len(next(iter(probs), ()))
     if width < 2:
         raise ValueError("need m >= 1, i.e. at least two variables")
     total = sum(probs.values())

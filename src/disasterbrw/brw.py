@@ -37,9 +37,11 @@ for replica, because:
   first jump gap, then one (direction, gap) pair per jump, and the offspring
   uniform sits at counter 2 + 2 * jumps.  Jump times are running sums, added
   left to right as the heap loop adds them, and disaster streams are the
-  field's own (env.PackedStreams), so every time agrees bit for bit.  Lives
-  of all replicas' newborns are therefore drawn together as arrays, a block
-  of at most _BLOCK_CELLS cells at a time, with no effect on any draw.
+  field's own (env.PackedStreams, drawn once per distinct env seed and kept
+  until that field's last replica is done), so every time agrees bit for
+  bit.  Lives of all replicas' newborns are therefore drawn together as
+  arrays, a block of at most _BLOCK_CELLS cells at a time, with no effect on
+  any draw.
 * Tie rules carry over.  A particle dies at the first disaster at its site
   in (t0, e] after its birth at t0 and in [a, e] after a jump at a, where e
   is its next jump, its branch or the horizon: a disaster fires before a
@@ -495,7 +497,9 @@ class _ReplicaBatch:
         # start sites, for home_count; not np.unique(axis=0), which imports numpy.ma (~2 MB)
         self.home_sites = np.array([s for s, c in zip(sites, counts) if c], dtype=np.int64).reshape(-1, d)
         n = self.n = len(env_seeds)
-        self.field_base = np.zeros(n, dtype=np.uint64)  # filled as replicas start
+        seeds, self.field_of = np.unique(env_seeds, return_inverse=True)  # replica -> its field
+        self.field_base = np.array([DisasterField(s, params.disaster_rate, d).base_key
+                                    for s in seeds.tolist()], dtype=np.uint64)
         self.tree_base = mix64(tree_seeds)
         self.params, self.initial, self.caps = params, initial, caps
         self.env_seeds, self.tree_seeds = env_seeds, tree_seeds
@@ -555,10 +559,6 @@ class _ReplicaBatch:
         n0 = len(self.root_sites)
         idx = np.arange(self.next, self.next + k, dtype=np.int32)
         self.next += k
-        p = self.params
-        seeds, which = np.unique(self.env_seeds[idx], return_inverse=True)
-        base = [DisasterField(s, p.disaster_rate, p.dimension).base_key for s in seeds.tolist()]
-        self.field_base[idx] = np.array(base, dtype=np.uint64)[which]
         self.state[idx] = 1
         self.alive[idx] = n0
         self.limit[idx] = self.start_time + self.lookahead
@@ -682,8 +682,8 @@ class _ReplicaBatch:
         """First disaster time >= a at each row's site, in its replica's field; inf if none."""
         n = len(a)
         rep, coords, a = _padded(rep, coords, a)
-        keys = site_keys_at(self.field_base[rep], coords)
-        return self.streams.first_from(keys, rep, a)[:n]
+        field = self.field_of[rep]
+        return self.streams.first_from(site_keys_at(self.field_base[field], coords), field, a)[:n]
 
     def _settle(self) -> None:
         """Apply every event before each replica's checked time, in the heap loop's order.
@@ -721,7 +721,9 @@ class _ReplicaBatch:
         self.n_pool = int(np.count_nonzero(keep))
         for col in pool.values():
             col[:self.n_pool] = col[keep]
-        self.streams.drop(self.state == 2)
+        # a field's streams go once none of its replicas waits or runs
+        self.streams.drop(np.bincount(self.field_of, weights=self.state != 2,
+                                      minlength=len(self.field_base)) == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ into output files.  --threads (1..256) is accepted and has no effect: the
 work holds the interpreter lock, and a thread pool ran slower than one
 thread.
 
-Lattice dumps (perc --dump) are "k l occupied open" lines.
+Lattice dumps (perc --dump) are "k l occupied open" lines.  perc --mode indep
+and sweep --p-grid reject the model flags, which they do not read (sweep
+--p-grid also --horizon, the caps and the other grids): a config error.
 
 Exit codes: 0 success, 1 config error, 2 oracle-suite failure, 3 statistical
 acceptance failure or a tripped population cap.  A check that needs uncapped
@@ -558,15 +560,15 @@ def _explicit_dests(actions, argv) -> set:
     return seen
 
 
-def _apply_config_overrides(ns, actions, argv) -> None:
+def _apply_config_overrides(ns, actions, explicit: set) -> set:
     """File values apply wherever the flag was not given explicitly, typed and checked as flags are.
 
     A key is an option's long name without its dashes (`format`, `n-reps` or
-    `n_reps`) or its argparse dest (`fmt`).
+    `n_reps`) or its argparse dest (`fmt`).  Returns the dests the file names.
     """
     if ns.config is None:
-        return
-    explicit = _explicit_dests(actions, argv)
+        return set()
+    named = set()
     by_key = {a.dest: a for a in actions}
     by_key.update({op[2:].replace("-", "_"): a for a in actions
                    for op in a.option_strings if op.startswith("--")})
@@ -574,6 +576,7 @@ def _apply_config_overrides(ns, actions, argv) -> None:
         act = by_key.get(key)
         if act is None:
             raise ConfigError(f"unknown config key {key!r}")
+        named.add(act.dest)
         if act.dest in explicit:
             continue  # explicit flag wins
         if isinstance(act.default, bool):
@@ -583,6 +586,17 @@ def _apply_config_overrides(ns, actions, argv) -> None:
             if act.choices is not None and value not in act.choices:
                 raise ConfigError(f"{key}: {raw!r} is not one of {', '.join(map(str, act.choices))}")
         setattr(ns, act.dest, value)
+    return named
+
+
+def _unread(ns) -> tuple:
+    """Dests of flags the command takes but does not read in the mode chosen."""
+    model = ("kappa", "lam", "q", "alpha", "d")
+    if ns.command == "perc" and ns.mode == "indep":
+        return model
+    if ns.command == "sweep" and ns.p_grid:
+        return model + ("horizon", "cap_alive", "cap_events", "kappa_grid", "lam_grid")
+    return ()
 
 
 def main(argv=None) -> int:
@@ -593,7 +607,12 @@ def main(argv=None) -> int:
     try:
         ns = ap.parse_args(argv)
         actions = ap._subparsers._group_actions[0].choices[ns.command]._actions
-        _apply_config_overrides(ns, actions, argv)
+        explicit = _explicit_dests(actions, argv)
+        given = explicit | _apply_config_overrides(ns, actions, explicit)
+        unread = [k for k in _unread(ns) if k in given]
+        if unread:
+            raise ConfigError(f"{ns.command} does not read "
+                              f"{', '.join('--' + k.replace('_', '-') for k in unread)} in this mode")
         if ns.seed is None:
             raise ConfigError("--seed is required (reproducibility: no wall-clock default)")
         for name, check, msg in _RANGE_CHECKS:

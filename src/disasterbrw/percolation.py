@@ -90,19 +90,18 @@ class SpaceTimeWindow:
 
 
 def detect_occupied_copy(events: Iterable[Event], block_radius: int, copies_root: int,
-                         windows: SpaceTimeWindow | Sequence[SpaceTimeWindow], dimension: int):
-    """Earliest (t, x) in a window where every site of x + block holds >= copies_root^2 particles.
+                         windows: Sequence[SpaceTimeWindow], dimension: int) -> list:
+    """Earliest (t, x) in each window where every site of x + block holds >= copies_root^2 particles.
 
-    One window gets (t, x) or None; a sequence gets a list with one such entry
-    per window, all from one pass over the log.  Counts only change at events,
-    so the exact set of full anchors is read only after a whole batch of events
-    sharing a timestamp (states inside one instant are not real states): in
-    full when a window opens, after every event at or before t_lo, then after
-    each batch up to t_hi against the anchors that filled in that batch.
-    Anchors filling at one instant resolve in lexicographic order.
+    One entry per window, (t, x) or None, all from one pass over the log.
+    Counts only change at events, so the exact set of full anchors is read
+    only after a whole batch of events sharing a timestamp (states inside one
+    instant are not real states): in full when a window opens, after every
+    event at or before t_lo, then after each batch up to t_hi against the
+    anchors that filled in that batch.  Anchors filling at one instant
+    resolve in lexicographic order.
     """
-    single = isinstance(windows, SpaceTimeWindow)
-    wins = [windows] if single else list(windows)
+    wins = list(windows)
     need = copies_root * copies_root
     offsets = cube_sites(block_radius, dimension)
     counts: dict[Site, int] = {}
@@ -164,7 +163,7 @@ def detect_occupied_copy(events: Iterable[Event], block_radius: int, copies_root
                     hits[i] = (t, x)
                     active.remove(i)
     open_before(math.inf)  # windows opening at or after the last event see the final state
-    return hits[0] if single else hits
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -301,5 +300,6 @@ def sample_occupancy_bits(params: BRWParams, half_width: int, period: float,
             win = SpaceTimeWindow(t_lo=5.0 * period, t_hi=6.0 * period,
                                   x_lo=(target_c - L,) + (-L,) * (d - 1),
                                   x_hi=(target_c + L,) + (L,) * (d - 1))
-            bits[i, l] = detect_occupied_copy(res.events, block_radius, copies_root, win, d) is not None
+            (hit,) = detect_occupied_copy(res.events, block_radius, copies_root, [win], d)
+            bits[i, l] = hit is not None
     return bits

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -143,8 +144,6 @@ def prob_of(dist, bits) -> float:
 
 def exact_parity_enumeration(weights, k: int) -> dict:
     """Exact parity-pattern law by enumerating all bin assignments (rationals)."""
-    from itertools import product
-
     wf = [Fraction(w) for w in weights]
     out: dict = {}
     for assign in product(range(len(weights)), repeat=k):
@@ -456,8 +455,6 @@ def detect_occupied_copy_oracle(events, block_radius: int, copies_root: int, win
     filling at one instant resolve in lexicographic order.  Returns None
     when no placement fills up within the window.
     """
-    from itertools import product
-
     from disasterbrw.brw import cube_sites
 
     need = copies_root * copies_root
@@ -570,34 +567,51 @@ def first_block_oracle(field, site, t_max: float) -> np.ndarray:
     return 0.0 + np.cumsum(gaps)
 
 
-# -- exit counter before the prebuilt regions --------------------------------------
-# boxes.classify_exit and boxes.exit_counts as they were when every exit built
-# and validated its own ExitRegion.
+# -- exit counter by region tuples ------------------------------------------------
+# boxes.exit_counts as it was when every exit built and validated its own
+# region object; a region is a tuple (kind, axis, sign, theta), with theta the
+# signs of the coordinates other than the distinguished one.
+
+def _sign(v: int) -> int:
+    return 1 if v >= 0 else -1
+
+
+def exit_region_order(dimension: int) -> tuple[list, list]:
+    """(top, face) region tuples in the order of exit_counts' vectors: axes in
+    order, the distinguished sign before theta, +1 before -1."""
+    thetas = list(product((1, -1), repeat=dimension - 1))
+    top = [("top", 0, s, th) for s in (1, -1) for th in thetas]
+    face = [("face", ax, s, th) for ax in range(dimension) for s in (1, -1) for th in thetas]
+    return top, face
+
 
 def classify_exit_oracle(box, t: float, site):
-    from disasterbrw.boxes import ExitRegion, sign_of
-
     L = box.half_width
     if any(abs(c) > L for c in site):
         raise ValueError("site outside the box")
     if t == box.t_end:
-        return ExitRegion("top", 0, sign_of(site[0]), tuple(sign_of(c) for c in site[1:]))
+        return ("top", 0, _sign(site[0]), tuple(_sign(c) for c in site[1:]))
     if not (0.0 <= t < box.t_end):
         raise ValueError("time outside the box")
     for ax, c in enumerate(site):
         if abs(c) == L:
-            theta = tuple(sign_of(site[j]) for j in range(box.dimension) if j != ax)
-            return ExitRegion("face", ax, sign_of(c), theta)
+            theta = tuple(_sign(site[j]) for j in range(box.dimension) if j != ax)
+            return ("face", ax, _sign(c), theta)
     raise ValueError("point is interior, not on the boundary")
 
 
-def exit_counts_oracle(events, box) -> tuple[dict, dict]:
-    """(top, face) counts of boxes.exit_counts, by the per-event classifier."""
-    from disasterbrw.boxes import face_regions, top_regions
+def exit_vectors(tops: dict, faces: dict, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counts keyed by region tuples as exit_counts' (top, face) vectors."""
+    top, face = exit_region_order(dimension)
+    return (np.array([tops.get(r, 0) for r in top], dtype=np.int64),
+            np.array([faces.get(r, 0) for r in face], dtype=np.int64))
 
+
+def exit_counts_oracle(events, box) -> tuple[np.ndarray, np.ndarray]:
+    """(top, face) vectors of boxes.exit_counts, by the per-event classifier."""
     L = box.half_width
-    tops = {r: 0 for r in top_regions(box.dimension)}
-    faces = {r: 0 for r in face_regions(box.dimension)}
+    tops: dict = {}
+    faces: dict = {}
     pos: dict = {}
     touched: dict = {}
 
@@ -612,14 +626,16 @@ def exit_counts_oracle(events, box) -> tuple[dict, dict]:
     def open_window() -> None:
         for pid, site in pos.items():
             if touched[pid] is None and on_shell(site):
-                faces[classify_exit_oracle(box, 0.0, site)] += 1
+                region = classify_exit_oracle(box, 0.0, site)
+                faces[region] = faces.get(region, 0) + 1
                 touched[pid] = 0.0
 
     def note_arrival(pid, site, time: float) -> None:
         if started and time < box.t_end and touched.get(pid) is None \
                 and (on_shell(site) or outside(site)):
             if not outside(site):
-                faces[classify_exit_oracle(box, time, site)] += 1
+                region = classify_exit_oracle(box, time, site)
+                faces[region] = faces.get(region, 0) + 1
             touched[pid] = time
 
     for ev in events:
@@ -645,5 +661,6 @@ def exit_counts_oracle(events, box) -> tuple[dict, dict]:
         open_window()
     for pid, site in pos.items():
         if touched.get(pid) is None and not outside(site):
-            tops[classify_exit_oracle(box, box.t_end, site)] += 1
-    return tops, faces
+            region = classify_exit_oracle(box, box.t_end, site)
+            tops[region] = tops.get(region, 0) + 1
+    return exit_vectors(tops, faces, box.dimension)

@@ -8,65 +8,89 @@ import pytest
 
 from disasterbrw.boxes import (
     SpaceTimeBox,
-    classify_exit,
     exit_counts,
-    face_regions,
     fkg_test,
-    top_regions,
     zero_pattern_product_bound,
 )
-from disasterbrw.brw import BRWParams, Caps, CapTripped, Comparison, offspring_pmf, simulate
+from disasterbrw.brw import BRWParams, Caps, CapTripped, Comparison, Event, offspring_pmf, simulate
 from disasterbrw.env import DisasterField
 from disasterbrw.rng import derive_seed
 from disasterbrw.walk import _binom_se
 
-from helpers import exit_counts_oracle
+from helpers import classify_exit_oracle, exit_counts_oracle, exit_region_order, exit_vectors
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
 
 
 # -- classification ------------------------------------------------------------
+# exit_counts on the log of one particle: born at the origin and jumping to
+# `site` at time t, or born on `site` when t is 0.
+
+def _one_particle(site, t: float) -> list[Event]:
+    if t == 0.0:
+        return [Event(0.0, "birth", (0,), site)]
+    return [Event(0.0, "birth", (0,), (0,) * len(site)), Event(t, "jump", (0,), site)]
+
+
+def _code(coords) -> int:
+    """The documented orthant code: bit set for a negative coordinate, first coordinate highest."""
+    return sum(1 << (len(coords) - 1 - i) for i, c in enumerate(coords) if c < 0)
+
 
 def test_classify_top_origin_two_dim():
-    box = SpaceTimeBox(half_width=5, height=1.0, dimension=2)
-    r = classify_exit(box, 1.0, (0, 0))
-    assert (r.kind, r.sign, r.theta) == ("top", 1, (1,))  # sign(0) = +1
+    ec = exit_counts(_one_particle((0, 0), 1.0), SpaceTimeBox(half_width=5, height=1.0, dimension=2))
+    assert ec.top.tolist() == [1, 0, 0, 0]  # sign(0) = +1
+    assert not ec.face.any()
 
 
 def test_classify_face_two_dim():
-    box = SpaceTimeBox(half_width=5, height=1.0, dimension=2)
-    r = classify_exit(box, 0.5, (5, -3))
-    assert (r.kind, r.axis, r.sign, r.theta) == ("face", 0, 1, (-1,))
+    ec = exit_counts(_one_particle((5, -3), 0.5), SpaceTimeBox(half_width=5, height=1.0, dimension=2))
+    assert ec.face.tolist() == [0, 1, 0, 0, 0, 0, 0, 0]  # axis 0, (+, -)
+    assert not ec.top.any()
 
 
 def test_classify_rejects_interior_and_outside():
+    # an interior arrival is no exit, a site past the shell ends on no counter,
+    # and an arrival after the top is not read
     box = SpaceTimeBox(half_width=3, height=1.0, dimension=1)
-    with pytest.raises(ValueError):
-        classify_exit(box, 0.5, (0,))
-    with pytest.raises(ValueError):
-        classify_exit(box, 0.5, (4,))
-    with pytest.raises(ValueError):
-        classify_exit(box, 2.0, (0,))
+    ec = exit_counts(_one_particle((-2,), 0.5), box)
+    assert ec.top.tolist() == [0, 1] and not ec.face.any()
+    for t in (0.5, 1.0):
+        ec = exit_counts(_one_particle((4,), t), box)
+        assert not ec.top.any() and not ec.face.any()
+    ec = exit_counts(_one_particle((3,), 2.0), box)
+    assert ec.top.tolist() == [1, 0] and not ec.face.any()
 
 
 def test_boundary_partition_exhaustive():
+    # a one-particle log ending on any top or shell site counts once, at the
+    # documented index, which is also the oracle's region order
     for d in (1, 2, 3):
+        top_order, face_order = exit_region_order(d)
         for L in (1, 2, 4):
             box = SpaceTimeBox(half_width=L, height=1.0, dimension=d)
-            tops = set(top_regions(d))
-            faces = set(face_regions(d))
-            assert len(tops) == 2**d and len(faces) == d * 2**d
-            top_seen = set()
+            top_seen, face_seen = set(), set()
             for x in product(range(-L, L + 1), repeat=d):
-                r = classify_exit(box, 1.0, x)
-                assert r in tops
-                top_seen.add(r)
-                if max(abs(c) for c in x) == L:
-                    for t in (0.0, 0.37, 0.99):
-                        rf = classify_exit(box, t, x)
-                        assert rf in faces
-            assert top_seen == tops
+                ec = exit_counts(_one_particle(x, 1.0), box)
+                want = np.zeros(2**d, dtype=np.int64)
+                want[_code(x)] = 1
+                assert ec.top.tolist() == want.tolist() and not ec.face.any(), (d, L, x)
+                assert top_order.index(classify_exit_oracle(box, 1.0, x)) == _code(x)
+                top_seen.add(_code(x))
+                if max(abs(c) for c in x) < L:
+                    continue
+                ax = [abs(c) for c in x].index(L)
+                k = ax * 2**d + _code((x[ax], *x[:ax], *x[ax + 1:]))
+                for t in (0.0, 0.37, 0.99):
+                    ec = exit_counts(_one_particle(x, t), box)
+                    assert np.flatnonzero(ec.face).tolist() == [k] and ec.face[k] == 1, (d, L, x, t)
+                    assert not ec.top.any()
+                    assert face_order.index(classify_exit_oracle(box, t, x)) == k
+                face_seen.add(k)
+            assert top_seen == set(range(2**d))
+            if L > 1:  # with L = 1 a smaller axis on the shell takes every edge
+                assert face_seen == set(range(d * 2**d))
 
 
 # -- exit counts ----------------------------------------------------------------
@@ -74,8 +98,8 @@ def test_boundary_partition_exhaustive():
 def _oracle_exit_counts(result, box):
     """Independent route: rebuild each particle's full ancestral path and take
     first boundary hits by brute-force scanning."""
-    tops = {r: 0 for r in top_regions(box.dimension)}
-    faces = {r: 0 for r in face_regions(box.dimension)}
+    tops: dict = {}
+    faces: dict = {}
     recs = result.records
     L = box.half_width
     jumps = {}
@@ -116,12 +140,14 @@ def _oracle_exit_counts(result, box):
                     first_owner = node
                     break
             if first_owner == pid:
-                faces[classify_exit(box, t, s)] += 1
+                region = classify_exit_oracle(box, t, s)
+                faces[region] = faces.get(region, 0) + 1
         elif hit is None and lineage_alive:
             pos = moves[-1][1]
             if max(abs(c) for c in pos) <= L:
-                tops[classify_exit(box, box.t_end, pos)] += 1
-    return tops, faces
+                region = classify_exit_oracle(box, box.t_end, pos)
+                tops[region] = tops.get(region, 0) + 1
+    return exit_vectors(tops, faces, box.dimension)
 
 
 def test_exit_counts_trivial_cases():
@@ -130,7 +156,7 @@ def test_exit_counts_trivial_cases():
     fld = DisasterField(1, 0.0, 1)
     res = simulate(params, {(0,): 1}, fld, 0.0, 1.0, 1)
     ec = exit_counts(res.events, SpaceTimeBox(3, 1.0, 1), res.horizon)
-    assert sum(ec.top.values()) == 1 and sum(ec.face.values()) == 0
+    assert ec.top.sum() == 1 and ec.face.sum() == 0
 
 
 def test_exit_counts_all_zero_when_everyone_dies_inside():
@@ -141,7 +167,7 @@ def test_exit_counts_all_zero_when_everyone_dies_inside():
     fld2 = DisasterField(seed=3001, rate=1.0, dimension=1)
     res = simulate(params, {(0,): 1}, fld2, 0.0, t_hit + 1.0, 1)
     ec = exit_counts(res.events, SpaceTimeBox(3, t_hit + 1.0, 1), res.horizon)
-    assert sum(ec.top.values()) == 0 and sum(ec.face.values()) == 0
+    assert ec.top.sum() == 0 and ec.face.sum() == 0
 
 
 def test_exit_counts_log_coverage_check():
@@ -159,8 +185,8 @@ def test_exit_counts_against_path_replay_oracle():
         res = simulate(params, {(0,): 2}, fld, 0.0, 1.5, 7200 + i)
         ec = exit_counts(res.events, box, res.horizon)
         tops, faces = _oracle_exit_counts(res, box)
-        assert ec.top == tops, i
-        assert ec.face == faces, i
+        assert ec.top.tolist() == tops.tolist(), i
+        assert ec.face.tolist() == faces.tolist(), i
 
 
 def test_exit_counts_conservation():
@@ -173,7 +199,7 @@ def test_exit_counts_conservation():
         res = simulate(params, {(0, 0): 2}, fld, 0.0, 1.0, 7800 + i)
         ec = exit_counts(res.events, box, res.horizon)
         tops, faces = _oracle_exit_counts(res, box)
-        assert sum(ec.top.values()) + sum(ec.face.values()) == sum(tops.values()) + sum(faces.values())
+        assert ec.top.sum() + ec.face.sum() == tops.sum() + faces.sum()
 
 
 def test_truncated_run_matches_untruncated_exit_counts():
@@ -188,7 +214,7 @@ def test_truncated_run_matches_untruncated_exit_counts():
                          trunc=box.interior_region())
         a = exit_counts(full.events, box, full.horizon)
         b = exit_counts(trunc.events, box, trunc.horizon)
-        assert a.top == b.top and a.face == b.face
+        assert a.top.tolist() == b.top.tolist() and a.face.tolist() == b.face.tolist()
 
 
 def _oracle_boxes(rng, d: int, res):
@@ -215,8 +241,8 @@ def test_exit_counts_match_per_event_oracle():
             for box in _oracle_boxes(rng, d, res):
                 ec = exit_counts(res.events, box, res.horizon)
                 tops, faces = exit_counts_oracle(res.events, box)
-                assert ec.top == tops and ec.face == faces, (d, i, box)
-                assert list(ec.top) == top_regions(d) and list(ec.face) == face_regions(d)
+                assert ec.top.tolist() == tops.tolist() and ec.face.tolist() == faces.tolist(), (d, i, box)
+                assert ec.top.shape == (2**d,) and ec.face.shape == (d * 2**d,)
                 n_logs += 1
     assert n_logs > 300
 
@@ -350,9 +376,7 @@ def exit_product_bounds_check(params: BRWParams, eta: Mapping[tuple[int, ...], i
                            derive_seed(seed, tag, "tree", i), trunc=region, caps=caps)
             if res.capped:
                 raise CapTripped("cap tripped during product-bound check")
-            ec = exit_counts(res.events, box)
-            tv[i] = ec.top_vector()
-            fv[i] = ec.face_vector()
+            tv[i], fv[i] = exit_counts(res.events, box)
         return tv, fv
 
     tv_big, fv_big = batch(eta_big, "epb-big")

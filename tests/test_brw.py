@@ -17,7 +17,7 @@ from disasterbrw.brw import (
     survive_replicas,
 )
 from disasterbrw import brw
-from disasterbrw.env import DisasterField, SuperposedField, superpose
+from disasterbrw.env import DisasterField, PackedStreams, SuperposedField, superpose
 from disasterbrw.rng import (ParticleStream, counter_exponential, counter_uniform, derive_seed,
                              derive_seeds, fold, mix64_int)
 from helpers import (WalkPath, centered_box, coupled_sweep_oracle, extinction_time, replay_site_counts,
@@ -526,6 +526,27 @@ def test_batch_engine_builds_one_field_per_distinct_env_seed(monkeypatch):
     env = [5, 7, 5, 5, 7, 9] * 10
     survive_replicas(params, {(0, 0): 1}, env, derive_seeds(60, 3, "tree"), 2.0)
     assert sorted(built) == [5, 7, 9]
+
+
+def test_batch_engine_draws_each_stream_once(monkeypatch):
+    # streams belong to a field, not to a replica: one that a finished
+    # replica read stays for the replicas still running in its field
+    added = []
+    add = PackedStreams._add
+
+    def counted(self, keys, owners):
+        added.extend(keys.tolist())
+        return add(self, keys, owners)
+
+    monkeypatch.setattr(PackedStreams, "_add", counted)
+    params = BRWParams(2.0, 0.5, BINARY, 1.0, 1)
+    out = brw.replicas_in_field(params, DisasterField(derive_seed(6, "field"), 1.0, 1),
+                                derive_seeds(300, 6, "tree"), 0.0, 2.0, Caps())
+    assert out.final_count.sum() > 0 and len(set(added)) > 5
+    assert len(added) == len(set(added))
+    added.clear()
+    survive_replicas(params, {(0,): 1}, [5, 7, 5, 5, 7, 9] * 50, derive_seeds(300, 3, "tree"), 2.0)
+    assert len(added) == len(set(added))
 
 
 def test_batch_engine_does_not_depend_on_its_blocks(monkeypatch):

@@ -73,8 +73,9 @@ def test_bad_grid_is_config_error(grid, capsys, monkeypatch):
         return real(params_max, rates, *args, **kwargs)
 
     monkeypatch.setattr(cli.brw_mod, "coupled_birth_rate_survival", run)
-    assert cli.main(["sweep", "--seed", "1", "--q", "2:1", "--horizon", "1", "--n-reps", "3",
-                     *grid]) == 1
+    # a percolation grid reads no model flags, so it is given none
+    model = [] if grid[0] == "--p-grid" else ["--q", "2:1", "--horizon", "1"]
+    assert cli.main(["sweep", "--seed", "1", *model, "--n-reps", "3", *grid]) == 1
     _one_config_error_line(capsys)
 
 
@@ -83,6 +84,31 @@ def test_model_flags_only_where_they_are_read(capsys):
         for flag, value in (("--lam", "2"), ("--q", "2:1")):
             assert cli.main([command, "--seed", "1", flag, value]) == 1
             _one_config_error_line(capsys)
+
+
+def test_flags_a_mode_does_not_read_are_config_errors(tmp_path, capsys):
+    indep = ["perc", "--seed", "1", "--rows", "2", "--n-reps", "2"]
+    p_grid = ["sweep", "--seed", "1", "--p-grid", "0.5", "--rows", "2", "--n-reps", "2"]
+    unread = {"perc": [("--kappa", "2"), ("--lam", "5"), ("--q", "2:1"), ("--alpha", "0"), ("--d", "2")]}
+    unread["sweep"] = unread["perc"] + [("--horizon", "3"), ("--cap-alive", "5"),
+                                        ("--cap-events", "5"), ("--kappa-grid", "1,2"),
+                                        ("--lam-grid", "1,2")]
+    cfg = tmp_path / "run.cfg"
+    for argv in (indep, p_grid):
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        for flag, value in unread[argv[0]]:
+            assert cli.main([*argv, flag, value]) == 1
+            assert flag in _one_config_error_line(capsys)
+            cfg.write_text(f"{flag[2:]} = {value}\n")
+            assert cli.main([*argv, "--config", str(cfg)]) == 1
+            assert flag in _one_config_error_line(capsys)
+    # the same flags are read in the other modes
+    assert cli.main(["perc", "--seed", "1", "--mode", "brw", "--rows", "1", "--n-reps", "1",
+                     "--lam", "0.5", "--q", "2:1"]) == 0
+    cfg.write_text("mode = indep\n")
+    assert cli.main(["perc", "--seed", "1", "--rows", "1", "--n-reps", "1", "--lam", "0.5",
+                     "--config", str(cfg)]) == 1
 
 
 @pytest.mark.parametrize("flags", [["--horizon", "nan"], ["--horizon", "-1"], ["--cap-alive", "0"],

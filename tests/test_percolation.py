@@ -85,12 +85,12 @@ def test_detect_immediate_from_start():
     fld = DisasterField(7, 1.0, 1)
     res = simulate(params, {(0,): 1}, fld, 0.0, 1.0, 9)
     win = SpaceTimeWindow(0.0, 1.0, (-2,), (2,))
-    assert detect_occupied_copy(res.events, 0, 1, win, 1) == (0.0, (0,))
+    assert detect_occupied_copy(res.events, 0, 1, [win], 1) == [(0.0, (0,))]
 
 
 def test_detect_empty_process_none():
     win = SpaceTimeWindow(0.0, 1.0, (-2,), (2,))
-    assert detect_occupied_copy([], 0, 1, win, 1) is None
+    assert detect_occupied_copy([], 0, 1, [win], 1) == [None]
 
 
 def test_detect_reads_batch_ends_only():
@@ -144,7 +144,7 @@ def test_detect_matches_full_scan_oracle():
         res = simulate(params, {(0,): 2}, fld, 0.0, 2.0, 500 + i,
                        caps=Caps(max_alive=500, max_events=10**5))
         win = SpaceTimeWindow(0.4, 1.6, (-2,), (2,))
-        got = detect_occupied_copy(res.events, 0, 1, win, 1)
+        (got,) = detect_occupied_copy(res.events, 0, 1, [win], 1)
         want = oracle(res.events, 0, 1, win, 1)
         assert got == want
 
@@ -193,7 +193,7 @@ def test_one_pass_matches_per_window_oracle():
         wins = _random_windows(gen, [ev.time for ev in res.events], d, int(gen.integers(1, 8)))
         want = [detect_occupied_copy_oracle(res.events, radius, root, w, d) for w in wins]
         assert detect_occupied_copy(res.events, radius, root, wins, d) == want, i
-        assert detect_occupied_copy(res.events, radius, root, wins[0], d) == want[0], i
+        assert detect_occupied_copy(res.events, radius, root, wins[:1], d) == want[:1], i
         n_windows += len(wins)
         n_hits += sum(w is not None for w in want)
     assert n_hits > 100 and n_windows - n_hits > 300  # both answers well represented
