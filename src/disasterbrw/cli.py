@@ -592,10 +592,14 @@ def _apply_config_overrides(ns, actions, explicit: set) -> set:
 def _unread(ns) -> tuple:
     """Dests of flags the command takes but does not read in the mode chosen."""
     model = ("kappa", "lam", "q", "alpha", "d")
-    if ns.command == "perc" and ns.mode == "indep":
-        return model
-    if ns.command == "sweep" and ns.p_grid:
-        return model + ("horizon", "cap_alive", "cap_events", "kappa_grid", "lam_grid")
+    if ns.command == "perc":
+        if ns.mode == "indep":
+            return model + ("box_l", "box_t", "block_n", "copies_s", "dump")
+        return ("p",)
+    if ns.command == "sweep":
+        if ns.p_grid:
+            return model + ("horizon", "cap_alive", "cap_events", "kappa_grid", "lam_grid")
+        return ("rows",)
     return ()
 
 

@@ -47,8 +47,14 @@ class _SiteStream:
 
 
 def _block_size(rate: float, span: float) -> int:
+    """Uniforms drawn at once for a stream asked for times up to `span`.
+
+    A Poisson count with this mean reaches the block with probability below
+    1e-9 at every mean, so a stream rarely needs more; when one does, the
+    callers draw on and keep every bit.
+    """
     mean = rate * max(span, 0.0)
-    return max(8, int(math.ceil(mean + 10.0 * math.sqrt(mean) + 16.0)))
+    return int(math.ceil(mean + 6.0 * math.sqrt(mean) + 8.0))
 
 
 def _gap_sums(keys: np.ndarray, n: int, rate: float) -> np.ndarray:

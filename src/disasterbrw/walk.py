@@ -118,8 +118,10 @@ def _survival_batch(field, jump_rate: float, t: float, n_walkers: int, gen: np.r
     has hit yet.  A block holds about _BLOCK_CELLS segments of the walkers
     still alive, so a batch that small runs as one block, and the cost
     scales with the walker-time spent alive rather than with
-    n_walkers * jump_rate * t.  Which walkers survive does not depend on the
-    blocks, and the draws (hence the generator's final state) do not either.
+    n_walkers * jump_rate * t.  One bisection answers every segment of a
+    block (_hits); it relies on numpy ordering complex numbers real part
+    first.  Which walkers survive does not depend on the blocks, and the
+    draws (hence the generator's final state) do not either.
     """
     d = field.dimension - (1 if namespaces is not None else 0)
     survived = np.ones(n_walkers, dtype=bool)
@@ -157,31 +159,48 @@ def _survival_batch(field, jump_rate: float, t: float, n_walkers: int, gen: np.r
 
 def _hits(field, t: float, a: np.ndarray, b: np.ndarray, pos: np.ndarray,
           namespaces: np.ndarray | None) -> np.ndarray:
-    """Which rows meet a disaster: row r sits at pos[r, j] during [a[r, j], b[r, j])."""
-    hit = np.zeros(len(a), dtype=bool)
-    live = a < b
-    if not live.any():
-        return hit
-    r_idx = np.broadcast_to(np.arange(len(a))[:, None], live.shape)[live]
-    a, b, sites = a[live], b[live], pos[live]
+    """Which rows meet a disaster: row r sits at pos[r, j] during [a[r, j], b[r, j]).
+
+    One bisection answers every segment.  Each site of the block gets an
+    index g, and its disaster times s < t become the complex numbers g + s*i
+    of one sorted array, closed by inf + inf*i.  numpy sorts and bisects
+    complex numbers lexicographically, real part first, so the first entry
+    >= g + a*i is the site's first disaster at or after a when its real part
+    is g: the segment is hit iff that entry has real part g and imaginary
+    part < b.  An empty segment (a == b, past a walker's last jump) is never
+    hit.  Every b is at most t, so the times >= t are dropped.
+
+    In one dimension g is the coordinate minus the block's smallest one.
+    Every site between the origin and a walker was visited by it while it
+    was alive, so the sites of that range are the ones the block's segments
+    and the earlier blocks visit, and no stream is materialized that a
+    lookup of the visited sites alone would not.
+    """
+    m, w = a.shape
     if namespaces is not None:
-        sites = np.concatenate([namespaces[r_idx][:, None], sites], axis=1)
-    # in one dimension, group directly on the coordinate
-    keys = sites[:, 0] if sites.shape[1] == 1 else field.site_keys(sites)
-    order = np.argsort(keys, kind="stable")
-    keys_s = keys[order]
-    a_s, b_s, r_s = a[order], b[order], r_idx[order]
-    cut = np.flatnonzero(np.r_[True, keys_s[1:] != keys_s[:-1]])
-    streams = field.streams_for_coords(sites[order[cut]], t)
-    bounds = np.r_[cut, len(keys_s)]
-    for j, ss in enumerate(streams):
-        if not len(ss):
-            continue
-        sl = slice(bounds[j], bounds[j + 1])
-        c0 = np.searchsorted(ss, a_s[sl], side="left")
-        c1 = np.searchsorted(ss, b_s[sl], side="left")
-        hit[r_s[sl][c1 > c0]] = True
-    return hit
+        ns = np.broadcast_to(namespaces[:, None, None], (m, w, 1))
+        pos = np.concatenate([ns, pos], axis=2)
+    sites = pos.reshape(m * w, pos.shape[2])
+    if sites.shape[1] == 1:
+        lo = int(sites.min())
+        g = sites[:, 0] - lo
+        coords = np.arange(lo, int(sites.max()) + 1)[:, None]
+    else:
+        _, first, g = np.unique(field.site_keys(sites), return_index=True, return_inverse=True)
+        coords = sites[first]
+    streams = field.streams_for_coords(coords, t)
+    times = np.concatenate(streams)
+    owner = np.repeat(np.arange(len(streams), dtype=np.float64), [len(s) for s in streams])
+    keep = times < t
+    pairs = np.empty(int(keep.sum()) + 1, dtype=np.complex128)
+    pairs.real[:-1] = owner[keep]
+    pairs.imag[:-1] = times[keep]
+    pairs[-1] = complex(math.inf, math.inf)
+    query = np.empty(m * w, dtype=np.complex128)
+    query.real = g
+    query.imag = a.ravel()
+    found = pairs[np.searchsorted(pairs, query)]
+    return ((found.real == query.real) & (found.imag < b.ravel())).reshape(m, w).any(axis=1)
 
 
 # ---------------------------------------------------------------------------

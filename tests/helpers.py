@@ -160,8 +160,10 @@ def survival_batch_oracle(field, jump_rate, t, n_walkers, gen, namespaces=None):
 
     The single-pass form of walk._survival_batch: the same draws in the same
     order (Poisson counts, then per chunk the jump times, the int8 signs and,
-    for d > 1, the axes) and the same site grouping, but every segment of
-    every walker is looked up, hit or not.  Returns (survived, at_origin).
+    for d > 1, the axes), but every segment of every walker is looked up, hit
+    or not.  The lookup is not the kernel's: it sorts the non-empty segments
+    by site and bisects each visited site's stream on its own, so it
+    materializes exactly the visited sites.  Returns (survived, at_origin).
     """
     from disasterbrw.walk import _chunked
 

@@ -87,25 +87,33 @@ def test_model_flags_only_where_they_are_read(capsys):
 
 
 def test_flags_a_mode_does_not_read_are_config_errors(tmp_path, capsys):
-    indep = ["perc", "--seed", "1", "--rows", "2", "--n-reps", "2"]
-    p_grid = ["sweep", "--seed", "1", "--p-grid", "0.5", "--rows", "2", "--n-reps", "2"]
-    unread = {"perc": [("--kappa", "2"), ("--lam", "5"), ("--q", "2:1"), ("--alpha", "0"), ("--d", "2")]}
-    unread["sweep"] = unread["perc"] + [("--horizon", "3"), ("--cap-alive", "5"),
-                                        ("--cap-events", "5"), ("--kappa-grid", "1,2"),
-                                        ("--lam-grid", "1,2")]
+    model = [("--kappa", "2"), ("--lam", "5"), ("--q", "2:1"), ("--alpha", "0"), ("--d", "2")]
+    dump = tmp_path / "eta.txt"
+    modes = [
+        (["perc", "--seed", "1", "--rows", "2", "--n-reps", "2"],
+         model + [("--box-l", "9"), ("--box-t", "0.5"), ("--block-n", "2"), ("--copies-s", "2"),
+                  ("--dump", str(dump))]),
+        (["perc", "--seed", "1", "--mode", "brw", "--rows", "1", "--n-reps", "1", "--lam", "0.5",
+          "--q", "2:1"],
+         [("--p", "0.5")]),
+        (["sweep", "--seed", "1", "--p-grid", "0.5", "--rows", "2", "--n-reps", "2"],
+         model + [("--horizon", "3"), ("--cap-alive", "5"), ("--cap-events", "5"),
+                  ("--kappa-grid", "1,2"), ("--lam-grid", "1,2")]),
+        (["sweep", "--seed", "1", "--q", "0:0.0,2:1.0", "--horizon", "1", "--n-reps", "3"],
+         [("--rows", "2")]),
+    ]
     cfg = tmp_path / "run.cfg"
-    for argv in (indep, p_grid):
+    for argv, unread in modes:
         assert cli.main(argv) == 0
         capsys.readouterr()
-        for flag, value in unread[argv[0]]:
+        for flag, value in unread:
             assert cli.main([*argv, flag, value]) == 1
             assert flag in _one_config_error_line(capsys)
             cfg.write_text(f"{flag[2:]} = {value}\n")
             assert cli.main([*argv, "--config", str(cfg)]) == 1
             assert flag in _one_config_error_line(capsys)
-    # the same flags are read in the other modes
-    assert cli.main(["perc", "--seed", "1", "--mode", "brw", "--rows", "1", "--n-reps", "1",
-                     "--lam", "0.5", "--q", "2:1"]) == 0
+    assert not dump.exists()
+    # the model flags are read in brw mode, and a mode set from the file counts
     cfg.write_text("mode = indep\n")
     assert cli.main(["perc", "--seed", "1", "--rows", "1", "--n-reps", "1", "--lam", "0.5",
                      "--config", str(cfg)]) == 1

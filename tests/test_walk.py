@@ -206,6 +206,60 @@ def test_batch_kernel_matches_single_pass_oracle(case, block_cells, monkeypatch)
         assert at_origin.all()
 
 
+class _StubField:
+    """Fixed disaster times per site; records every site whose stream is asked for."""
+
+    def __init__(self, dimension: int, times: dict):
+        self.dimension = dimension
+        self.times = times
+        self.asked = []
+
+    def site_keys(self, coords):
+        return coords[:, 0] * 1000 + coords[:, 1]
+
+    def streams_for_coords(self, coords, t_max):
+        rows = [tuple(int(c) for c in row) for row in coords]
+        self.asked += rows
+        return [np.array(self.times.get(row, []), dtype=float) for row in rows]
+
+
+@pytest.mark.parametrize("layout", ["d1", "d2", "namespaces"])
+def test_hits_boundaries(layout):
+    t = 5.0
+    # (site, [a, b)) per segment, two segments per row
+    rows = [
+        [(0, 1.0, 2.0), (0, 2.0, 5.0)],  # a disaster exactly at a hits
+        [(1, 0.5, 3.0), (0, 3.0, 5.0)],  # one exactly at b does not; nor one at t
+        [(1, 3.0, 3.0), (1, 5.0, 5.0)],  # empty segments never hit, even at a disaster
+        [(-2, 0.0, 4.0), (-2, 4.0, 5.0)],  # a negative site hits the row sitting there...
+        [(-1, 0.0, 5.0), (-1, 5.0, 5.0)],  # ...and only that row
+    ]
+    disasters = {0: [1.0, 5.0], 1: [3.0], -2: [2.0]}
+    site = {"d1": lambda x: (x,), "d2": lambda x: (x, -1), "namespaces": lambda x: (7, x)}[layout]
+    field = _StubField(1 if layout == "d1" else 2, {site(x): ts for x, ts in disasters.items()})
+    pos = np.array([[site(x)[-1 if layout == "namespaces" else slice(None)] for x, _, _ in r]
+                    for r in rows], dtype=np.int64).reshape(len(rows), 2, -1)
+    a = np.array([[seg[1] for seg in r] for r in rows])
+    b = np.array([[seg[2] for seg in r] for r in rows])
+    ns = np.full(len(rows), 7, dtype=np.int64) if layout == "namespaces" else None
+    hit = walk._hits(field, t, a, b, pos, ns)
+    assert hit.tolist() == [True, False, False, True, False]
+    assert sorted(field.asked) == sorted(site(x) for x in range(-2, 2))
+
+
+@pytest.mark.parametrize("block_cells,one_block", [(walk._BLOCK_CELLS, True), (256, False)])
+def test_batch_kernel_materializes_only_sites_the_oracle_visits(block_cells, one_block, monkeypatch):
+    # about 40 jump columns: 500 walkers run as one block of the kernel's own
+    # budget, and as many blocks of 256 cells
+    monkeypatch.setattr(walk, "_BLOCK_CELLS", block_cells)
+    kernel, oracle = DisasterField(seed=41, rate=1.0), DisasterField(seed=41, rate=1.0)
+    walk._survival_batch(kernel, 8.0, 5.0, 500, np.random.default_rng(5))
+    survival_batch_oracle(oracle, 8.0, 5.0, 500, np.random.default_rng(5))
+    assert set(kernel._streams) <= set(oracle._streams)
+    if one_block:
+        assert set(kernel._streams) == set(oracle._streams)
+
+
 # -- annealed_survival ---------------------------------------------------------
 
 def test_annealed_time_zero():
