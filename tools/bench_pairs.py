@@ -2,7 +2,7 @@
 
 Usage (from the root of the repository):
 
-    python3 tools/bench_pairs.py --pr 14 --seeds 21,22,23,24,25,26,27,28,29,30
+    python3 tools/bench_pairs.py --pr N --seeds 21,22,23,24,25,26,27,28,29,30
 
 Each of the two revisions (`--base`, default HEAD~1, and `--head`, default
 HEAD) is extracted from git into its own temporary directory with
