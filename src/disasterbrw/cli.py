@@ -15,9 +15,12 @@ into output files.  --threads (1..256) is accepted and has no effect: the
 work holds the interpreter lock, and a thread pool ran slower than one
 thread.
 
-Lattice dumps (perc --dump) are "k l occupied open" lines.  perc --mode indep
-and sweep --p-grid reject the model flags, which they do not read (sweep
---p-grid also --horizon, the caps and the other grids): a config error.
+Lattice dumps (perc --dump) are "k l occupied open" lines.  A flag given
+where the chosen mode does not read it, on the command line or in --config, is
+a config error: perc --mode indep reads no model flag (--kappa --lam --q
+--alpha --d), --box-l, --box-t, --block-n, --copies-s or --dump; perc --mode
+brw reads no --p; sweep --p-grid reads no model flag, --horizon, cap or
+--kappa-grid/--lam-grid; sweep without --p-grid reads no --rows.
 
 Exit codes: 0 success, 1 config error, 2 oracle-suite failure, 3 statistical
 acceptance failure or a tripped population cap.  A check that needs uncapped

@@ -5,16 +5,17 @@ Usage (from the root of the repository):
     python3 tools/bench_pairs.py --pr N --seeds 21,22,23,24,25,26,27,28,29,30
 
 Each of the two revisions (`--base`, default HEAD~1, and `--head`, default
-HEAD) is extracted from git into its own temporary directory with
-`git archive`, so both sides run their committed files and the repository's
-own `.git` and working tree are left alone.  For every workload and every
-seed, one pair runs the command of BENCHMARK.json (`perfbench/run.py
---trace 0`) once in each checkout; the side that goes first alternates from
-pair to pair.  The file written holds both shas, the machine, every run's
-result line (the last line of its stdout) and, per workload and end-to-end
-metric, each side's median and quartiles and the number of pairs the head
-won (ties count for neither side).  The temporary checkouts are removed at
-the end.  Only the standard library is used, and nothing under perfbench/
+HEAD) is extracted from git into its own temporary directory with `git
+archive`, so both sides run their committed files and the repository's own
+`.git` and working tree are left alone. For every workload and every seed,
+one pair runs the command of BENCHMARK.json (`perfbench/run.py --trace 0`,
+for its `run_seconds`) once in each checkout; the side that goes first
+alternates from pair to pair. The file written holds both shas, the machine,
+every run's result line (the last line of its stdout) and, per workload and
+end-to-end metric, each side's median and quartiles and the number of pairs
+the head won (ties count for neither side). The temporary checkouts are
+removed at the end. BENCH_<PR>.json is written in the root of the
+repository. Only the standard library is used, and nothing under perfbench/
 is written to.
 """
 
@@ -138,24 +139,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="comma-separated; one pair per seed and workload")
     ap.add_argument("--base", default="HEAD~1")
     ap.add_argument("--head", default="HEAD")
-    ap.add_argument("--workloads", default=None, help="comma-separated; default: every workload")
-    ap.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json's run_seconds")
-    ap.add_argument("--out", default=None, help="default: BENCH_<PR>.json in the repository root")
     args = ap.parse_args(argv)
 
     repo = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     shas = {s: _git(repo, "rev-parse", "--verify", f"{getattr(args, s)}^{{commit}}") for s in SIDES}
     seeds = [int(s) for s in args.seeds.split(",")]
-    out = Path(args.out) if args.out else repo / f"BENCH_{args.pr}.json"
+    out = repo / f"BENCH_{args.pr}.json"
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         checkouts = {s: tmp / s for s in SIDES}
         for s in SIDES:
             extract(repo, shas[s], checkouts[s])
         bench = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-        workloads = (args.workloads.split(",") if args.workloads
-                     else [w["name"] for w in bench["workloads"]])
+        seconds = bench["run_seconds"]
+        workloads = [w["name"] for w in bench["workloads"]]
         doc = {"pr": args.pr, "base": {"rev": args.base, "sha": shas["base"]},
                "head": {"rev": args.head, "sha": shas["head"]}, "machine": machine(),
                "command": bench["command"], "seconds": seconds, "seeds": seeds, "runs": []}
