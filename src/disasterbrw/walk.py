@@ -59,6 +59,12 @@ def _binom_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
+def _check_horizon(t: float, positive: bool = False) -> None:
+    """Reject a horizon that is negative, NaN or infinite (or 0 when `positive`)."""
+    if not (0.0 < t if positive else 0.0 <= t) or t == math.inf:
+        raise ValueError(f"t must be finite and {'>' if positive else '>='} 0, got {t!r}")
+
+
 # ---------------------------------------------------------------------------
 # vectorized batch engine
 # ---------------------------------------------------------------------------
@@ -72,33 +78,47 @@ def _chunked(n: int, width: int):
         yield lo, min(n, lo + rows)
 
 
-def _jump_windows(gen: np.random.Generator, jump_rate: float, t: float, n: int):
-    """Holding intervals of n independent rate-`jump_rate` walks on [0, t].
+def _jump_windows(gen: np.random.Generator, jump_rate: float, t: float, n: int, per_chunk) -> None:
+    """Sorted jump times of n independent rate-`jump_rate` walks on [0, t], a chunk at a time.
 
-    Yields (lo, hi, edges, pad) per chunk of walkers lo..hi-1: walker lo+i
-    sits out its j-th holding interval on [edges[i, j], edges[i, j + 1]),
-    clipped to t, and pad[i, j] marks jump column j as past its last jump
-    (those intervals are empty, at t).  Draws the Poisson jump counts of all
-    n walks, then one uniform matrix per chunk when the chunk is reached, so
-    a caller's own per-chunk draws interleave in a fixed order.
+    Draws the Poisson jump counts of all n walks, then splits the walkers
+    into chunks of about _CHUNK_CELLS jump cells (_chunked) and calls
+    per_chunk(lo, hi, times, pad) for walkers lo..hi-1 in turn.  times[i]
+    holds the sorted jump times of walker lo+i in a C-contiguous (m, kmax)
+    float64 array, padded with t past its last jump, and pad[i, j] marks
+    column j as such a pad.  Walker lo+i thus sits out its j-th holding
+    interval on [edge j, edge j+1), where edge 0 is 0, edge j is times[i,
+    j-1] and edge kmax+1 is t; the intervals past the last jump are empty,
+    at t.
+
+    The chunk's uniforms are drawn only when the chunk is reached, so
+    per_chunk's own draws interleave in a fixed order; and since a chunk's
+    uniform matrix has the chunk's shape, _CHUNK_CELLS is part of the draw
+    layout: changing it changes outputs.  Only one chunk's arrays are alive
+    at a time: per_chunk gets them as arguments, so they go when it returns,
+    before the next chunk is drawn.
     """
     counts = gen.poisson(jump_rate * t, n) if jump_rate > 0.0 else np.zeros(n, dtype=np.int64)
     for lo, hi in _chunked(n, int(counts.max(initial=0)) + 1):
-        k = counts[lo:hi]
-        m = hi - lo
-        kmax = int(k.max(initial=0))
-        edges = np.empty((m, kmax + 2))
-        edges[:, 0] = 0.0
-        edges[:, -1] = np.inf
-        # jump times: uniform order statistics, rows padded with +inf
-        times = edges[:, 1:-1]
-        if kmax:
-            times[:] = gen.random((m, kmax)) * t
-        pad = np.arange(kmax)[None, :] >= k[:, None]
-        times[pad] = np.inf
+        per_chunk(lo, hi, *_jump_times(gen, counts[lo:hi], t))
+
+
+def _jump_times(gen: np.random.Generator, k: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(times, pad) of one chunk whose walkers make k jumps each; see _jump_windows.
+
+    The uniform order statistics are drawn, scaled, padded and sorted where
+    they lie.  A pad of t sorts where an inf pad would and equals it clipped
+    to t, and U*t <= t, so this is the clipped sort of inf-padded times.
+    """
+    kmax = int(k.max(initial=0))
+    times = np.empty((len(k), kmax))
+    pad = np.arange(kmax)[None, :] >= k[:, None]
+    if kmax:
+        gen.random(out=times)
+        times *= t
+        times[pad] = t
         times.sort(axis=1)
-        np.minimum(edges, t, out=edges)
-        yield lo, hi, edges, pad
+    return times, pad
 
 
 # Segments (walker x holding interval) checked per block; see _survival_batch.
@@ -113,11 +133,17 @@ def _survival_batch(field, jump_rate: float, t: float, n_walkers: int, gen: np.r
     w reads site streams at (namespaces[w], x...) so each namespace is an
     independent environment inside one (d+1)-dimensional field.
 
-    The holding intervals are checked against the disasters in time order,
-    a block of jump columns at a time, and only for walkers that no disaster
-    has hit yet.  A block holds about _BLOCK_CELLS segments of the walkers
-    still alive, so a batch that small runs as one block, and the cost
-    scales with the walker-time spent alive rather than with
+    The walkers run in the chunks of _jump_windows, one chunk's arrays alive
+    at a time: the sorted jump times (padded with t), then the int8 signs,
+    drawn and made -1/+1 in place with 0 past each walker's last jump, and
+    for d > 1 the int8 axes.  _CHUNK_CELLS fixes the shape of those draws,
+    so changing it changes outputs.
+
+    Within a chunk the holding intervals are checked against the disasters
+    in time order, a block of jump columns at a time, and only for walkers
+    that no disaster has hit yet.  A block holds about _BLOCK_CELLS segments
+    of the walkers still alive, so a batch that small runs as one block, and
+    the cost scales with the walker-time spent alive rather than with
     n_walkers * jump_rate * t.  One bisection answers every segment of a
     block (_hits); it relies on numpy ordering complex numbers real part
     first.  Which walkers survive does not depend on the blocks, and the
@@ -126,34 +152,51 @@ def _survival_batch(field, jump_rate: float, t: float, n_walkers: int, gen: np.r
     d = field.dimension - (1 if namespaces is not None else 0)
     survived = np.ones(n_walkers, dtype=bool)
     at_origin = np.zeros(n_walkers, dtype=bool)
-    for lo, hi, edges, pad in _jump_windows(gen, jump_rate, t, n_walkers):
-        m, kmax = pad.shape
-        steps = gen.integers(0, 2, (m, kmax), dtype=np.int8) * 2 - 1
+
+    def per_chunk(lo, hi, times, pad):
+        m, kmax = times.shape
+        steps = gen.integers(0, 2, (m, kmax), dtype=np.int8)
+        steps *= 2
+        steps -= 1
         steps[pad] = 0
-        # moves[:, j] is the displacement of jump j (column 0: none before the first interval)
-        moves = np.zeros((m, kmax + 1, d), dtype=np.int8)
         if d == 1:
-            moves[:, 1:, 0] = steps
+            at_origin[lo:hi] = steps.sum(axis=1) == 0
         else:
             axes = gen.integers(0, d, (m, kmax), dtype=np.int8)
-            for c in range(d):
-                moves[:, 1:, c] = np.where(axes == c, steps, 0)
-        at_origin[lo:hi] = ~moves.sum(axis=1).any(axis=1)
+            at_origin[lo:hi] = np.all([np.where(axes == c, steps, 0).sum(axis=1) == 0
+                                       for c in range(d)], axis=0)
 
         rows = np.arange(m)  # walkers of this chunk not hit so far
         here = np.zeros((m, d), dtype=np.int64)  # their sites before the moves of column j0
         j0 = 0
         while j0 <= kmax and len(rows):
             j1 = min(kmax + 1, j0 + max(1, _BLOCK_CELLS // len(rows)))
+            # edges j0..j1: edge 0 is 0, edge j is jump time j-1, edge kmax+1 is t
+            first, last = max(j0, 1), min(j1, kmax)
+            edges = np.empty((len(rows), j1 - j0 + 1))
+            edges[:, 0] = 0.0
+            edges[:, -1] = t
+            edges[:, first - j0:last - j0 + 1] = times[rows, first - 1:last]
+            # pos[:, j] is the site during segment j0+j, after the step of jump j0+j-1
+            pos = np.empty((len(rows), j1 - j0, d), dtype=np.int64)
+            pos[:] = here[:, None, :]
             # np.add.accumulate, not np.cumsum: numpy 2.4's cumsum keeps a small
             # object alive per call; int64 because add.accumulate keeps int8
-            pos = here[:, None, :] + np.add.accumulate(moves[rows, j0:j1], axis=1, dtype=np.int64)
-            a = edges[rows, j0:j1]
-            b = edges[rows, j0 + 1:j1 + 1]
-            hit = _hits(field, t, a, b, pos, None if namespaces is None else namespaces[lo + rows])
+            moved = steps[rows, first - 1:j1 - 1]
+            if d == 1:
+                pos[:, first - j0:, 0] += np.add.accumulate(moved, axis=1, dtype=np.int64)
+            else:
+                turned = axes[rows, first - 1:j1 - 1]
+                for c in range(d):
+                    pos[:, first - j0:, c] += np.add.accumulate(np.where(turned == c, moved, 0),
+                                                                axis=1, dtype=np.int64)
+            hit = _hits(field, t, edges[:, :-1], edges[:, 1:], pos,
+                        None if namespaces is None else namespaces[lo + rows])
             survived[lo + rows[hit]] = False
             rows, here = rows[~hit], pos[~hit, -1]
             j0 = j1
+
+    _jump_windows(gen, jump_rate, t, n_walkers, per_chunk)
     return survived, at_origin
 
 
@@ -215,6 +258,7 @@ def estimate_survival(field, jump_rate: float, t: float, n_walkers: int,
     at time t.  Passing the same integer seed twice yields the same walker
     set, so pinned <= unpinned holds path-wise.
     """
+    _check_horizon(t)
     if n_walkers < 1:
         raise ValueError("n_walkers must be >= 1")
     if not 0.0 <= jump_rate < math.inf:
@@ -235,6 +279,7 @@ def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
     of a fresh environment restricted to the walker's trajectory.  The
     expectation is exp(-disaster_rate * t) for every jump rate and dimension.
     """
+    _check_horizon(t)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if jump_rate < 0 or disaster_rate < 0:
@@ -245,11 +290,18 @@ def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
     if disaster_rate == 0.0 or t == 0.0:
         return SurvivalEstimate.binomial(1.0, n_samples)
     survived = np.ones(n_samples, dtype=bool)
-    for lo, hi, edges, _pad in _jump_windows(gen, jump_rate, t, n_samples):
-        length = np.maximum(np.diff(edges, axis=1), 0.0)
-        p_hit = -np.expm1(-disaster_rate * length)
-        hits = gen.random(length.shape) < p_hit
-        survived[lo:hi] = ~hits.any(axis=1)
+
+    def per_chunk(lo, hi, times, _pad):
+        # the holding intervals' lengths, then in place their hit probabilities
+        length = np.empty((hi - lo, times.shape[1] + 1))
+        length[:, :-1] = times
+        length[:, -1] = t
+        length[:, 1:] -= times
+        length *= -disaster_rate
+        p_hit = np.negative(np.expm1(length, out=length), out=length)
+        survived[lo:hi] = ~(gen.random(p_hit.shape) < p_hit).any(axis=1)
+
+    _jump_windows(gen, jump_rate, t, n_samples, per_chunk)
     return SurvivalEstimate.binomial(float(survived.mean()), n_samples)
 
 
@@ -347,6 +399,7 @@ def exact_survival(field, jump_rate: float, t: float, pin: bool = False,
     alpha t).  The method checks B <= 1e-10 S and doubles sigmas when the
     check fails, up to three times before it raises RuntimeError.
     """
+    _check_horizon(t)
     if field.dimension != 1:
         raise ValueError("exact survival is implemented for dimension 1 only")
     if sigmas is None:
@@ -384,8 +437,7 @@ def estimate_lyapunov(jump_rate: float, disaster_rate: float, t: float, n_env: i
     """
     if method not in ("direct", "exact"):
         raise ValueError(f"unknown method {method!r}")
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    _check_horizon(t, positive=True)
     if n_env < 1 or n_walkers < 1:
         raise ValueError("n_env and n_walkers must be >= 1")
     base = generator_seed(rng)
@@ -420,8 +472,8 @@ class ConcentrationRow:
 def concentration_profile(jump_rate: float, disaster_rate: float, t_list: Sequence[float],
                           n_env: int, n_walkers: int, rng, dimension: int = 1) -> list[ConcentrationRow]:
     """Mean and std of log S_hat(t) across environments, per requested t."""
-    if any(t <= 0.0 for t in t_list):
-        raise ValueError("all t must be > 0")
+    for t in t_list:
+        _check_horizon(t, positive=True)
     base = generator_seed(rng)
     floor = 1.0 / (2.0 * n_walkers)
     rows = []

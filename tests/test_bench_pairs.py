@@ -33,3 +33,39 @@ def test_summary_counts_pairs_by_direction_and_skips_ties_and_failed_runs():
     assert wall["head"]["median"] == 1.0
     assert summary["runs_failed"] == {"base": 0, "head": 1}
     assert "head better in 1/2" in bench_pairs.report({"w": summary})
+
+
+LAYERS = [{"name": "walk.survival_batch_self_s", "unit": "s", "better": "lower"},
+          {"name": "env.sites_materialized", "unit": "count", "better": "lower"},
+          {"name": "brw.simulate_p50_ms", "unit": "ms", "better": "lower"}]
+
+
+def _traced(workload, side, self_s, sites, p50, exit_code=0):
+    metrics = {"walk.survival_batch_self_s": {"value": self_s, "unit": "s"},
+               "env.sites_materialized": {"value": sites, "unit": "count"},
+               "brw.simulate_p50_ms": {"value": p50, "unit": "ms"}}
+    return {"workload": workload, "seed": 20, "side": side, "exit": exit_code,
+            "result": {"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}}
+
+
+def test_layer_deltas_compare_the_traced_runs_of_each_workload():
+    traced = [
+        _traced("w", "base", 2.0, 300, None), _traced("w", "head", 1.5, 300, None),
+        _traced("v", "head", 0.0, 10, 4.0), _traced("v", "base", 0.0, 12, 5.0, exit_code=1),
+        _traced("u", "base", 1.0, 5, 1.0),  # no head run
+    ]
+    layers = bench_pairs.layer_deltas(traced, LAYERS)
+    assert list(layers) == ["w", "v", "u"]
+    self_s = layers["w"]["walk.survival_batch_self_s"]
+    assert (self_s["base"], self_s["head"], self_s["delta"], self_s["ratio"]) == (2.0, 1.5, -0.5, 0.75)
+    assert layers["w"]["env.sites_materialized"]["delta"] == 0
+    # a metric a side does not report, a failed side and a missing side read None
+    assert layers["w"]["brw.simulate_p50_ms"]["delta"] is None
+    assert layers["v"]["env.sites_materialized"]["base"] is None
+    assert layers["v"]["env.sites_materialized"]["delta"] is None
+    assert layers["u"]["walk.survival_batch_self_s"]["head"] is None
+    # a zero base gives a change but no ratio
+    assert layers["v"]["walk.survival_batch_self_s"]["ratio"] is None
+    text = bench_pairs.report_layers(layers)
+    assert "-0.5 (-25.0%)" in text
+    assert "env.sites_materialized" in text and "equal" in text

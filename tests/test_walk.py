@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,25 @@ def test_batch_kernel_matches_single_pass_oracle(case, block_cells, monkeypatch)
         assert at_origin.all()
 
 
+def test_batch_kernel_holds_one_chunk_at_a_time():
+    # kappa = 32, t = 20: about 740 jump columns, so at the kernel's own
+    # _CHUNK_CELLS 10,000 walkers span two chunks.  A chunk costs about 10
+    # bytes a cell (float64 times, int8 signs, bool pads); two chunks alive
+    # at once, or a second (m, kmax) float64 matrix, would pass 14.
+    n, kappa, t = 10_000, 32.0, 20.0
+    gen = np.random.default_rng(5)
+    kmax = int(np.random.default_rng(5).poisson(kappa * t, n).max())
+    assert walk._CHUNK_CELLS // (kmax + 1) < n
+    field = DisasterField(seed=49, rate=1.0)
+    tracemalloc.start()
+    try:
+        walk._survival_batch(field, kappa, t, n, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * walk._CHUNK_CELLS
+
+
 class _StubField:
     """Fixed disaster times per site; records every site whose stream is asked for."""
 
@@ -318,6 +338,37 @@ def test_lyapunov_frozen_walker_heavily_censored():
 def test_lyapunov_requires_positive_time():
     with pytest.raises(ValueError):
         estimate_lyapunov(1.0, 1.0, 0.0, 2, 10, False, 1)
+
+
+# -- bad horizons ------------------------------------------------------------------
+
+# entry point -> call(field, t); the field is warm (site 0 already materialized),
+# where extending a stream to t = inf would never end
+_HORIZON_CALLS = {
+    "estimate_survival": lambda f, t: estimate_survival(f, 2.0, t, 10, False, 1),
+    "estimate_survival_frozen": lambda f, t: estimate_survival(f, 0.0, t, 10, False, 1),
+    "annealed_survival": lambda f, t: annealed_survival(2.0, 1.0, t, 10, 1),
+    "exact_survival": lambda f, t: exact_survival(f, 2.0, t),
+    "estimate_lyapunov": lambda f, t: estimate_lyapunov(2.0, 1.0, t, 2, 10, False, 1),
+    "concentration_profile": lambda f, t: concentration_profile(2.0, 1.0, [1.0, t], 2, 10, 1),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", sorted(_HORIZON_CALLS))
+def test_walk_entry_points_reject_bad_horizons_before_any_stream(call, t):
+    field = DisasterField(seed=48, rate=1.0)
+    field.streams_for_coords(np.array([[0]]), 1.0)
+    before = {k: (s.next_ctr, s.last) for k, s in field._streams.items()}
+    with pytest.raises(ValueError, match="t must be finite"):
+        _HORIZON_CALLS[call](field, t)
+    assert {k: (s.next_ctr, s.last) for k, s in field._streams.items()} == before
+
+
+@pytest.mark.parametrize("call", ["estimate_lyapunov", "concentration_profile"])
+def test_walk_averages_over_fields_reject_zero_horizon(call):
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        _HORIZON_CALLS[call](None, 0.0)
 
 
 # -- exact quenched survival -----------------------------------------------------

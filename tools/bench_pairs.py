@@ -13,9 +13,12 @@ for its `run_seconds`) once in each checkout; the side that goes first
 alternates from pair to pair. The file written holds both shas, the machine,
 every run's result line (the last line of its stdout) and, per workload and
 end-to-end metric, each side's median and quartiles and the number of pairs
-the head won (ties count for neither side). The temporary checkouts are
-removed at the end. BENCH_<PR>.json is written in the root of the
-repository. Only the standard library is used, and nothing under perfbench/
+the head won (ties count for neither side). After the pairs, each side
+makes one traced run (`--trace 1`) per workload on the first seed; the file
+keeps those result lines too, and per workload and per-layer metric of
+BENCHMARK.json the two sides' values and the head's change, which is also
+printed. The temporary checkouts are removed at the end. BENCH_<PR>.json is
+written in the root of the repository. Only the standard library is used, and nothing under perfbench/
 is written to.
 """
 
@@ -59,10 +62,11 @@ def machine() -> dict:
     }
 
 
-def run_once(checkout: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, command: list, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One benchmark run in `checkout`: its exit code, wall time, result line and raw medians."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-            "--trace", "0"]
+            "--trace", str(trace)]
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -115,6 +119,40 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
+def layer_deltas(traced: list, metrics: list) -> dict:
+    """Per workload and per-layer metric: each side's traced value and the head's change.
+
+    `traced` are the traced entries of the output file, one per side and
+    workload; `metrics` the `per_layer` entries of BENCHMARK.json.  A side
+    whose run failed reads None, and so do the change and the ratio then.
+    """
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in traced):
+        runs = {r["side"]: r for r in traced if r["workload"] == workload}
+        rows = out[workload] = {}
+        for m in metrics:
+            b, h = (_value(runs[s], m["name"]) if s in runs else None for s in SIDES)
+            known = None not in (b, h)
+            rows[m["name"]] = {"unit": m["unit"], "better": m["better"], "base": b, "head": h,
+                               "delta": h - b if known else None,
+                               "ratio": h / b if known and b != 0 else None}
+    return out
+
+
+def report_layers(layers: dict) -> str:
+    lines = []
+    for workload, rows in layers.items():
+        for name, row in rows.items():
+            if row["delta"] is None:
+                lines.append(f"{workload:14s} {name:34s} base {row['base']}  head {row['head']}")
+                continue
+            change = "equal" if row["delta"] == 0 else f"{row['delta']:+.4g}" + (
+                f" ({row['ratio'] - 1:+.1%})" if row["ratio"] is not None else "")
+            lines.append(f"{workload:14s} {name:34s} base {row['base']:.4g}  head {row['head']:.4g}"
+                         f"  {change}")
+    return "\n".join(lines)
+
+
 def report(summary: dict) -> str:
     lines = []
     for workload, rows in summary.items():
@@ -155,7 +193,8 @@ def main(argv=None) -> int:
         workloads = [w["name"] for w in bench["workloads"]]
         doc = {"pr": args.pr, "base": {"rev": args.base, "sha": shas["base"]},
                "head": {"rev": args.head, "sha": shas["head"]}, "machine": machine(),
-               "command": bench["command"], "seconds": seconds, "seeds": seeds, "runs": []}
+               "command": bench["command"], "seconds": seconds, "seeds": seeds, "runs": [],
+               "traced": []}
         k = 0
         for workload in workloads:
             for i, seed in enumerate(seeds):
@@ -167,9 +206,17 @@ def main(argv=None) -> int:
                                         "first": side == order[0], **run})
                     print(f"{workload} seed {seed} {side}: exit {run['exit']}, "
                           f"{run['wall_s']:.1f} s", file=sys.stderr, flush=True)
+        for k, workload in enumerate(workloads):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                run = run_once(checkouts[side], bench["command"], workload, seeds[0], seconds, trace=1)
+                doc["traced"].append({"workload": workload, "seed": seeds[0], "side": side, **run})
+                print(f"{workload} seed {seeds[0]} {side} traced: exit {run['exit']}, "
+                      f"{run['wall_s']:.1f} s", file=sys.stderr, flush=True)
         doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
+        doc["layers"] = layer_deltas(doc["traced"], bench["per_layer"])
         out.write_text(json.dumps(doc, indent=1) + "\n")
         print(report(doc["summary"]))
+        print(report_layers(doc["layers"]))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
