@@ -61,7 +61,7 @@ def _binom_se(p: float, n: int) -> float:
 
 def _check_horizon(t: float, positive: bool = False) -> None:
     """Reject a horizon that is negative, NaN or infinite (or 0 when `positive`)."""
-    if not (0.0 < t if positive else 0.0 <= t) or t == math.inf:
+    if not 0.0 <= t < math.inf or (positive and t == 0.0):
         raise ValueError(f"t must be finite and {'>' if positive else '>='} 0, got {t!r}")
 
 
