@@ -29,7 +29,7 @@ import numpy as np
 
 from .brw import BRWParams, Box, Caps, CapTripped, Event, simulate
 from .env import DisasterField
-from .rng import derive_seed
+from .rng import derive_seeds
 
 Site = tuple[int, ...]
 
@@ -146,12 +146,14 @@ def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, in
     region = box.interior_region()
     fs = np.empty(n_reps)
     gs = np.empty(n_reps)
+    env_seeds = derive_seeds(n_reps, seed, "fkg-env").tolist()
+    tree_seeds = {label: derive_seeds(n_reps, seed, "fkg-tree", label).tolist() for label in "ab"}
     for i in range(n_reps):
-        fld = DisasterField(derive_seed(seed, "fkg-env", i), params.disaster_rate, params.dimension)
+        fld = DisasterField(env_seeds[i], params.disaster_rate, params.dimension)
         out = []
         for label, eta in (("a", eta1), ("b", eta2)):
-            res = simulate(params, eta, fld, 0.0, box.t_end,
-                           derive_seed(seed, "fkg-tree", label, i), trunc=region, caps=caps)
+            res = simulate(params, eta, fld, 0.0, box.t_end, tree_seeds[label][i], trunc=region,
+                           caps=caps)
             if res.capped:
                 raise CapTripped("cap tripped inside fkg_test; shrink the box or rates")
             out.append(exit_counts(res.events, box))

@@ -50,29 +50,45 @@ for replica, because:
   never happens (branch before jump).  A root born at the start time is
   born at t0 too, so a disaster at that very instant spares it, as in the
   heap loop.
+* Children inherit their first disaster.  Each particle carries `next`, the
+  first disaster at its site at or after its last arrival (after its birth
+  if it never jumped).  One that branches at t0 was not struck, so no
+  disaster fell at its site from that arrival through t0, and `next` is
+  also the first disaster after t0 there: the one that ends its children's
+  first interval (t0, e].  Children take it over, and only roots look their
+  birth site up.
 * The alive cap is checked in time order.  A replica's events are complete
-  up to its earliest branch whose children are not yet drawn.  Each round
-  sorts the events before that time by (time, rank), with the heap loop's
-  ranks disaster < branch < struck arrival, counts the alive particles
-  through them, and stops the replica at the first branch where alive - 1 +
-  children > max_alive, as the heap loop does.  (Only two branches of one
-  replica at the very same floating-point instant, which continuous draws
-  do not produce, could come in another order than the heap's push order.)
-  Children are drawn only for
-  branches less than 1 / (birth_rate * (mean - 1)) ahead of that time, so a
-  replica overshoots its cap by a bounded factor, and replicas start and
-  advance only while the pool holds about _LIVE_BLOCKS blocks of rows.
-  Once every event of an uncapped replica is applied, the alive count is
-  its population at the horizon; a particle that outlives the horizon also
-  adds to its replica's start-site count when it ends on a start site.
+  up to its checked time, its earliest branch whose children are not yet
+  drawn.  Each round sorts the events before that time by (time, rank),
+  with the heap loop's ranks disaster < branch < struck arrival, counts the
+  alive particles through them, and stops the replica at the first branch
+  where alive - 1 + children > max_alive, as the heap loop does.  (Only two
+  branches of one replica at the very same floating-point instant, which
+  continuous draws do not produce, could come in another order than the
+  heap's push order.)  Events are applied only up to each replica's
+  earliest unspawned branch, so which branches a round spawns decides how
+  far the replica gets, never what it meets: every window that reaches
+  the checked time gives the same answers.  The window is cap-aware:
+  children are drawn for the branches at most lookahead * room after the
+  checked time, where lookahead = 1 / (birth_rate * (mean - 1)) and room =
+  clip((max_alive - alive) / alive, 1/64, 1).  A replica far from its cap
+  looks a full lookahead ahead; one near it draws few children of branches
+  after its trip.  Replicas start and advance only while the pool holds
+  about _LIVE_BLOCKS blocks of rows.  Once every event of an uncapped
+  replica is applied, the alive count is its population at the horizon; a
+  particle that outlives the horizon also adds to its replica's start-site
+  count when it ends on a start site.
 * The event cap is bounded, not ported.  The heap loop counts stale clocks
   and disasters at empty sites, which the arrays never see.  Its pops are at
   most its pushes: three per particle (branch clock, first jump clock, a
   disaster at the birth site) and two per jump.  A replica whose
   3 * particles + 2 * jumps drawn so far passes max_events, and that has not
   tripped the alive cap, is run again through simulate, so max_events keeps
-  its exact meaning.  (A replica that trips the alive cap is capped
-  whichever cap the heap loop meets first.)
+  its exact meaning.  The window does not weaken the bound: a replica stops
+  only at its checked time, and every branch before it is spawned, so every
+  particle the heap loop creates before it stops is drawn and counted.  (A
+  replica that trips the alive cap is capped whichever cap the heap loop
+  meets first.)
 
 simulate stays the one general engine: event logs, truncation, growth
 rates, the coupled sweep and the box embeddings use it, and it is the
@@ -474,8 +490,9 @@ class _ReplicaBatch:
     """Replica states, and the pool: one row per drawn particle whose end is not yet applied.
 
     A pool row is a death, or a branch whose children are born once it is
-    spawned (`open` until then).  A replica's `checked` time is the earliest
-    open branch it has: every event before it is known, and has been applied.
+    spawned (`open` until then), with the first disaster its children meet
+    (`next`).  A replica's `checked` time is the earliest open branch it
+    has: every event before it is known, and has been applied.
     """
 
     def __init__(self, params, initial, env_seeds, tree_seeds, start_time, horizon, caps):
@@ -511,7 +528,7 @@ class _ReplicaBatch:
         self.state = np.zeros(n, dtype=np.int8)  # 0 waiting, 1 running, 2 done
         self.alive = np.zeros(n, dtype=np.int64)  # alive once every checked event is applied
         self.home = np.zeros(n, dtype=np.int64)  # particles outliving the horizon on a start site
-        self.limit = np.zeros(n)  # branches before it may be spawned: checked + lookahead
+        self.limit = np.zeros(n)  # branches up to it may be spawned: checked + lookahead * room
         self.work = np.zeros(n, dtype=np.int64)  # 3 * particles + 2 * jumps drawn so far
         self.capped = np.zeros(n, dtype=bool)
         self.rerun = np.zeros(n, dtype=bool)
@@ -520,7 +537,7 @@ class _ReplicaBatch:
         self.columns = {"rep": np.empty(64, dtype=np.int32), "time": np.empty(64),
                         "rank": np.empty(64, dtype=np.int8), "nc": np.empty(64, dtype=np.int32),
                         "key": np.empty(64, dtype=np.uint64), "site": np.empty((64, d), dtype=np.int64),
-                        "open": np.empty(64, dtype=bool)}
+                        "next": np.empty(64), "open": np.empty(64, dtype=bool)}
         self.n_pool = 0
 
     def _pool(self) -> dict:
@@ -531,10 +548,10 @@ class _ReplicaBatch:
         peak = 0
         while self.next < self.n or (self.state == 1).any():
             births = [self._admit(), self._spawn()]
-            rep, key, t0, site = (np.concatenate(cols) for cols in zip(*births))
+            rep, key, t0, site, tau = (np.concatenate(cols) for cols in zip(*births))
             peak = max(peak, self.n_pool + len(rep))
             if len(rep):
-                self._resolve(rep, key, t0, site)
+                self._resolve(rep, key, t0, site, tau)
             self._settle()
         p = self.params
         homes = set(map(tuple, self.home_sites.tolist()))
@@ -548,7 +565,10 @@ class _ReplicaBatch:
 
     def _admit(self):
         """Start waiting replicas while the pool holds under half its budget of rows,
-        with _REPLICA_ROWS rows of that budget for each running replica."""
+        with _REPLICA_ROWS rows of that budget for each running replica.
+
+        Roots are the only particles whose first disaster after birth is looked up.
+        """
         budget = _LIVE_BLOCKS * _BLOCK_CELLS
         running = int(np.count_nonzero(self.state == 1))
         room = min((budget // 2 - self.n_pool) // len(self.root_sites),
@@ -566,10 +586,11 @@ class _ReplicaBatch:
         rep = np.repeat(idx, n0)
         lineage = np.tile(np.arange(n0, dtype=np.uint64), k)
         key = mix64(self.tree_base[rep] ^ (lineage + np.uint64(GOLDEN)))  # fold(base, lineage)
-        return rep, key, np.full(len(rep), self.start_time), np.tile(self.root_sites, (k, 1))
+        t0, site = np.full(len(rep), self.start_time), np.tile(self.root_sites, (k, 1))
+        return rep, key, t0, site, self._first_disaster(rep, site, np.nextafter(t0, np.inf))
 
     def _spawn(self):
-        """Children of the open branches before `limit`.
+        """Children of the open branches up to `limit`, with their parents' next disasters.
 
         Oldest replicas first: a replica takes part only if it, its children
         and the replicas before it stay within the budget of rows (the first
@@ -577,7 +598,7 @@ class _ReplicaBatch:
         """
         pool = self._pool()
         rep = pool["rep"]
-        due = pool["open"] & (pool["time"] < self.limit[rep])
+        due = pool["open"] & (pool["time"] <= self.limit[rep])
         run = np.flatnonzero(self.state == 1)
         rows = (np.bincount(rep, minlength=self.n)
                 + np.bincount(rep[due], weights=pool["nc"][due], minlength=self.n))[run]
@@ -592,49 +613,50 @@ class _ReplicaBatch:
         key = mix64(pool["key"][par] ^ (j.astype(np.uint64) + np.uint64(GOLDEN)))  # child_key(j)
         kids = rep[par]
         self.work += 3 * np.bincount(kids, minlength=self.n)
-        return kids, key, pool["time"][par], pool["site"][par]
+        return kids, key, pool["time"][par], pool["site"][par], pool["next"][par]
 
-    def _resolve(self, rep, key, t0, site) -> None:
+    def _resolve(self, rep, key, t0, site, tau) -> None:
         """Draw the lives of newborn particles, _BLOCK_CELLS at a time, into the pool."""
         parts = []
         for lo in range(0, len(rep), _BLOCK_CELLS):
             sl = slice(lo, lo + _BLOCK_CELLS)
-            parts.append((rep[sl], key[sl], *self._lives(rep[sl], key[sl], t0[sl], site[sl])))
-        rep, key, time, rank, nc, site, jumps = (np.concatenate(c) for c in zip(*parts))
+            parts.append((rep[sl], key[sl], *self._lives(rep[sl], key[sl], t0[sl], site[sl], tau[sl])))
+        rep, key, time, rank, nc, site, jumps, nxt = (np.concatenate(c) for c in zip(*parts))
         self.work += 2 * np.bincount(rep, weights=jumps, minlength=self.n).astype(np.int64)
         ends = rank != _SURVIVES
         out = np.flatnonzero(~ends)
         home = (site[out, None, :] == self.home_sites).all(axis=2).any(axis=1)
         self.home += np.bincount(rep[out[home]], minlength=self.n)
         rows = {"rep": rep, "time": time, "rank": rank, "nc": nc, "key": key, "site": site,
-                "open": (rank == _BRANCH) & (nc > 0)}
+                "next": nxt, "open": (rank == _BRANCH) & (nc > 0)}
         n0, k = self.n_pool, int(np.count_nonzero(ends))
         for name, col in rows.items():
             buf = self.columns[name] = _room(self.columns[name], n0, k)
             buf[n0:n0 + k] = col[ends]
         self.n_pool += k
 
-    def _lives(self, rep, key, t0, site):
-        """Each particle's life to its end: (time, rank, children, site, jumps).
+    def _lives(self, rep, key, t0, site, tau):
+        """Each particle's life to its end: (time, rank, children, site, jumps, next).
 
-        Its draws: counter 0 the branch gap, 1 the first jump gap, then a
-        (direction, gap) pair per jump, and the offspring uniform after j
-        jumps at 2 + 2 j.  It dies at the first disaster at its site in (t0,
-        e] at birth and in [a, e] after a jump at a, where e is its next jump,
-        its branch or the horizon; a disaster at a is the arrival kill.
+        tau is the first disaster at the birth site after t0.  The draws:
+        counter 0 the branch gap, 1 the first jump gap, then a (direction,
+        gap) pair per jump, and the offspring uniform after j jumps at 2 + 2
+        j.  It dies at the first disaster at its site in (t0, e] at birth and
+        in [a, e] after a jump at a, where e is its next jump, its branch or
+        the horizon; a disaster at a is the arrival kill.  `next` is the first
+        disaster at or after its last arrival (tau if it never jumped).
         """
         p, horizon = self.params, self.horizon
         d, n_dirs = p.dimension, 2 * p.dimension
         m = len(key)
-        rep, key, t0, site = _padded(rep, key, t0, site)
+        rep, key, t0, site, tau = _padded(rep, key, t0, site, tau)
         t_branch = t0 + counter_exponential(key, 0, p.birth_rate)
         t_jump = t0 + counter_exponential(key, 1, p.jump_rate)
         lim = np.minimum(t_branch, horizon)
-        tau = self._first_disaster(rep, site, np.nextafter(t0, np.inf))
         dead = tau <= np.minimum(t_jump, lim)
         end = np.where(dead, tau, lim)
         rank = np.where(dead, _DISASTER, np.where(t_branch <= horizon, _BRANCH, _SURVIVES)).astype(np.int8)
-        end_site = site.copy()
+        end_site, nxt = site.copy(), tau.copy()
         jumps = np.zeros(len(key), dtype=np.int64)
         act = np.flatnonzero(~dead & (t_jump < t_branch) & (t_jump <= horizon))
         here, at0 = site[act], t_jump[act]
@@ -667,16 +689,18 @@ class _ReplicaBatch:
             t_hit = strike[rows, first]
             n_made = made.sum(axis=1)
             last = np.where(struck, first, n_made - 1)  # column of the last site reached
+            reached, last = last >= 0, np.maximum(last, 0)
             end[act] = np.where(struck, t_hit, end[act])
             rank[act] = np.where(struck, np.where(t_hit == at[rows, first], _STRUCK, _DISASTER), rank[act])
             jumps[act] = np.where(struck, col + first, col - 1 + n_made)
-            end_site[act] = np.where((last >= 0)[:, None], sites[rows, np.maximum(last, 0)], here)
+            end_site[act] = np.where(reached[:, None], sites[rows, last], here)
+            nxt[act] = np.where(reached, strike[rows, last], nxt[act])
             go = ~struck & (n_made == w)
             act, here, at0 = act[go], sites[go, -1], times[go, -1]
             col += w
         u = counter_uniform(key, 2 + 2 * jumps)
         nc = np.where(rank == _BRANCH, np.searchsorted(self.cdf, u, side="left"), 0).astype(np.int32)
-        return end[:m], rank[:m], nc[:m], end_site[:m], jumps[:m]
+        return end[:m], rank[:m], nc[:m], end_site[:m], jumps[:m], nxt[:m]
 
     def _first_disaster(self, rep, coords, a) -> np.ndarray:
         """First disaster time >= a at each row's site, in its replica's field; inf if none."""
@@ -686,7 +710,8 @@ class _ReplicaBatch:
         return self.streams.first_from(site_keys_at(self.field_base[field], coords), field, a)[:n]
 
     def _settle(self) -> None:
-        """Apply every event before each replica's checked time, in the heap loop's order.
+        """Apply every event before each replica's checked time, in the heap loop's order,
+        and set its spawn window.
 
         A replica stops at its first branch with alive - 1 + children >
         max_alive (capped), when nothing open is left (done), or when its
@@ -716,7 +741,9 @@ class _ReplicaBatch:
         self.capped |= tripped
         self.rerun |= rerun
         self.state[tripped | rerun | done] = 2
-        self.limit = np.where(running, checked + self.lookahead, self.limit)
+        alive = np.maximum(self.alive, 1)
+        room = np.clip((self.caps.max_alive - alive) / alive, 1 / 64, 1.0)
+        self.limit = np.where(running, checked + self.lookahead * room, self.limit)
         keep = ~due & (self.state[rep] != 2)
         self.n_pool = int(np.count_nonzero(keep))
         for col in pool.values():

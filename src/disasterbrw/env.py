@@ -87,7 +87,9 @@ class PackedStreams:
     times[off[i]:off[i] + len[i]] of one flat array, and an open-addressing
     hash table maps site keys (uniform 64-bit words, so their low bits index
     it) to stream numbers.  Looking up many keys, and their first disasters
-    after given times, is then a few vectorized steps.  Unknown keys are
+    after given times, is then a few vectorized steps.  A probe pass reads
+    only the keys still colliding and moves them one slot on, so a lookup
+    costs the keys' chain lengths, not the longest chain times the keys.  Unknown keys are
     materialized together, `block_cells` uniforms at a time, by the matrix
     path of DisasterField.bulk_streams.  Every stream is tagged with an
     owner, and drop() forgets the streams of owners that are done.  Arrays
@@ -129,12 +131,12 @@ class PackedStreams:
         """Each key's table slot: the one holding its stream, or the empty one ending its probe."""
         table, mask = self._table, len(self._table) - 1
         slot = (keys & np.uint64(mask)).astype(np.int64)
-        while True:
-            i = table[slot]
-            on = (i >= 0) & (self._key[np.maximum(i, 0)] != keys)
-            if not on.any():
-                return slot
-            slot = np.where(on, (slot + 1) & mask, slot)
+        on = np.arange(len(keys))  # keys whose probe goes on: each pass reads only these
+        while len(on):
+            i = table[slot[on]]
+            on = on[(i >= 0) & (self._key[np.maximum(i, 0)] != keys[on])]
+            slot[on] = (slot[on] + 1) & mask
+        return slot
 
     def _find(self, keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Stream numbers of `keys`, materializing the unknown ones."""

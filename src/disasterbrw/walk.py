@@ -282,8 +282,8 @@ def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
     _check_horizon(t)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if jump_rate < 0 or disaster_rate < 0:
-        raise ValueError("rates must be >= 0")
+    if not (0.0 <= jump_rate < math.inf and 0.0 <= disaster_rate < math.inf):
+        raise ValueError("rates must be finite and >= 0")
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     gen = as_generator(rng)

@@ -568,6 +568,53 @@ def test_batch_engine_does_not_depend_on_its_blocks(monkeypatch):
         assert got.peak_live < w.peak_live
 
 
+def test_batch_engine_children_inherit_the_next_disaster(monkeypatch):
+    # a newborn's first disaster after birth is its parent's next one: only roots look it up
+    lives, first_disaster = brw._ReplicaBatch._lives, brw._ReplicaBatch._first_disaster
+    seen = Counter()
+
+    def checked_lives(self, rep, key, t0, site, tau):
+        want = first_disaster(self, rep, site, np.nextafter(t0, np.inf))
+        assert tau.tobytes() == want.tobytes()
+        seen["inherited disasters"] += int(np.count_nonzero((t0 > self.start_time) & (tau < np.inf)))
+        seen["in lives"] += 1
+        try:
+            return lives(self, rep, key, t0, site, tau)
+        finally:
+            seen["in lives"] -= 1
+
+    def counted(self, rep, coords, a):
+        seen["birth lookups"] += 0 if seen["in lives"] else len(a)
+        return first_disaster(self, rep, coords, a)
+
+    monkeypatch.setattr(brw._ReplicaBatch, "_lives", checked_lives)
+    monkeypatch.setattr(brw._ReplicaBatch, "_first_disaster", counted)
+    roots = 0
+    for k, (label, params, initial, horizon, caps) in enumerate(_engine_corpus()):
+        env = [derive_seed(k, "env", i) for i in range(40)]
+        survive_replicas(params, initial, env, env[::-1], horizon, caps=caps)
+        roots += 40 * sum(initial.values())
+    print(dict(seen))
+    assert seen["birth lookups"] == roots
+    assert seen["inherited disasters"] > 1000
+
+
+def test_batch_engine_draws_little_past_an_alive_cap(monkeypatch):
+    # a replica near its cap spawns branches only a short way past its checked time
+    drawn = []
+    lives = brw._ReplicaBatch._lives
+    monkeypatch.setattr(brw._ReplicaBatch, "_lives",
+                        lambda self, rep, *cols: drawn.append(len(rep)) or lives(self, rep, *cols))
+    params, caps = BRWParams(8.0, 2.0, ALWAYS_TWO, 1.0, 1), Caps(max_alive=50)
+    env, tree = derive_seeds(200, 8, "env"), derive_seeds(200, 8, "tree")
+    out = survive_replicas(params, {(0,): 1}, env, tree, 6.0, caps=caps)
+    created = sum(len(simulate(params, {(0,): 1}, DisasterField(int(e), 1.0, 1), 0.0, 6.0, int(t),
+                               caps=caps, record_events=False).records) for e, t in zip(env, tree))
+    print(f"lives drawn {sum(drawn)}, particles the heap loop creates {created}")
+    assert out.capped.sum() > 40
+    assert sum(drawn) <= 1.1 * created
+
+
 def test_batch_engine_holds_a_budget_not_the_population(monkeypatch):
     monkeypatch.setattr(brw, "_BLOCK_CELLS", 256)
     budget = brw._LIVE_BLOCKS * brw._BLOCK_CELLS

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from disasterbrw.env import DisasterField, InvalidWindowError, superpose
+from disasterbrw.env import DisasterField, InvalidWindowError, PackedStreams, superpose
 
 from helpers import first_block_oracle
 
@@ -272,3 +272,41 @@ def test_first_disaster_includes_horizon_endpoint():
     t = float(ts[0])
     # window (t0, horizon] includes the endpoint exactly
     assert f.first_disaster_after((0,), t * 0.5, t) == t
+
+
+def test_packed_streams_match_the_scalar_loop_under_forced_collisions():
+    # every key shares its low 20 bits, so all start probing at one table slot:
+    # probe chains run far past 16, across a rehash between queries and a drop()
+    rate, t_max = 2.0, 3.0
+    gen = np.random.default_rng(29)
+    keys = np.unique((gen.integers(1, 1 << 40, 420).astype(np.uint64) << np.uint64(20))
+                     | np.uint64(0x5A5A5))[:400]
+    owner = {k: int(i >= 100) for i, k in enumerate(keys.tolist())}
+    scalar = DisasterField(0, rate)  # _stream(key) and _extend: the scalar loop, by key
+
+    def stream(key):
+        s = scalar._stream(key)
+        scalar._extend(s, t_max)
+        return s.times[s.times <= t_max]
+
+    packed = PackedStreams(rate, t_max, block_cells=64)
+
+    def check(ks):
+        ks = np.concatenate((ks, ks[::7]))  # repeated keys in one query
+        times = [stream(k) for k in ks.tolist()]
+        # half the queries sit exactly on a disaster (first_from includes it), half anywhere
+        a = np.array([t[gen.integers(len(t))] if len(t) and j % 2 else gen.uniform(-0.5, t_max + 0.5)
+                      for j, t in enumerate(times)])
+        got = packed.first_from(ks, np.array([owner[k] for k in ks.tolist()]), a)
+        want = [t[np.searchsorted(t, x)] if np.searchsorted(t, x) < len(t) else np.inf
+                for t, x in zip(times, a.tolist())]
+        assert got.tolist() == want
+        mask = len(packed._table) - 1
+        chain = (packed._probe(ks) - (ks & np.uint64(mask)).astype(np.int64)) & mask
+        return int(chain.max())
+
+    assert check(keys[:100]) > 16 and len(packed._table) == 256  # at most half full
+    assert check(keys[:300]) > 16 and len(packed._table) == 1024  # rehashed on the way
+    packed.drop(np.array([True, False]))  # owner 0's streams: a third of the pool
+    assert packed._n == 200
+    assert check(keys[50:400]) > 16 and packed._n == 350  # kept, dropped and new keys

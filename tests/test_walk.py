@@ -314,6 +314,17 @@ def test_annealed_fast_route_agrees_with_field_route():
     assert abs(slow.value - target) < 3 * slow.std_err
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("which", ["jump_rate", "disaster_rate"])
+def test_annealed_rejects_bad_rates_before_any_draw(which, bad):
+    rates = {"jump_rate": 1.0, "disaster_rate": 1.0, which: bad}
+    gen = np.random.default_rng(1)
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+        annealed_survival(rates["jump_rate"], rates["disaster_rate"], 1.0, 100, gen)
+    assert gen.bit_generator.state == before
+
+
 # -- estimate_lyapunov ----------------------------------------------------------
 
 def test_lyapunov_no_disasters_exactly_zero():
