@@ -89,12 +89,12 @@ class PackedStreams:
     it) to stream numbers.  Looking up many keys, and their first disasters
     after given times, is then a few vectorized steps.  A probe pass reads
     only the keys still colliding and moves them one slot on, so a lookup
-    costs the keys' chain lengths, not the longest chain times the keys.  Unknown keys are
-    materialized together, `block_cells` uniforms at a time, by the matrix
-    path of DisasterField.bulk_streams.  Every stream is tagged with an
-    owner, and drop() forgets the streams of owners that are done.  Arrays
-    grow by doubling and are compacted at their size, so a long run
-    allocates few distinct sizes.
+    costs the keys' chain lengths, not the longest chain times the keys.
+    Unknown keys are materialized together, `block_cells` uniforms at a
+    time, by the matrix path of DisasterField.bulk_streams.  Every stream
+    is tagged with an owner, and drop() forgets the streams of owners that
+    are done.  Arrays grow by doubling and are compacted at their size, so
+    a long run allocates few distinct sizes.
     """
 
     def __init__(self, rate: float, t_max: float, block_cells: int):
