@@ -67,18 +67,14 @@ def _code(coords) -> int:
     return code
 
 
-def exit_counts(events: Iterable[Event], box: SpaceTimeBox,
-                log_horizon: float | None = None) -> ExitCounts:
+def exit_counts(events: Iterable[Event], box: SpaceTimeBox) -> ExitCounts:
     """First-hit face counts and untouched-survivor top counts from a log.
 
-    The log must cover [0, box.t_end]; pass the simulation horizon as
-    `log_horizon` to have that verified.  Children inherit the ancestral
+    The log must cover [0, box.t_end].  Children inherit the ancestral
     first-touch, so a lineage that touched the boundary contributes nothing
     afterwards; a shell landing exactly at t_end is not a strict-past touch
     and the particle counts on the top.
     """
-    if log_horizon is not None and log_horizon < box.t_end:
-        raise ValueError("event log ends before the box does")
     L, t_end, d = box.half_width, box.t_end, box.dimension
     tops = [0] * 2**d
     faces = [0] * (d * 2**d)

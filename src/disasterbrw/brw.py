@@ -107,7 +107,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .env import DisasterField, PackedStreams, _room, site_keys_at
+from .env import DisasterField, PackedStreams, site_keys_at
 from .rng import (_M64, GOLDEN, ParticleStream, counter_exponential, counter_uniform, derive_seed,
                   derive_seeds, fold, mix64, mix64_int)
 from .walk import SurvivalEstimate, estimate_survival
@@ -471,28 +471,15 @@ def replicas_in_field(params: BRWParams, field, tree_seeds, start_time: float, h
     return out
 
 
-def _padded(*cols):
-    """Columns of n < 1024 rows padded to a power of two rows by repeating their last row.
-
-    numpy keeps up to seven freed buffers of every size under 1 KiB for
-    reuse, so working sets of many small sizes would fill that cache; a few
-    fixed sizes keep it, and the resident memory, small.  A repeated row
-    draws and looks up what its original does, so it changes no result.
-    """
-    n = len(cols[0])
-    extra = (n if n >= 1024 or n == 0 else 1 << (n - 1).bit_length()) - n
-    if not extra:
-        return cols
-    return tuple(np.concatenate((c, np.repeat(c[-1:], extra, axis=0))) for c in cols)
-
-
 class _ReplicaBatch:
     """Replica states, and the pool: one row per drawn particle whose end is not yet applied.
 
     A pool row is a death, or a branch whose children are born once it is
     spawned (`open` until then), with the first disaster its children meet
     (`next`).  A replica's `checked` time is the earliest open branch it
-    has: every event before it is known, and has been applied.
+    has: every event before it is known, and has been applied.  The pool
+    is a dict of exact-length columns: _resolve appends the new rows, and
+    _settle keeps the rows whose end is still to be applied.
     """
 
     def __init__(self, params, initial, env_seeds, tree_seeds, start_time, horizon, caps):
@@ -533,23 +520,17 @@ class _ReplicaBatch:
         self.capped = np.zeros(n, dtype=bool)
         self.rerun = np.zeros(n, dtype=bool)
         self.next = 0
-        # pool columns, grown by doubling and compacted in place; rows [0, n_pool) are used
-        self.columns = {"rep": np.empty(64, dtype=np.int32), "time": np.empty(64),
-                        "rank": np.empty(64, dtype=np.int8), "nc": np.empty(64, dtype=np.int32),
-                        "key": np.empty(64, dtype=np.uint64), "site": np.empty((64, d), dtype=np.int64),
-                        "next": np.empty(64), "open": np.empty(64, dtype=bool)}
-        self.n_pool = 0
-
-    def _pool(self) -> dict:
-        """Views of the used pool rows."""
-        return {k: v[:self.n_pool] for k, v in self.columns.items()}
+        self.pool = {"rep": np.empty(0, dtype=np.int32), "time": np.empty(0),
+                     "rank": np.empty(0, dtype=np.int8), "nc": np.empty(0, dtype=np.int32),
+                     "key": np.empty(0, dtype=np.uint64), "site": np.empty((0, d), dtype=np.int64),
+                     "next": np.empty(0), "open": np.empty(0, dtype=bool)}
 
     def run(self) -> ReplicaOutcome:
         peak = 0
         while self.next < self.n or (self.state == 1).any():
             births = [self._admit(), self._spawn()]
             rep, key, t0, site, tau = (np.concatenate(cols) for cols in zip(*births))
-            peak = max(peak, self.n_pool + len(rep))
+            peak = max(peak, len(self.pool["rep"]) + len(rep))
             if len(rep):
                 self._resolve(rep, key, t0, site, tau)
             self._settle()
@@ -571,7 +552,7 @@ class _ReplicaBatch:
         """
         budget = _LIVE_BLOCKS * _BLOCK_CELLS
         running = int(np.count_nonzero(self.state == 1))
-        room = min((budget // 2 - self.n_pool) // len(self.root_sites),
+        room = min((budget // 2 - len(self.pool["rep"])) // len(self.root_sites),
                    budget // _REPLICA_ROWS - running)
         if not running:
             room = max(room, 1)
@@ -596,7 +577,7 @@ class _ReplicaBatch:
         and the replicas before it stay within the budget of rows (the first
         always does); the others wait a round.
         """
-        pool = self._pool()
+        pool = self.pool
         rep = pool["rep"]
         due = pool["open"] & (pool["time"] <= self.limit[rep])
         run = np.flatnonzero(self.state == 1)
@@ -629,11 +610,7 @@ class _ReplicaBatch:
         self.home += np.bincount(rep[out[home]], minlength=self.n)
         rows = {"rep": rep, "time": time, "rank": rank, "nc": nc, "key": key, "site": site,
                 "next": nxt, "open": (rank == _BRANCH) & (nc > 0)}
-        n0, k = self.n_pool, int(np.count_nonzero(ends))
-        for name, col in rows.items():
-            buf = self.columns[name] = _room(self.columns[name], n0, k)
-            buf[n0:n0 + k] = col[ends]
-        self.n_pool += k
+        self.pool = {name: np.concatenate((self.pool[name], col[ends])) for name, col in rows.items()}
 
     def _lives(self, rep, key, t0, site, tau):
         """Each particle's life to its end: (time, rank, children, site, jumps, next).
@@ -648,8 +625,6 @@ class _ReplicaBatch:
         """
         p, horizon = self.params, self.horizon
         d, n_dirs = p.dimension, 2 * p.dimension
-        m = len(key)
-        rep, key, t0, site, tau = _padded(rep, key, t0, site, tau)
         t_branch = t0 + counter_exponential(key, 0, p.birth_rate)
         t_jump = t0 + counter_exponential(key, 1, p.jump_rate)
         lim = np.minimum(t_branch, horizon)
@@ -662,7 +637,6 @@ class _ReplicaBatch:
         here, at0 = site[act], t_jump[act]
         col = 1  # jump number of the block's first column
         while len(act):
-            act, here, at0 = _padded(act, here, at0)
             w = max(1, min(_JUMP_COLUMNS, _BLOCK_CELLS // len(act)))
             u = counter_uniform(key[act, None], 2 * col + np.arange(2 * w))
             # running sums by np.add.accumulate, here and below: numpy 2.4's cumsum
@@ -700,14 +674,12 @@ class _ReplicaBatch:
             col += w
         u = counter_uniform(key, 2 + 2 * jumps)
         nc = np.where(rank == _BRANCH, np.searchsorted(self.cdf, u, side="left"), 0).astype(np.int32)
-        return end[:m], rank[:m], nc[:m], end_site[:m], jumps[:m], nxt[:m]
+        return end, rank, nc, end_site, jumps, nxt
 
     def _first_disaster(self, rep, coords, a) -> np.ndarray:
         """First disaster time >= a at each row's site, in its replica's field; inf if none."""
-        n = len(a)
-        rep, coords, a = _padded(rep, coords, a)
         field = self.field_of[rep]
-        return self.streams.first_from(site_keys_at(self.field_base[field], coords), field, a)[:n]
+        return self.streams.first_from(site_keys_at(self.field_base[field], coords), field, a)
 
     def _settle(self) -> None:
         """Apply every event before each replica's checked time, in the heap loop's order,
@@ -717,7 +689,7 @@ class _ReplicaBatch:
         max_alive (capped), when nothing open is left (done), or when its
         work bound passes max_events (rerun on the heap loop).
         """
-        pool, n = self._pool(), self.n
+        pool, n = self.pool, self.n
         rep, time, is_open = pool["rep"], pool["time"], pool["open"]
         checked = np.full(n, np.inf)
         np.minimum.at(checked, rep[is_open], time[is_open])
@@ -745,9 +717,7 @@ class _ReplicaBatch:
         room = np.clip((self.caps.max_alive - alive) / alive, 1 / 64, 1.0)
         self.limit = np.where(running, checked + self.lookahead * room, self.limit)
         keep = ~due & (self.state[rep] != 2)
-        self.n_pool = int(np.count_nonzero(keep))
-        for col in pool.values():
-            col[:self.n_pool] = col[keep]
+        self.pool = {name: col[keep] for name, col in pool.items()}
         # a field's streams go once none of its replicas waits or runs
         self.streams.drop(np.bincount(self.field_of, weights=self.state != 2,
                                       minlength=len(self.field_base)) == 0)
@@ -773,7 +743,7 @@ def survival_frequency(params: BRWParams, horizon: float, n_reps: int, seed: int
         raise ValueError("n_reps must be >= 1")
     seeds = [derive_seeds(n_reps, seed, label) for label in ("bsurv-env", "bsurv-tree")]
     out = survive_replicas(params, {(0,) * params.dimension: 1}, *seeds, horizon, caps=caps)
-    survived = int(np.count_nonzero(out.capped | out.alive))
+    survived = int(np.count_nonzero(out.alive))
     capped = int(np.count_nonzero(out.capped))
     return SurvivalEstimate.binomial(survived / n_reps, n_reps, capped / n_reps)
 

@@ -93,8 +93,7 @@ class PackedStreams:
     Unknown keys are materialized together, `block_cells` uniforms at a
     time, by the matrix path of DisasterField.bulk_streams.  Every stream
     is tagged with an owner, and drop() forgets the streams of owners that
-    are done.  Arrays grow by doubling and are compacted at their size, so
-    a long run allocates few distinct sizes.
+    are done.
     """
 
     def __init__(self, rate: float, t_max: float, block_cells: int):
@@ -102,12 +101,11 @@ class PackedStreams:
         self.t_max = float(t_max)
         self.block_cells = block_cells
         self._n = 0  # streams
-        self._used = 0  # times
-        self._key = np.empty(64, dtype=np.uint64)
-        self._off = np.empty(64, dtype=np.int32)
-        self._len = np.empty(64, dtype=np.int32)
-        self._owner = np.empty(64, dtype=np.int32)
-        self._times = np.empty(1024)  # one slot past the used part keeps bisection reads in bounds
+        self._key = np.empty(0, dtype=np.uint64)
+        self._off = np.empty(0, dtype=np.int32)
+        self._len = np.empty(0, dtype=np.int32)
+        self._owner = np.empty(0, dtype=np.int32)
+        self._times = np.array([np.inf])  # a trailing inf keeps bisection reads in bounds
         self._table = np.full(256, -1, dtype=np.int32)  # slot -> stream number; -1 empty
 
     def first_from(self, keys: np.ndarray, owners: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -134,7 +132,8 @@ class PackedStreams:
         on = np.arange(len(keys))  # keys whose probe goes on: each pass reads only these
         while len(on):
             i = table[slot[on]]
-            on = on[(i >= 0) & (self._key[np.maximum(i, 0)] != keys[on])]
+            on, i = on[i >= 0], i[i >= 0]  # an empty slot ends the probe
+            on = on[self._key[i] != keys[on]]
             slot[on] = (slot[on] + 1) & mask
         return slot
 
@@ -169,57 +168,41 @@ class PackedStreams:
 
     def _add(self, keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Materialize the streams of distinct unseen `keys`; their stream numbers."""
-        n0, n1 = self._n, self._n + len(keys)
-        for name in ("_key", "_off", "_len", "_owner"):
-            setattr(self, name, _room(getattr(self, name), n0, len(keys)))
-        self._key[n0:n1] = keys
-        self._owner[n0:n1] = owners
         n_block = _block_size(self.rate, self.t_max)
         rows = max(1, self.block_cells // n_block)
-        for lo in range(n0, n1, rows):
-            hi = min(n1, lo + rows)
+        times, lengths = [self._times[:-1]], []
+        for lo in range(0, len(keys), rows):
             n = n_block
-            sums = _gap_sums(self._key[lo:hi], n, self.rate)
+            sums = _gap_sums(keys[lo:lo + rows], n, self.rate)
             while sums[:, -1].min() <= self.t_max:  # a row ends early: redraw longer, same bits
                 n *= 2
-                sums = _gap_sums(self._key[lo:hi], n, self.rate)
+                sums = _gap_sums(keys[lo:lo + rows], n, self.rate)
             keep = sums <= self.t_max
-            lengths = keep.sum(axis=1)
-            total = int(lengths.sum())
-            self._times = _room(self._times, self._used, total + 1)
-            np.compress(keep.ravel(), sums.ravel(), out=self._times[self._used:self._used + total])
-            self._off[lo:hi] = self._used + np.add.accumulate(lengths) - lengths
-            self._len[lo:hi] = lengths
-            self._used += total
-        self._n = n1
-        return np.arange(n0, n1, dtype=np.int32)
+            times.append(sums[keep])
+            lengths.append(keep.sum(axis=1))
+        lengths = np.concatenate(lengths, dtype=np.int32)
+        off = len(self._times) - 1 + np.add.accumulate(lengths) - lengths
+        self._times = np.concatenate((*times, [np.inf]))
+        self._off = np.concatenate((self._off, off), dtype=np.int32)
+        self._len = np.concatenate((self._len, lengths))
+        self._key = np.concatenate((self._key, keys))
+        self._owner = np.concatenate((self._owner, owners), dtype=np.int32)
+        n0, self._n = self._n, len(self._key)
+        return np.arange(n0, self._n, dtype=np.int32)
 
     def drop(self, done: np.ndarray) -> None:
         """Forget the streams whose owner is done (done[owner] True), once they are a
         quarter of the pool."""
-        n = self._n
-        keep = ~done[self._owner[:n]]
-        if 4 * int(keep.sum()) >= 3 * n:
+        keep = ~done[self._owner]
+        if 4 * int(keep.sum()) >= 3 * self._n:
             return
-        lengths = self._len[:n][keep]
+        lengths = self._len[keep]
         off = np.add.accumulate(lengths) - lengths
-        src = np.repeat(self._off[:n][keep] - off, lengths) + np.arange(int(lengths.sum()))
-        times = np.empty_like(self._times)
-        times[:len(src)] = self._times[src]
-        self._times, self._used, self._n = times, len(src), len(lengths)
-        for name, col in (("_key", self._key[:n][keep]), ("_off", off), ("_len", lengths),
-                          ("_owner", self._owner[:n][keep])):
-            getattr(self, name)[:self._n] = col
+        src = np.repeat(self._off[keep] - off, lengths) + np.arange(int(lengths.sum()))
+        self._times = np.append(self._times[src], np.inf)
+        self._key, self._off, self._len, self._owner = self._key[keep], off, lengths, self._owner[keep]
+        self._n = len(lengths)
         self._rehash(len(self._table))
-
-
-def _room(buf: np.ndarray, used: int, extra: int) -> np.ndarray:
-    """`buf`, or a copy of its first `used` entries at double the size, with room for `extra` more."""
-    if used + extra <= len(buf):
-        return buf
-    grown = np.empty((max(2 * len(buf), used + extra),) + buf.shape[1:], dtype=buf.dtype)
-    grown[:used] = buf[:used]
-    return grown
 
 
 class DisasterField:

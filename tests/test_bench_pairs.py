@@ -6,8 +6,8 @@ spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "wall_norm_s", "unit": "s", "better": "lower"},
-           {"name": "walkers_per_s", "unit": "1/s", "better": "higher"}]
+METRICS = [{"name": "wall_norm_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "walkers_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
 
 
 def _run(pair, side, wall, rate, exit_code=0):
@@ -33,6 +33,29 @@ def test_summary_counts_pairs_by_direction_and_skips_ties_and_failed_runs():
     assert wall["head"]["median"] == 1.0
     assert summary["runs_failed"] == {"base": 0, "head": 1}
     assert "head better in 1/2" in bench_pairs.report({"w": summary})
+
+
+def test_verdict_weighs_the_head_against_the_base_spread_and_the_bound():
+    lower, higher = ({"better": b, "bound": 0.1} for b in ("lower", "higher"))
+    tight = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    wide = [1.0, 1.5, 0.7, 1.3, 0.8, 1.2, 0.9, 1.4, 0.6, 1.1]
+    verdict = bench_pairs.verdict
+    assert verdict(wide, [v * 1.02 for v in wide], 0, 10, lower) == "unresolved"
+    assert verdict(wide, [0.3] * 10, 10, 10, lower) == "better"  # every head run beats every base run
+    assert verdict(wide, [1.6] * 10, 0, 10, higher) == "within bound"  # as does each here, if by little
+    assert verdict(tight, [1.15] * 10, 0, 10, lower) == "worse"
+    assert verdict(tight, [0.85] * 10, 0, 10, higher) == "worse"
+    assert verdict(tight, [1.05] * 10, 0, 10, lower) == "within bound"
+    assert verdict(tight, [0.95] * 10, 10, 10, lower) == "better"
+    assert verdict(tight, [0.95] * 10, 8, 10, lower) == "within bound"  # a gain needs 9 pairs in 10
+    assert verdict(tight, [0.995] * 10, 10, 10, lower) == "within bound"  # inside the base quartiles
+    assert verdict([], [1.0], 0, 0, lower) is None
+    runs = [_run(i, side, 1.0 + 0.6 * (side == "head") * (i % 2), 10.0) for i in range(4)
+            for side in ("base", "head")]
+    summary = bench_pairs.summarize(runs, METRICS)["w"]
+    assert summary["wall_norm_s"]["verdict"] == "worse"
+    assert summary["walkers_per_s"]["verdict"] == "within bound"
+    assert "head better in 0/2  worse" in bench_pairs.report({"w": summary})
 
 
 LAYERS = [{"name": "walk.survival_batch_self_s", "unit": "s", "better": "lower"},

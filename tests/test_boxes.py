@@ -155,7 +155,7 @@ def test_exit_counts_trivial_cases():
     params = BRWParams(0.0, 0.0, (1.0,), 0.0, 1)
     fld = DisasterField(1, 0.0, 1)
     res = simulate(params, {(0,): 1}, fld, 0.0, 1.0, 1)
-    ec = exit_counts(res.events, SpaceTimeBox(3, 1.0, 1), res.horizon)
+    ec = exit_counts(res.events, SpaceTimeBox(3, 1.0, 1))
     assert ec.top.sum() == 1 and ec.face.sum() == 0
 
 
@@ -166,15 +166,8 @@ def test_exit_counts_all_zero_when_everyone_dies_inside():
     t_hit = fld.first_disaster_after((0,), 0.0, 50.0)
     fld2 = DisasterField(seed=3001, rate=1.0, dimension=1)
     res = simulate(params, {(0,): 1}, fld2, 0.0, t_hit + 1.0, 1)
-    ec = exit_counts(res.events, SpaceTimeBox(3, t_hit + 1.0, 1), res.horizon)
+    ec = exit_counts(res.events, SpaceTimeBox(3, t_hit + 1.0, 1))
     assert ec.top.sum() == 0 and ec.face.sum() == 0
-
-
-def test_exit_counts_log_coverage_check():
-    params = BRWParams(0.0, 0.0, (1.0,), 0.0, 1)
-    res = simulate(params, {(0,): 1}, DisasterField(1, 0.0, 1), 0.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        exit_counts(res.events, SpaceTimeBox(3, 2.0, 1), res.horizon)
 
 
 def test_exit_counts_against_path_replay_oracle():
@@ -183,7 +176,7 @@ def test_exit_counts_against_path_replay_oracle():
     for i in range(100):
         fld = DisasterField(seed=7000 + i, rate=1.0, dimension=1)
         res = simulate(params, {(0,): 2}, fld, 0.0, 1.5, 7200 + i)
-        ec = exit_counts(res.events, box, res.horizon)
+        ec = exit_counts(res.events, box)
         tops, faces = _oracle_exit_counts(res, box)
         assert ec.top.tolist() == tops.tolist(), i
         assert ec.face.tolist() == faces.tolist(), i
@@ -197,7 +190,7 @@ def test_exit_counts_conservation():
     for i in range(30):
         fld = DisasterField(seed=7600 + i, rate=1.0, dimension=2)
         res = simulate(params, {(0, 0): 2}, fld, 0.0, 1.0, 7800 + i)
-        ec = exit_counts(res.events, box, res.horizon)
+        ec = exit_counts(res.events, box)
         tops, faces = _oracle_exit_counts(res, box)
         assert ec.top.sum() + ec.face.sum() == tops.sum() + faces.sum()
 
@@ -212,8 +205,8 @@ def test_truncated_run_matches_untruncated_exit_counts():
         full = simulate(params, {(0,): 1}, f1, 0.0, 1.5, 8300 + i)
         trunc = simulate(params, {(0,): 1}, f2, 0.0, 1.5, 8300 + i,
                          trunc=box.interior_region())
-        a = exit_counts(full.events, box, full.horizon)
-        b = exit_counts(trunc.events, box, trunc.horizon)
+        a = exit_counts(full.events, box)
+        b = exit_counts(trunc.events, box)
         assert a.top.tolist() == b.top.tolist() and a.face.tolist() == b.face.tolist()
 
 
@@ -239,7 +232,7 @@ def test_exit_counts_match_per_event_oracle():
             res = simulate(params, start, DisasterField(9000 + i, 0.7, d), 0.0, 2.0, 9100 + i,
                            trunc=trunc)
             for box in _oracle_boxes(rng, d, res):
-                ec = exit_counts(res.events, box, res.horizon)
+                ec = exit_counts(res.events, box)
                 tops, faces = exit_counts_oracle(res.events, box)
                 assert ec.top.tolist() == tops.tolist() and ec.face.tolist() == faces.tolist(), (d, i, box)
                 assert ec.top.shape == (2**d,) and ec.face.shape == (d * 2**d,)

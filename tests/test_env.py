@@ -310,3 +310,8 @@ def test_packed_streams_match_the_scalar_loop_under_forced_collisions():
     packed.drop(np.array([True, False]))  # owner 0's streams: a third of the pool
     assert packed._n == 200
     assert check(keys[50:400]) > 16 and packed._n == 350  # kept, dropped and new keys
+    packed.drop(np.array([True, True]))  # every owner done: an empty pool probes no stream
+    assert packed._n == 0
+    fresh = keys[:60] + np.uint64(1 << 60)  # unseen keys with the same low bits
+    owner.update(dict.fromkeys(fresh.tolist(), 0))
+    assert check(np.concatenate((keys[::4], fresh))) > 16 and packed._n == 160

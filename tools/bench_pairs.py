@@ -12,12 +12,12 @@ one pair runs the command of BENCHMARK.json (`perfbench/run.py --trace 0`,
 for its `run_seconds`) once in each checkout; the side that goes first
 alternates from pair to pair. The file written holds both shas, the machine,
 every run's result line (the last line of its stdout) and, per workload and
-end-to-end metric, each side's median and quartiles and the number of pairs
-the head won (ties count for neither side). After the pairs, each side
-makes one traced run (`--trace 1`) per workload on the first seed; the file
-keeps those result lines too, and per workload and per-layer metric of
-BENCHMARK.json the two sides' values and the head's change, which is also
-printed. The temporary checkouts are removed at the end. BENCH_<PR>.json is
+end-to-end metric, each side's median and quartiles, the number of pairs
+the head won (ties count for neither side) and a verdict (see `verdict`).
+After the pairs, each side makes one traced run (`--trace 1`) per workload
+on the first seed; the file keeps those result lines too, and per workload
+and per-layer metric of BENCHMARK.json the two sides' values and the head's
+change, which is also printed. The temporary checkouts are removed at the end. BENCH_<PR>.json is
 written in the root of the repository. Only the standard library is used, and nothing under perfbench/
 is written to.
 """
@@ -93,11 +93,37 @@ def _value(run: dict, name: str):
     return res["metrics"][name]["value"] if res and run["exit"] == 0 else None
 
 
+def verdict(base: list, head: list, won: int, pairs: int, metric: dict) -> str | None:
+    """Verdict on one metric from each side's values and the pairs the head won of `pairs`.
+
+    `unresolved` when the base's spread, (q3 - q1) / median, exceeds the
+    metric's bound (a relative change), unless every head run beats every
+    base run; otherwise `worse` when the head median is past the base median
+    by more than the bound, `better` when it beats the base median by more
+    than the base's quartile distance in at least 9 of 10 pairs (the bar a
+    claimed gain must clear), and `within bound` else.  None without values.
+    """
+    if not base or not head:
+        return None
+    b = _spread(base)
+    sign = 1 if metric["better"] == "lower" else -1  # sign * value: lower is better
+    gain = sign * (b["median"] - statistics.median(head))
+    iqr, bound = b["q3"] - b["q1"], metric["bound"]
+    if iqr > bound * abs(b["median"]) and min(sign * v for v in base) <= max(sign * v for v in head):
+        return "unresolved"
+    if -gain > bound * abs(b["median"]):
+        return "worse"
+    if gain > iqr and 10 * won >= 9 * pairs:
+        return "better"
+    return "within bound"
+
+
 def summarize(runs: list, metrics: list) -> dict:
-    """Per workload and end-to-end metric: each side's spread and the pairs the head won.
+    """Per workload and end-to-end metric: each side's spread, the pairs the head won and
+    a verdict.
 
     `runs` are the entries of the output file; `metrics` the `end_to_end`
-    entries of BENCHMARK.json (name, unit, better).
+    entries of BENCHMARK.json (name, unit, better, bound).
     """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -109,11 +135,14 @@ def summarize(runs: list, metrics: list) -> dict:
         for m in metrics:
             vals = [{s: _value(p[s], m["name"]) if s in p else None for s in SIDES}
                     for p in pairs.values()]
-            decided = [v for v in vals if None not in v.values() and v["base"] != v["head"]]
+            complete = [v for v in vals if None not in v.values()]
+            decided = [v for v in complete if v["base"] != v["head"]]
             won = sum((v["head"] < v["base"]) == (m["better"] == "lower") for v in decided)
+            side = {s: [v[s] for v in vals if v[s] is not None] for s in SIDES}
             rows[m["name"]] = {"unit": m["unit"], "better": m["better"],
-                               **{s: _spread([v[s] for v in vals if v[s] is not None]) for s in SIDES},
-                               "pairs_won": won, "pairs_lost": len(decided) - won}
+                               **{s: _spread(side[s]) for s in SIDES},
+                               "pairs_won": won, "pairs_lost": len(decided) - won,
+                               "verdict": verdict(side["base"], side["head"], won, len(complete), m)}
         rows["runs_failed"] = {s: sum(1 for p in pairs.values() if s in p and (
             p[s]["exit"] != 0 or not p[s]["result"] or p[s]["result"]["failed"])) for s in SIDES}
     return out
@@ -165,7 +194,8 @@ def report(summary: dict) -> str:
                 continue
             lines.append(f"{workload:14s} {name:12s} base {b['median']:.4g} ({b['q1']:.4g}-{b['q3']:.4g})"
                          f"  head {h['median']:.4g} ({h['q1']:.4g}-{h['q3']:.4g})"
-                         f"  head better in {row['pairs_won']}/{row['pairs_won'] + row['pairs_lost']}")
+                         f"  head better in {row['pairs_won']}/{row['pairs_won'] + row['pairs_lost']}"
+                         f"  {row['verdict']}")
         lines.append(f"{workload:14s} runs failed: base {rows['runs_failed']['base']}, "
                      f"head {rows['runs_failed']['head']}")
     return "\n".join(lines)
