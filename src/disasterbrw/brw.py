@@ -29,8 +29,9 @@ rng module for why that makes path-wise couplings exact.
 survive_replicas answers what survival_frequency, moment_identity_check and
 gw_embed.sample_offspring ask: "capped?", "how many particles are alive at
 the horizon?" and "how many of them sit on a start site?", for many replicas
-at once, without the heap.  It gets the same answers as simulate, replica
-for replica, because:
+at once, without the heap.  The last two reach it through
+replicas_in_fields, which runs the trees of all their fields as one batch.
+It gets the same answers as simulate, replica for replica, because:
 
 * Lives are pure.  Given the field, a particle's life is a function of its
   key, birth time and birth site alone: counter 0 is its branch gap, 1 its
@@ -74,10 +75,12 @@ for replica, because:
   clip((max_alive - alive) / alive, 1/64, 1).  A replica far from its cap
   looks a full lookahead ahead; one near it draws few children of branches
   after its trip.  Replicas start and advance only while the pool holds
-  about _LIVE_BLOCKS blocks of rows.  Once every event of an uncapped
-  replica is applied, the alive count is its population at the horizon; a
-  particle that outlives the horizon also adds to its replica's start-site
-  count when it ends on a start site.
+  about _LIVE_BLOCKS blocks of rows, and each running replica reserves rows
+  for its disaster-free mean population at the horizon (at most
+  _REPLICA_ROWS), so small critical trees start by the thousand.  Once
+  every event of an uncapped replica is applied, the alive count is its
+  population at the horizon; a particle that outlives the horizon also adds
+  to its replica's start-site count when it ends on a start site.
 * The event cap is bounded, not ported.  The heap loop counts stale clocks
   and disasters at empty sites, which the arrays never see.  Its pops are at
   most its pushes: three per particle (branch clock, first jump clock, a
@@ -417,8 +420,8 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
 
 # The batch engine draws lives in numpy blocks of at most _BLOCK_CELLS cells
 # (particle x jump column), at most _JUMP_COLUMNS columns a step.  It holds
-# about _LIVE_BLOCKS blocks of particles, and runs at most one replica per
-# _REPLICA_ROWS of them at a time.
+# about _LIVE_BLOCKS blocks of particles, and reserves each running replica
+# the rows of its expected population, at most _REPLICA_ROWS.
 _BLOCK_CELLS = 1 << 12
 _JUMP_COLUMNS = 8
 _LIVE_BLOCKS = 2
@@ -450,25 +453,35 @@ def survive_replicas(params: BRWParams, initial: Mapping[Site, int], env_seeds, 
     return _ReplicaBatch(params, initial, env_seeds, tree_seeds, start_time, horizon, caps).run()
 
 
-def replicas_in_field(params: BRWParams, field, tree_seeds, start_time: float, horizon: float,
-                      caps: Caps) -> ReplicaOutcome:
-    """survive_replicas for one particle at the origin per tree seed, all in `field`.
+def replicas_in_fields(params: BRWParams, fields, tree_seeds, start_time: float, horizon: float,
+                       caps: Caps) -> list[ReplicaOutcome]:
+    """survive_replicas for one particle at the origin per tree seed, for several fields at once.
 
-    The engine rebuilds the field from its seed, so `field` must be a
-    DisasterField of params' disaster rate and dimension (ValueError
-    otherwise).  Raises CapTripped when a tree trips `caps`: the callers'
-    statistics need every tree's population.
+    tree_seeds[i] holds the tree seeds of fields[i]; every tree of every
+    field runs in one batch, whose answers do not depend on which replicas
+    run together, and one outcome per field comes back (peak_live is the
+    batch's).  The engine rebuilds each field from its seed, so the fields
+    must be DisasterFields of params' disaster rate and dimension
+    (ValueError otherwise).  Raises CapTripped, naming the first field that
+    has a capped tree: the callers' statistics need every tree's population.
     """
-    if not (isinstance(field, DisasterField) and field.rate == params.disaster_rate
-            and field.dimension == params.dimension):
-        raise ValueError("trees in one field need a DisasterField with params' disaster rate "
-                         "and dimension")
-    env_seeds = np.full(len(tree_seeds), field.seed & _M64, dtype=np.uint64)
-    out = survive_replicas(params, {(0,) * params.dimension: 1}, env_seeds, tree_seeds, horizon,
-                           start_time=start_time, caps=caps)
-    if out.capped.any():
-        raise CapTripped("a tree in one field tripped a population or event cap; raise caps")
-    return out
+    if len(fields) != len(tree_seeds) or not all(
+            isinstance(f, DisasterField) and f.rate == params.disaster_rate
+            and f.dimension == params.dimension for f in fields):
+        raise ValueError("trees in fields need one DisasterField with params' disaster rate "
+                         "and dimension per tree-seed sequence")
+    tree_seeds = [np.asarray(t, dtype=np.uint64) for t in tree_seeds]
+    sizes = [len(t) for t in tree_seeds]
+    env_seeds = np.repeat(np.array([f.seed & _M64 for f in fields], dtype=np.uint64), sizes)
+    out = survive_replicas(params, {(0,) * params.dimension: 1}, env_seeds,
+                           np.concatenate(tree_seeds), horizon, start_time=start_time, caps=caps)
+    cuts = np.add.accumulate(sizes)[:-1]
+    per_field = [ReplicaOutcome(*cols, out.peak_live) for cols in
+                 zip(*(np.split(col, cuts) for col in out[:4]))]
+    for i, o in enumerate(per_field):
+        if o.capped.any():
+            raise CapTripped(f"a tree in field {i} tripped a population or event cap; raise caps")
+    return per_field
 
 
 class _ReplicaBatch:
@@ -511,6 +524,11 @@ class _ReplicaBatch:
         self.cdf = np.asarray(params._cdf_list)
         growth = params.birth_rate * (params.offspring_mean - 1.0)
         self.lookahead = 1.0 / growth if growth > 0.0 else math.inf
+        # rows held for each running replica: its disaster-free mean population
+        # at the horizon, within [1, _REPLICA_ROWS]
+        mean = len(self.root_sites) * math.exp(min(growth * (horizon - start_time),
+                                                   math.log(_REPLICA_ROWS)))
+        self.reserve = min(max(math.ceil(mean), 1), _REPLICA_ROWS)
         self.streams = PackedStreams(params.disaster_rate, horizon, _BLOCK_CELLS)
         self.state = np.zeros(n, dtype=np.int8)  # 0 waiting, 1 running, 2 done
         self.alive = np.zeros(n, dtype=np.int64)  # alive once every checked event is applied
@@ -546,14 +564,14 @@ class _ReplicaBatch:
 
     def _admit(self):
         """Start waiting replicas while the pool holds under half its budget of rows,
-        with _REPLICA_ROWS rows of that budget for each running replica.
+        with `reserve` rows of that budget for each running replica.
 
         Roots are the only particles whose first disaster after birth is looked up.
         """
         budget = _LIVE_BLOCKS * _BLOCK_CELLS
         running = int(np.count_nonzero(self.state == 1))
         room = min((budget // 2 - len(self.pool["rep"])) // len(self.root_sites),
-                   budget // _REPLICA_ROWS - running)
+                   budget // self.reserve - running)
         if not running:
             room = max(room, 1)
         k = min(max(room, 0), self.n - self.next)
@@ -775,26 +793,33 @@ class Comparison:
         return math.inf if self.rhs > self.lhs else -math.inf
 
 
-def moment_identity_check(params: BRWParams, field, t: float, n_reps: int, seed: int,
-                          *, caps: Caps = Caps(max_alive=100_000, max_events=10_000_000)) -> Comparison:
-    """Compare mean population at t against growth-factor-scaled survival.
+def moment_identity_check(params: BRWParams, fields, t: float, n_reps: int, seeds,
+                          *, caps: Caps = Caps(max_alive=100_000, max_events=10_000_000)) -> list[Comparison]:
+    """Compare mean population at t against growth-factor-scaled survival, per field.
 
     In a fixed environment, the expected number of alive particles at time t
     equals exp(birth_rate*(mean-1)*t) times the single-particle survival
     probability, so the two Monte Carlo estimates target one number.
-    The trees run on the batch engine (replicas_in_field), so `field` must
-    be a DisasterField of params' rate and dimension.  Raises CapTripped when
-    a tree trips `caps`: a capped size would bias lhs.
+    fields[i] gets n_reps trees and n_reps walkers seeded from seeds[i].
+    The trees of all fields run as one batch on the batch engine
+    (replicas_in_fields), so the fields must be DisasterFields of params'
+    rate and dimension; the walkers run per field.  Raises CapTripped when a
+    tree trips `caps`: a capped size would bias lhs.
     """
     if t == 0.0:
-        return Comparison(lhs=1.0, lhs_se=0.0, rhs=1.0, rhs_se=0.0)
-    out = replicas_in_field(params, field, derive_seeds(n_reps, seed, "moment-tree"), 0.0, t, caps)
-    sizes = out.final_count.astype(np.float64)
-    lhs = float(sizes.mean())
-    lhs_se = float(sizes.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
-    surv = estimate_survival(field, params.jump_rate, t, n_reps, False, derive_seed(seed, "moment-walk"))
+        return [Comparison(lhs=1.0, lhs_se=0.0, rhs=1.0, rhs_se=0.0) for _ in fields]
+    outs = replicas_in_fields(params, fields, [derive_seeds(n_reps, s, "moment-tree") for s in seeds],
+                              0.0, t, caps)
     factor = math.exp(params.birth_rate * (params.offspring_mean - 1.0) * t)
-    return Comparison(lhs=lhs, lhs_se=lhs_se, rhs=factor * surv.value, rhs_se=factor * surv.std_err)
+    checks = []
+    for field, seed, out in zip(fields, seeds, outs):
+        sizes = out.final_count.astype(np.float64)
+        lhs_se = float(sizes.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
+        surv = estimate_survival(field, params.jump_rate, t, n_reps, False,
+                                 derive_seed(seed, "moment-walk"))
+        checks.append(Comparison(lhs=float(sizes.mean()), lhs_se=lhs_se, rhs=factor * surv.value,
+                                 rhs_se=factor * surv.std_err))
+    return checks
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ brw reads no --p; sweep --p-grid reads no model flag, --horizon, cap or
 
 Exit codes: 0 success, 1 config error, 2 oracle-suite failure, 3 statistical
 acceptance failure or a tripped population cap.  A check that needs uncapped
-runs (moment-check, embed, boxes-fkg) stops at the first cap trip, logs one
-"cap tripped: ..." line and writes no output; moment-check and embed run each
-field's trees as one batch, so they stop at the first field whose batch trips.
+runs (moment-check, embed, boxes-fkg) stops at a cap trip, logs one
+"cap tripped: ..." line and writes no output; moment-check and embed run the
+trees of all fields as one batch, so a trip in any field stops the whole
+run, and the line names the first field with a capped tree.
 """
 
 from __future__ import annotations
@@ -190,26 +191,25 @@ def cmd_brw_survival(ns) -> tuple[list[dict], int]:
 def _per_field(ns, experiment: str, label: str, horizon_key: str, check) -> tuple[list[dict], int]:
     """One comparison per fresh field; exit 3 unless 95% of them agree within 3 sigma.
 
-    `check(field, params, horizon, n_reps, seed)` returns a brw.Comparison.
+    `check(fields, params, horizon, n_reps, seeds)` returns one
+    brw.Comparison per field, in one call for all fields.
     """
     params = _params_from(ns)
-
-    def one(i: int) -> dict:
-        fld = DisasterField(derive_seed(ns.seed, f"{label}-field", i), ns.alpha, ns.d)
-        chk = check(fld, params, getattr(ns, horizon_key), ns.n_reps,
-                    derive_seed(ns.seed, label, i))
-        return {"experiment": experiment, "field_index": i,
-                **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", horizon_key, "n_reps")),
-                "lhs": chk.lhs, "lhs_se": chk.lhs_se, "rhs": chk.rhs, "rhs_se": chk.rhs_se,
-                "z": chk.z}
-    recs = [one(i) for i in range(ns.n_fields)]
+    fields = [DisasterField(derive_seed(ns.seed, f"{label}-field", i), ns.alpha, ns.d)
+              for i in range(ns.n_fields)]
+    seeds = [derive_seed(ns.seed, label, i) for i in range(ns.n_fields)]
+    checks = check(fields, params, getattr(ns, horizon_key), ns.n_reps, seeds)
+    recs = [{"experiment": experiment, "field_index": i,
+             **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", horizon_key, "n_reps")),
+             "lhs": chk.lhs, "lhs_se": chk.lhs_se, "rhs": chk.rhs, "rhs_se": chk.rhs_se, "z": chk.z}
+            for i, chk in enumerate(checks)]
     frac_ok = sum(1 for r in recs if abs(r["z"]) <= 3.0) / len(recs)
     return recs, (0 if frac_ok >= 0.95 else 3)
 
 
 def cmd_moment_check(ns) -> tuple[list[dict], int]:
     return _per_field(ns, "moment-check", "moment", "t",
-                      lambda fld, params, *rest: brw_mod.moment_identity_check(params, fld, *rest))
+                      lambda fields, params, *rest: brw_mod.moment_identity_check(params, fields, *rest))
 
 
 def cmd_embed(ns) -> tuple[list[dict], int]:

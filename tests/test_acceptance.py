@@ -127,10 +127,8 @@ def test_criterion_04_pinned_equals_unpinned_rate(lyap_table):
 
 def test_criterion_05_moment_identity():
     params = BRWParams(1.0, 1.0, BINARY, 1.0, 1)
-    zs = []
-    for i in range(50):
-        fld = DisasterField(seed=SEED + 100 + i, rate=1.0, dimension=1)
-        zs.append(moment_identity_check(params, fld, 2.0, 600, SEED + 200 + i).z)
+    fields = [DisasterField(seed=SEED + 100 + i, rate=1.0, dimension=1) for i in range(50)]
+    zs = [c.z for c in moment_identity_check(params, fields, 2.0, 600, range(SEED + 200, SEED + 250))]
     frac = sum(1 for z in zs if abs(z) <= 3.0) / len(zs)
     ok = frac >= 0.95
     line = report(5, "moment-identity", ok, f"|z|<=3 in {frac:.0%} of 50 fields")
@@ -143,10 +141,9 @@ def test_criterion_05_moment_identity():
 
 def test_criterion_06_embedded_identity():
     params = BRWParams(2.0, 0.5, BINARY, 1.0, 1)
-    zs = []
-    for i in range(50):
-        fld = DisasterField(seed=SEED + 300 + i, rate=1.0, dimension=1)
-        zs.append(offspring_mean_identity_check(fld, params, 2.0, 1500, SEED + 400 + i).z)
+    fields = [DisasterField(seed=SEED + 300 + i, rate=1.0, dimension=1) for i in range(50)]
+    zs = [c.z for c in offspring_mean_identity_check(fields, params, 2.0, 1500,
+                                                     range(SEED + 400, SEED + 450))]
     frac = sum(1 for z in zs if abs(z) <= 3.0) / len(zs)
     ok = frac >= 0.95
     line = report(6, "embedded-offspring-identity", ok, f"|z|<=3 in {frac:.0%} of 50 fields")

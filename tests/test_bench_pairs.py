@@ -58,6 +58,27 @@ def test_verdict_weighs_the_head_against_the_base_spread_and_the_bound():
     assert "head better in 0/2  worse" in bench_pairs.report({"w": summary})
 
 
+def test_raw_pass_medians_are_summarized_against_the_wall_bound():
+    def run(pair, side, wall, raw, exit_code=0):
+        line = f"30 passes; raw medians: setup 0.25 s, pass {raw} s; median kernel 0.01 s"
+        return {**_run(pair, side, wall, 10.0, exit_code), "raw_medians": raw and line}
+
+    # wall_norm_s claims a gain in every pair; the raw pass medians show none
+    runs = [run(i, side, 1.0 - 0.2 * (side == "head"), f"{0.9 + 0.01 * i + 0.002 * (side == 'head'):.4f}")
+            for i in range(10) for side in ("base", "head")]
+    runs += [run(10, "base", 1.0, "0.5"), run(10, "head", 0.8, None),  # no raw line
+             run(11, "base", 1.0, "0.5"), run(11, "head", 0.8, "0.1", exit_code=1)]  # failed run
+    summary = bench_pairs.summarize(runs, METRICS)["w"]
+    assert summary["wall_norm_s"]["verdict"] == "better"
+    raw = summary["raw_pass_s"]
+    assert (raw["unit"], raw["better"], raw["pairs_won"], raw["pairs_lost"]) == ("s", "lower", 0, 10)
+    assert (raw["base"]["n"], raw["head"]["n"]) == (12, 10)
+    assert raw["head"]["median"] == 0.947 and raw["verdict"] == "within bound"
+    assert "raw_pass_s   base" in bench_pairs.report({"w": summary})
+    # without wall_norm_s there is no bound to judge raw_pass_s by
+    assert "raw_pass_s" not in bench_pairs.summarize(runs, METRICS[1:])["w"]
+
+
 LAYERS = [{"name": "walk.survival_batch_self_s", "unit": "s", "better": "lower"},
           {"name": "env.sites_materialized", "unit": "count", "better": "lower"},
           {"name": "brw.simulate_p50_ms", "unit": "ms", "better": "lower"}]

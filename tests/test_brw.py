@@ -196,14 +196,15 @@ def test_survival_nonincreasing_in_horizon_shared_randomness():
 
 def test_moment_identity_time_zero():
     params = BRWParams(1.0, 1.0, BINARY, 1.0, 1)
-    chk = moment_identity_check(params, DisasterField(1, 1.0, 1), 0.0, 10, 1)
-    assert chk.lhs == chk.rhs == 1.0
+    chks = moment_identity_check(params, [DisasterField(1, 1.0, 1), DisasterField(2, 1.0, 1)], 0.0, 10,
+                                 [1, 2])
+    assert [(c.lhs, c.rhs) for c in chks] == [(1.0, 1.0)] * 2
 
 
 def test_moment_identity_no_disasters():
     params = BRWParams(1.0, 1.0, offspring_pmf({0: 0.25, 2: 0.75}), 0.0, 1)
     fld = DisasterField(1, 0.0, 1)
-    chk = moment_identity_check(params, fld, 1.0, 4000, 9)
+    [chk] = moment_identity_check(params, [fld], 1.0, 4000, [9])
     target = math.exp(params.birth_rate * (params.offspring_mean - 1.0))
     assert chk.rhs == pytest.approx(target, rel=1e-12)  # survival is exactly 1
     assert abs(chk.lhs - target) < 3 * chk.lhs_se
@@ -213,7 +214,8 @@ def test_moment_identity_no_disasters():
                                    superpose(DisasterField(23, 0.5, 1), DisasterField(24, 0.5, 1))])
 def test_moment_identity_needs_a_disaster_field_of_the_model(field):
     with pytest.raises(ValueError):
-        moment_identity_check(BRWParams(1.0, 1.0, BINARY, 1.0, 1), field, 2.0, 20, 11)
+        moment_identity_check(BRWParams(1.0, 1.0, BINARY, 1.0, 1), [DisasterField(22, 1.0, 1), field],
+                              2.0, 20, [10, 11])
 
 
 def test_moment_identity_raises_when_an_event_cap_rerun_trips(monkeypatch):
@@ -221,15 +223,43 @@ def test_moment_identity_raises_when_an_event_cap_rerun_trips(monkeypatch):
     monkeypatch.setattr(brw, "simulate", lambda *a, **k: reruns.append(a) or simulate(*a, **k))
     params = BRWParams(2.0, 1.0, ALWAYS_TWO, 1.0, 1)
     with pytest.raises(CapTripped):
-        moment_identity_check(params, DisasterField(23, 1.0, 1), 2.0, 20, 11, caps=Caps(max_events=2))
+        moment_identity_check(params, [DisasterField(23, 1.0, 1)], 2.0, 20, [11], caps=Caps(max_events=2))
     assert reruns
 
 
 def test_moment_identity_generic_field():
     params = BRWParams(1.0, 1.0, BINARY, 1.0, 1)
     fld = DisasterField(23, 1.0, 1)
-    chk = moment_identity_check(params, fld, 2.0, 4000, 11)
+    [chk] = moment_identity_check(params, [fld], 2.0, 4000, [11])
     assert abs(chk.z) <= 3.0
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_moment_identity_over_fields_is_a_loop_over_fields(dimension):
+    # one batch for all fields gives each field's comparison bit for bit
+    params = BRWParams(1.0, 1.0, BINARY, 1.0, dimension)
+    fields = [DisasterField(derive_seed(5, "mf", i), 1.0, dimension) for i in range(4)]
+    seeds = [derive_seed(5, "ms", i) for i in range(4)]
+    together = moment_identity_check(params, fields, 2.0, 60, seeds)
+    alone = [moment_identity_check(params, [f], 2.0, 60, [s])[0] for f, s in zip(fields, seeds)]
+    assert together == alone
+    assert len({c.lhs for c in together}) > 1
+    with pytest.raises(ValueError):
+        moment_identity_check(params, fields, 2.0, 60, seeds[:3])
+
+
+def test_a_cap_trip_in_one_field_names_that_field():
+    # field 1 alone has a tree past the cap; the trees of fields 0 and 2 stay under it
+    params, caps = BRWParams(1.0, 1.0, BINARY, 1.0, 1), Caps(max_alive=4)
+    fields = [DisasterField(derive_seed(1, "cap-field", i), 1.0, 1) for i in range(3)]
+    trees = [derive_seeds(n, 1, "cap-tree", i) for i, n in enumerate((3, 40, 3))]
+    alone = [bool(survive_replicas(params, {(0,): 1}, [f.seed] * len(t), t, 2.0, caps=caps).capped.any())
+             for f, t in zip(fields, trees)]
+    assert alone == [False, True, False]
+    with pytest.raises(CapTripped, match="field 1 "):
+        brw.replicas_in_fields(params, fields, trees, 0.0, 2.0, caps)
+    outs = brw.replicas_in_fields(params, fields[::2], trees[::2], 0.0, 2.0, caps)
+    assert [len(o.final_count) for o in outs] == [3, 3]
 
 
 def test_growth_rate_galton_watson_slope():
@@ -540,8 +570,8 @@ def test_batch_engine_draws_each_stream_once(monkeypatch):
 
     monkeypatch.setattr(PackedStreams, "_add", counted)
     params = BRWParams(2.0, 0.5, BINARY, 1.0, 1)
-    out = brw.replicas_in_field(params, DisasterField(derive_seed(6, "field"), 1.0, 1),
-                                derive_seeds(300, 6, "tree"), 0.0, 2.0, Caps())
+    [out] = brw.replicas_in_fields(params, [DisasterField(derive_seed(6, "field"), 1.0, 1)],
+                                   [derive_seeds(300, 6, "tree")], 0.0, 2.0, Caps())
     assert out.final_count.sum() > 0 and len(set(added)) > 5
     assert len(added) == len(set(added))
     added.clear()
@@ -627,6 +657,46 @@ def test_batch_engine_holds_a_budget_not_the_population(monkeypatch):
     # the trees hold over ten budgets at the horizon, each under one budget
     assert sum(sizes) > 10 * budget and max(sizes) < budget
     assert out.peak_live <= 2 * budget
+
+
+def test_batch_engine_reserves_each_replica_its_mean_population():
+    def reserve(params, n_roots, start, horizon):
+        return brw._ReplicaBatch(params, {(0,): n_roots}, [1], [1], start, horizon, Caps()).reserve
+
+    rows = brw._REPLICA_ROWS
+    assert reserve(BRWParams(2.0, 0.5, BINARY, 1.0, 1), 1, 0.0, 2.0) == 1  # critical
+    assert reserve(BRWParams(2.0, 0.5, BINARY, 1.0, 1), 3, 0.0, 2.0) == 3
+    assert reserve(BRWParams(2.0, 0.5, (0.9, 0.0, 0.1), 1.0, 1), 1, 0.0, 20.0) == 1  # subcritical
+    assert reserve(BRWParams(2.0, 1.0, ALWAYS_TWO, 1.0, 1), 1, 2.0, 4.0) == 8  # ceil(e^2)
+    assert reserve(BRWParams(2.0, 1.0, ALWAYS_TWO, 1.0, 1), 1, 2.0, 2.0) == 1  # horizon at the start
+    assert reserve(BRWParams(8.0, 2.0, ALWAYS_TWO, 1.0, 1), 1, 0.0, 6.0) == rows
+    assert reserve(BRWParams(8.0, 1e300, ALWAYS_TWO, 1.0, 1), 1, 0.0, 1e10) == rows  # no overflow
+    # supercritical: admitted as with a fixed reserve of _REPLICA_ROWS (the brw-survival config)
+    seeds = [derive_seeds(1200, 3, label) for label in ("bsurv-env", "bsurv-tree")]
+    out = survive_replicas(BRWParams(8.0, 2.0, ALWAYS_TWO, 1.0, 1), {(0,): 1}, *seeds, 6.0,
+                           caps=Caps(max_alive=50))
+    assert out.peak_live == 9036
+
+
+def test_batch_engine_holds_a_budget_with_many_small_trees(monkeypatch):
+    # 12,000 critical trees reserve one row each, so thousands run at once within the budget
+    running = []
+    admit = brw._ReplicaBatch._admit
+
+    def counted(self):
+        births = admit(self)
+        running.append(int(np.count_nonzero(self.state == 1)))
+        return births
+
+    monkeypatch.setattr(brw._ReplicaBatch, "_admit", counted)
+    params = BRWParams(2.0, 0.5, BINARY, 1.0, 1)
+    fields = [DisasterField(derive_seed(8, "small-field", i), 1.0, 1) for i in range(40)]
+    trees = [derive_seeds(300, 8, "small-tree", i) for i in range(40)]
+    outs = brw.replicas_in_fields(params, fields, trees, 0.0, 2.0, Caps())
+    budget = brw._LIVE_BLOCKS * brw._BLOCK_CELLS
+    print(f"peak rows {outs[0].peak_live}, most replicas running {max(running)}, rounds {len(running)}")
+    assert outs[0].peak_live <= budget
+    assert max(running) > budget // brw._REPLICA_ROWS  # more than a fixed reserve admits
 
 
 def test_derive_seeds_are_derive_seed_bit_for_bit():

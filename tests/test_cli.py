@@ -325,16 +325,19 @@ def test_perc_dump_lattice(tmp_path):
         assert op <= occ or (k, l) == (0, 0)  # open implies occupied
 
 
-def _assert_cap_trip_exits_three(command, check, tmp_path, monkeypatch, capsys):
+def _assert_cap_trip_exits_three(command, check, tmp_path, monkeypatch, capsys, *, seed=3, n_fields=2,
+                                 cap=1, field=0):
+    # `check` holds the caps default of the trees the command runs, in one batch for all fields
     from disasterbrw import brw
 
-    monkeypatch.setitem(check.__kwdefaults__, "caps", brw.Caps(max_alive=1))
+    monkeypatch.setitem(check.__kwdefaults__, "caps", brw.Caps(max_alive=cap))
     out = tmp_path / "m.csv"
-    code = cli.main([command, "--seed", "3", "--n-fields", "2", "--n-reps", "20",
+    code = cli.main([command, "--seed", str(seed), "--n-fields", str(n_fields), "--n-reps", "20",
                      "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("cap tripped: ") and err.count("\n") == 1
+    assert f"in field {field} tripped" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -350,6 +353,34 @@ def test_embed_cap_trip_is_exit_three_without_traceback(tmp_path, monkeypatch, c
     from disasterbrw import gw_embed
 
     _assert_cap_trip_exits_three("embed", gw_embed.sample_offspring, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command, label, cap", [("moment-check", "moment", 4), ("embed", "embed", 3)])
+def test_a_cap_trip_in_one_of_three_fields_is_exit_three_without_output(command, label, cap, tmp_path,
+                                                                       monkeypatch, capsys):
+    from disasterbrw import brw, gw_embed
+    from disasterbrw.env import DisasterField
+    from disasterbrw.rng import derive_seed
+
+    # the same check, one field at a time: only field 1 trips
+    params = brw.BRWParams(1.0, 1.0, brw.offspring_pmf({0: 0.5, 2: 0.5}), 1.0, 1)
+    caps = brw.Caps(max_alive=cap)
+    tripped = []
+    for i in range(3):
+        fields = [DisasterField(derive_seed(4, f"{label}-field", i), 1.0, 1)]
+        seeds = [derive_seed(4, label, i)]
+        try:
+            if command == "moment-check":
+                brw.moment_identity_check(params, fields, 2.0, 20, seeds, caps=caps)
+            else:
+                gw_embed.sample_offspring(fields, params, 2.0, 1, 20,
+                                          [derive_seed(seeds[0], "ident-trees")], caps=caps)
+        except brw.CapTripped:
+            tripped.append(i)
+    assert tripped == [1]
+    check = brw.moment_identity_check if command == "moment-check" else gw_embed.sample_offspring
+    _assert_cap_trip_exits_three(command, check, tmp_path, monkeypatch, capsys, seed=4, n_fields=3,
+                                 cap=cap, field=1)
 
 
 def test_survival_records_echo_their_caps(tmp_path):

@@ -14,6 +14,9 @@ alternates from pair to pair. The file written holds both shas, the machine,
 every run's result line (the last line of its stdout) and, per workload and
 end-to-end metric, each side's median and quartiles, the number of pairs
 the head won (ties count for neither side) and a verdict (see `verdict`).
+The same summary, as `raw_pass_s`, covers the raw median pass time that each
+run prints on stderr, judged against `wall_norm_s`'s bound: a claimed
+`wall_norm_s` gain must show there too, or it may be the speed clock's.
 After the pairs, each side makes one traced run (`--trace 1`) per workload
 on the first seed; the file keeps those result lines too, and per workload
 and per-layer metric of BENCHMARK.json the two sides' values and the head's
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -37,6 +41,9 @@ import time
 from pathlib import Path
 
 SIDES = ("base", "head")
+
+# the pass median in run.py's "raw medians" stderr line
+_RAW_PASS = re.compile(r"\bpass ([0-9.]+) s\b")
 
 
 def _git(repo: Path, *args: str) -> str:
@@ -93,6 +100,12 @@ def _value(run: dict, name: str):
     return res["metrics"][name]["value"] if res and run["exit"] == 0 else None
 
 
+def _raw_pass(run: dict):
+    """The raw median pass time of a run that exited 0 with a result line, else None."""
+    found = _RAW_PASS.search(run.get("raw_medians") or "")
+    return float(found.group(1)) if found and run.get("result") and run["exit"] == 0 else None
+
+
 def verdict(base: list, head: list, won: int, pairs: int, metric: dict) -> str | None:
     """Verdict on one metric from each side's values and the pairs the head won of `pairs`.
 
@@ -118,14 +131,28 @@ def verdict(base: list, head: list, won: int, pairs: int, metric: dict) -> str |
     return "within bound"
 
 
+def _summary_row(pairs: dict, metric: dict, value) -> dict:
+    """One metric's spreads, pairs won and verdict; value(run) reads it from a run or gives None."""
+    vals = [{s: value(p[s]) if s in p else None for s in SIDES} for p in pairs.values()]
+    complete = [v for v in vals if None not in v.values()]
+    decided = [v for v in complete if v["base"] != v["head"]]
+    won = sum((v["head"] < v["base"]) == (metric["better"] == "lower") for v in decided)
+    side = {s: [v[s] for v in vals if v[s] is not None] for s in SIDES}
+    return {"unit": metric["unit"], "better": metric["better"],
+            **{s: _spread(side[s]) for s in SIDES},
+            "pairs_won": won, "pairs_lost": len(decided) - won,
+            "verdict": verdict(side["base"], side["head"], won, len(complete), metric)}
+
+
 def summarize(runs: list, metrics: list) -> dict:
     """Per workload and end-to-end metric: each side's spread, the pairs the head won and
-    a verdict.
+    a verdict; the same for `raw_pass_s` when `metrics` has `wall_norm_s`.
 
     `runs` are the entries of the output file; `metrics` the `end_to_end`
     entries of BENCHMARK.json (name, unit, better, bound).
     """
     out = {}
+    wall = next((m for m in metrics if m["name"] == "wall_norm_s"), None)
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
         for r in runs:
@@ -133,16 +160,9 @@ def summarize(runs: list, metrics: list) -> dict:
                 pairs.setdefault(r["pair"], {})[r["side"]] = r
         rows = out[workload] = {}
         for m in metrics:
-            vals = [{s: _value(p[s], m["name"]) if s in p else None for s in SIDES}
-                    for p in pairs.values()]
-            complete = [v for v in vals if None not in v.values()]
-            decided = [v for v in complete if v["base"] != v["head"]]
-            won = sum((v["head"] < v["base"]) == (m["better"] == "lower") for v in decided)
-            side = {s: [v[s] for v in vals if v[s] is not None] for s in SIDES}
-            rows[m["name"]] = {"unit": m["unit"], "better": m["better"],
-                               **{s: _spread(side[s]) for s in SIDES},
-                               "pairs_won": won, "pairs_lost": len(decided) - won,
-                               "verdict": verdict(side["base"], side["head"], won, len(complete), m)}
+            rows[m["name"]] = _summary_row(pairs, m, lambda run, name=m["name"]: _value(run, name))
+        if wall:
+            rows["raw_pass_s"] = _summary_row(pairs, wall, _raw_pass)
         rows["runs_failed"] = {s: sum(1 for p in pairs.values() if s in p and (
             p[s]["exit"] != 0 or not p[s]["result"] or p[s]["result"]["failed"])) for s in SIDES}
     return out
