@@ -13,7 +13,7 @@ cli          batch experiment driver
 """
 
 from .brw import BRWParams, Caps, offspring_pmf, simulate
-from .env import DisasterField, SuperposedField, superpose
+from .env import DisasterField
 from .gw_embed import phase_classify
 from .walk import (
     LyapunovEstimate,
@@ -26,8 +26,6 @@ from .walk import (
 
 __all__ = [
     "DisasterField",
-    "SuperposedField",
-    "superpose",
     "SurvivalEstimate",
     "LyapunovEstimate",
     "estimate_survival",

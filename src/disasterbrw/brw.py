@@ -781,17 +781,6 @@ class Comparison:
         denom = math.hypot(self.lhs_se, self.rhs_se)
         return (self.lhs - self.rhs) / denom if denom > 0 else 0.0
 
-    @property
-    def violated_at(self) -> float:
-        """Sigmas by which rhs exceeds lhs: positive when the bound lhs >= rhs fails.
-
-        Both estimates exact: +inf when rhs > lhs, -inf when the bound holds.
-        """
-        denom = math.hypot(self.lhs_se, self.rhs_se)
-        if denom > 0:
-            return (self.rhs - self.lhs) / denom
-        return math.inf if self.rhs > self.lhs else -math.inf
-
 
 def moment_identity_check(params: BRWParams, fields, t: float, n_reps: int, seeds,
                           *, caps: Caps = Caps(max_alive=100_000, max_events=10_000_000)) -> list[Comparison]:

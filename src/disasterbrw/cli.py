@@ -626,10 +626,7 @@ def main(argv=None) -> int:
             if hasattr(ns, name) and getattr(ns, name) is not None and not check(getattr(ns, name)):
                 raise ConfigError(f"{name}: {msg}")
         records, code = ns.fn(ns)
-    except ConfigError as e:
-        log(f"config error: {e}")
-        return 1
-    except ValueError as e:
+    except ValueError as e:  # ConfigError included
         log(f"config error: {e}")
         return 1
     except brw_mod.CapTripped as e:

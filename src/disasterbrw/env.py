@@ -14,10 +14,8 @@ matrix) changes a bit.
 Windows are half-open [t0, t1); a disaster exactly at t1 belongs to the next
 window, which makes window splitting exact.
 
-Instances cache materialized stream prefixes, by site key and, for point
-queries, by site tuple (a warm lookup skips hashing the site), so a field
-must be owned by a single worker; build one field per replica (they are
-cheap).
+Instances cache materialized stream prefixes by site key, so a field must
+be owned by a single worker; build one field per replica (they are cheap).
 """
 
 from __future__ import annotations
@@ -218,7 +216,6 @@ class DisasterField:
         self.dimension = int(dimension)
         self.base_key = fold(mix64_int(self.seed), self.dimension)
         self._streams: dict[int, _SiteStream] = {}
-        self._sites: dict[tuple, _SiteStream] = {}  # point-query cache by site tuple
 
     # -- site keys ---------------------------------------------------------
 
@@ -243,15 +240,6 @@ class DisasterField:
         s = self._streams.get(key)
         if s is None:
             s = self._streams[key] = _SiteStream(key)
-        return s
-
-    def _site_stream(self, site: Sequence[int]) -> _SiteStream:
-        """The stream at `site`; tuples are cached, so a warm lookup skips site_key."""
-        if type(site) is not tuple:
-            return self._stream(self.site_key(site))
-        s = self._sites.get(site)
-        if s is None:
-            s = self._sites[site] = self._stream(self.site_key(site))
         return s
 
     def _extend(self, s: _SiteStream, t_max: float) -> None:
@@ -284,7 +272,7 @@ class DisasterField:
 
     def stream_times(self, site: Sequence[int], t_max: float) -> np.ndarray:
         """All disaster times in (0, t_max] at `site` (sorted, read-only view)."""
-        s = self._site_stream(site)
+        s = self._stream(self.site_key(site))
         self._extend(s, t_max)
         return s.times[: s.times.searchsorted(t_max, side="right")]
 
@@ -303,7 +291,9 @@ class DisasterField:
         for i, k in enumerate(ks):
             if self.rate > 0.0 and k not in self._streams:
                 new.append(i)
-            else:  # met before (rare), or rate 0: the scalar loop
+            else:  # met before, or rate 0: the scalar loop.  Not rare: every block of
+                # walk._hits asks again for the sites earlier blocks visited (in 1-D, for
+                # its whole coordinate range)
                 s = self._stream(k)
                 self._extend(s, t_max)
                 out[i] = s.times
@@ -334,7 +324,7 @@ class DisasterField:
             raise InvalidWindowError(f"window start {t0} exceeds end {t1}")
         if t0 == t1:
             return np.empty(0, dtype=np.float64)
-        s = self._site_stream(site)
+        s = self._stream(self.site_key(site))
         self._extend(s, t1)
         times = s.times
         return times[times.searchsorted(t0):times.searchsorted(t1)].copy()
@@ -343,60 +333,10 @@ class DisasterField:
         """Smallest disaster time in (t, horizon] at `site`, or None."""
         if t > horizon:
             raise InvalidWindowError(f"window start {t} exceeds horizon {horizon}")
-        s = self._site_stream(site)
+        s = self._stream(self.site_key(site))
         self._extend(s, horizon)
         i = s.times.searchsorted(t, side="right")
         if i < len(s.times) and s.times[i] <= horizon:
             return float(s.times[i])
         return None
 
-
-class SuperposedField:
-    """Union of two independent fields; rate adds, windows merge."""
-
-    def __init__(self, a, b):
-        if a.dimension != b.dimension:
-            raise ValueError("superposed fields must share a dimension")
-        self.a = a
-        self.b = b
-        self.rate = a.rate + b.rate
-        self.dimension = a.dimension
-
-    def site_keys(self, coords: np.ndarray) -> np.ndarray:
-        # keys of the first component; only used as grouping labels
-        return self.a.site_keys(coords)
-
-    def stream_times(self, site, t_max: float) -> np.ndarray:
-        merged = np.concatenate([self.a.stream_times(site, t_max), self.b.stream_times(site, t_max)])
-        merged.sort()
-        return merged
-
-    def streams_for_coords(self, coords: np.ndarray, t_max: float) -> list[np.ndarray]:
-        return [self.stream_times(tuple(int(c) for c in row), t_max) for row in np.asarray(coords)]
-
-    def disasters_in_window(self, site, t0: float, t1: float) -> np.ndarray:
-        if t0 > t1:
-            raise InvalidWindowError(f"window start {t0} exceeds end {t1}")
-        merged = np.concatenate(
-            [self.a.disasters_in_window(site, t0, t1), self.b.disasters_in_window(site, t0, t1)]
-        )
-        merged.sort()
-        return merged
-
-    def first_disaster_after(self, site, t: float, horizon: float) -> float | None:
-        fa = self.a.first_disaster_after(site, t, horizon)
-        fb = self.b.first_disaster_after(site, t, horizon)
-        if fa is None:
-            return fb
-        if fb is None:
-            return fa
-        return min(fa, fb)
-
-
-def superpose(field_a, field_b) -> SuperposedField:
-    """Environment containing the disasters of both inputs.
-
-    The inputs must be independent (distinct seeds); the result's windows are
-    the sorted merge of the inputs' windows and its rate is the sum of rates.
-    """
-    return SuperposedField(field_a, field_b)

@@ -28,12 +28,11 @@ import numpy as np
 
 from .brw import BRWParams, Caps, Comparison, replicas_in_fields
 from .rng import derive_seed, derive_seeds
-from .walk import _binom_se, estimate_lyapunov, estimate_survival
+from .walk import estimate_lyapunov, estimate_survival
 
 
 @dataclass(frozen=True)
 class OffspringSample:
-    period_index: int
     pmf: tuple[float, ...]
     n_reps: int
     mean: float
@@ -44,10 +43,6 @@ class OffspringSample:
         implied = sum(k * p for k, p in enumerate(self.pmf))
         if abs(implied - self.mean) > 1e-12:
             raise ValueError("mean inconsistent with pmf")
-
-    @property
-    def p_zero(self) -> float:
-        return self.pmf[0] if self.pmf else 1.0
 
     @property
     def mean_std_err(self) -> float:
@@ -75,7 +70,7 @@ def sample_offspring(fields, params: BRWParams, period: float, period_index: int
     for out in replicas_in_fields(params, fields, trees, t0, t1, caps):
         counts = out.home_count
         pmf = np.bincount(counts, minlength=int(counts.max(initial=0)) + 1) / n_reps
-        samples.append(OffspringSample(period_index=period_index, pmf=tuple(float(x) for x in pmf),
+        samples.append(OffspringSample(pmf=tuple(float(x) for x in pmf),
                                        n_reps=n_reps, mean=float(counts.mean())))
     return samples
 
@@ -98,28 +93,6 @@ def offspring_mean_identity_check(fields, params: BRWParams, period: float, n_re
                                    derive_seed(seed, "ident-walkers"))
         checks.append(Comparison(lhs=sample.mean, lhs_se=sample.mean_std_err,
                                  rhs=factor * pinned.value, rhs_se=factor * pinned.std_err))
-    return checks
-
-
-def nonextinction_bound_check(fields, params: BRWParams, period: float, n_reps: int,
-                              seeds) -> list[Comparison]:
-    """Per field: check 1 - q_hat(0) >= exp(-birth_rate*period*q(0)) * pinned survival.
-
-    Following a single line of first children through the tree survives all
-    branchings with probability exp(-birth_rate*t*q(0)); if that line also
-    dodges disasters and returns to the origin, at least one particle sits
-    there, so the nonextinction probability dominates the product.
-    """
-    samples = sample_offspring(fields, params, period, 1, n_reps,
-                               [derive_seed(seed, "bound-trees") for seed in seeds])
-    factor = math.exp(-params.birth_rate * period * params.offspring[0])
-    checks = []
-    for field, seed, sample in zip(fields, seeds, samples):
-        lhs = 1.0 - sample.p_zero
-        pinned = estimate_survival(field, params.jump_rate, period, n_reps, True,
-                                   derive_seed(seed, "bound-walkers"))
-        checks.append(Comparison(lhs=lhs, lhs_se=_binom_se(lhs, n_reps), rhs=factor * pinned.value,
-                                 rhs_se=factor * pinned.std_err))
     return checks
 
 

@@ -9,8 +9,6 @@ disaster streams and per-particle randomness reproducible.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 _M64 = (1 << 64) - 1
@@ -105,12 +103,8 @@ def derive_seeds(n: int, seed: int, *parts: int | str) -> np.ndarray:
     return mix64(h ^ (zigzag(np.arange(n)) + _U_GOLDEN))
 
 
-@lru_cache(maxsize=4096)
 def _fold_label(h: int, label: str) -> int:
-    """Absorb a string label into a running key: a salt word, then its UTF-8 bytes.
-
-    Cached: replica loops fold the same (key, label) pair once per replica.
-    """
+    """Absorb a string label into a running key: a salt word, then its UTF-8 bytes."""
     h = fold(h, _STR_SALT)
     for b in label.encode("utf-8"):
         h = fold(h, b)

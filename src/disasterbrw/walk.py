@@ -465,8 +465,7 @@ def estimate_lyapunov(jump_rate: float, disaster_rate: float, t: float, n_env: i
 class ConcentrationRow:
     t: float
     mean_log: float
-    std_log: float | None
-    degenerate: bool
+    std_log: float | None  # None for a single environment
 
 
 def concentration_profile(jump_rate: float, disaster_rate: float, t_list: Sequence[float],
@@ -474,6 +473,8 @@ def concentration_profile(jump_rate: float, disaster_rate: float, t_list: Sequen
     """Mean and std of log S_hat(t) across environments, per requested t."""
     for t in t_list:
         _check_horizon(t, positive=True)
+    if n_env < 1 or n_walkers < 1:
+        raise ValueError("n_env and n_walkers must be >= 1")
     base = generator_seed(rng)
     floor = 1.0 / (2.0 * n_walkers)
     rows = []
@@ -485,6 +486,5 @@ def concentration_profile(jump_rate: float, disaster_rate: float, t_list: Sequen
                                       derive_seed(base, "conc-walk", j, i)).value
             logs[i] = math.log(s_hat if s_hat > 0.0 else floor)
         std_log = float(logs.std(ddof=1)) if n_env > 1 else None
-        rows.append(ConcentrationRow(t=float(t), mean_log=float(logs.mean()), std_log=std_log,
-                                     degenerate=std_log is None))
+        rows.append(ConcentrationRow(t=float(t), mean_log=float(logs.mean()), std_log=std_log))
     return rows

@@ -666,3 +666,101 @@ def exit_counts_oracle(events, box) -> tuple[np.ndarray, np.ndarray]:
             region = classify_exit_oracle(box, box.t_end, site)
             tops[region] = tops.get(region, 0) + 1
     return exit_vectors(tops, faces, box.dimension)
+
+
+# -- superposed environment ------------------------------------------------------
+# The union of two independent fields, as a stand-in field for the domination
+# and coupling tests: its rate is the sum of rates and its windows merge.  The
+# library's batch engine takes DisasterField only, so it must refuse one.
+
+class SuperposedField:
+    """Union of two independent fields; rate adds, windows merge."""
+
+    def __init__(self, a, b):
+        if a.dimension != b.dimension:
+            raise ValueError("superposed fields must share a dimension")
+        self.a = a
+        self.b = b
+        self.rate = a.rate + b.rate
+        self.dimension = a.dimension
+
+    def site_keys(self, coords: np.ndarray) -> np.ndarray:
+        # keys of the first component; only used as grouping labels
+        return self.a.site_keys(coords)
+
+    def stream_times(self, site, t_max: float) -> np.ndarray:
+        merged = np.concatenate([self.a.stream_times(site, t_max), self.b.stream_times(site, t_max)])
+        merged.sort()
+        return merged
+
+    def streams_for_coords(self, coords: np.ndarray, t_max: float) -> list[np.ndarray]:
+        return [self.stream_times(tuple(int(c) for c in row), t_max) for row in np.asarray(coords)]
+
+    def disasters_in_window(self, site, t0: float, t1: float) -> np.ndarray:
+        from disasterbrw.env import InvalidWindowError
+
+        if t0 > t1:
+            raise InvalidWindowError(f"window start {t0} exceeds end {t1}")
+        merged = np.concatenate(
+            [self.a.disasters_in_window(site, t0, t1), self.b.disasters_in_window(site, t0, t1)]
+        )
+        merged.sort()
+        return merged
+
+    def first_disaster_after(self, site, t: float, horizon: float) -> float | None:
+        fa = self.a.first_disaster_after(site, t, horizon)
+        fb = self.b.first_disaster_after(site, t, horizon)
+        if fa is None:
+            return fb
+        if fb is None:
+            return fa
+        return min(fa, fb)
+
+
+def superpose(field_a, field_b) -> SuperposedField:
+    """Environment containing the disasters of both inputs.
+
+    The inputs must be independent (distinct seeds); the result's windows are
+    the sorted merge of the inputs' windows and its rate is the sum of rates.
+    """
+    return SuperposedField(field_a, field_b)
+
+
+# -- one-sided comparisons ----------------------------------------------------------
+
+def violated_at(cmp) -> float:
+    """Sigmas by which cmp.rhs exceeds cmp.lhs (a brw.Comparison): positive when the
+    bound lhs >= rhs fails.
+
+    Both estimates exact: +inf when rhs > lhs, -inf when the bound holds.
+    """
+    denom = math.hypot(cmp.lhs_se, cmp.rhs_se)
+    if denom > 0:
+        return (cmp.rhs - cmp.lhs) / denom
+    return math.inf if cmp.rhs > cmp.lhs else -math.inf
+
+
+def nonextinction_bound_check(fields, params, period: float, n_reps: int, seeds) -> list:
+    """Per field: check 1 - q_hat(0) >= exp(-birth_rate*period*q(0)) * pinned survival.
+
+    Following a single line of first children through the tree survives all
+    branchings with probability exp(-birth_rate*t*q(0)); if that line also
+    dodges disasters and returns to the origin, at least one particle sits
+    there, so the nonextinction probability dominates the product.
+    """
+    from disasterbrw.brw import Comparison
+    from disasterbrw.gw_embed import sample_offspring
+    from disasterbrw.rng import derive_seed
+    from disasterbrw.walk import _binom_se, estimate_survival
+
+    samples = sample_offspring(fields, params, period, 1, n_reps,
+                               [derive_seed(seed, "bound-trees") for seed in seeds])
+    factor = math.exp(-params.birth_rate * period * params.offspring[0])
+    checks = []
+    for field, seed, sample in zip(fields, seeds, samples):
+        lhs = 1.0 - sample.pmf[0]
+        pinned = estimate_survival(field, params.jump_rate, period, n_reps, True,
+                                   derive_seed(seed, "bound-walkers"))
+        checks.append(Comparison(lhs=lhs, lhs_se=_binom_se(lhs, n_reps), rhs=factor * pinned.value,
+                                 rhs_se=factor * pinned.std_err))
+    return checks

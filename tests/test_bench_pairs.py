@@ -113,3 +113,29 @@ def test_layer_deltas_compare_the_traced_runs_of_each_workload():
     text = bench_pairs.report_layers(layers)
     assert "-0.5 (-25.0%)" in text
     assert "env.sites_materialized" in text and "equal" in text
+
+
+def test_layer_deltas_take_the_median_change_over_traced_seeds():
+    def traced(seed, side, self_s, sites, p50):
+        return {**_traced("w", side, self_s, sites, p50), "seed": seed}
+
+    # self time moves both ways across the seeds; the counts never move; the tail grows on each
+    runs = [traced(20, "base", 1.0, 300, 4.0), traced(20, "head", 1.3, 300, 4.4),
+            traced(21, "head", 0.9, 300, 4.2), traced(21, "base", 1.0, 300, 4.0),
+            traced(22, "base", 2.0, 300, 4.0), traced(22, "head", 2.1, 300, 4.8)]
+    rows = bench_pairs.layer_deltas(runs, LAYERS)["w"]
+    self_s = rows["walk.survival_batch_self_s"]
+    assert [p["seed"] for p in self_s["seeds"]] == [20, 21, 22]
+    assert [round(p["delta"], 9) for p in self_s["seeds"]] == [0.3, -0.1, 0.1]
+    assert (self_s["base"], self_s["head"], round(self_s["delta"], 9)) == (1.0, 1.3, 0.1)
+    assert round(rows["brw.simulate_p50_ms"]["delta"], 9) == 0.4
+    text = bench_pairs.report_layers({"w": rows}).splitlines()
+    assert text[0].endswith("noise")
+    assert text[1].endswith("equal")
+    assert "+0.4 (+10.0%)" in text[2] and "noise" not in text[2]
+    # a seed whose head run failed gives no change; the others still decide
+    runs[-1]["exit"] = 1
+    rows = bench_pairs.layer_deltas(runs, LAYERS)["w"]
+    assert rows["walk.survival_batch_self_s"]["seeds"][2]["delta"] is None
+    assert round(rows["walk.survival_batch_self_s"]["delta"], 9) == 0.1  # median of 0.3 and -0.1
+    assert bench_pairs.report_layers({"w": rows}).splitlines()[1].endswith("equal")

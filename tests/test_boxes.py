@@ -17,7 +17,8 @@ from disasterbrw.env import DisasterField
 from disasterbrw.rng import derive_seed
 from disasterbrw.walk import _binom_se
 
-from helpers import classify_exit_oracle, exit_counts_oracle, exit_region_order, exit_vectors
+from helpers import (classify_exit_oracle, exit_counts_oracle, exit_region_order, exit_vectors,
+                     violated_at)
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
@@ -390,7 +391,7 @@ def exit_product_bounds_check(params: BRWParams, eta: Mapping[tuple[int, ...], i
         rp, rse = prob(one_total <= fam * kk)
         derived = ((fam - 1) / fam) ** (fam * copies)
         printed = float(fam) ** (-fam * copies)
-        viol = Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se).violated_at
+        viol = violated_at(Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se))
         reports.append(ProductBoundReport(name=name, lhs=lhs, lhs_se=lhs_se, rhs_prob=rp,
                                           rhs_prob_se=rse, additive_derived=derived,
                                           additive_printed=printed, violation_sigma=viol))
@@ -400,7 +401,7 @@ def exit_product_bounds_check(params: BRWParams, eta: Mapping[tuple[int, ...], i
     lhs, lhs_se = _product_with_se(np.array([pf, pt]), np.array([sef, set_]))
     rp, rse = prob(fv_one.sum(axis=1) + tv_one.sum(axis=1) <= k_face + k_top)
     derived = 4.0 ** (-copies)
-    viol = Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se).violated_at
+    viol = violated_at(Comparison(lhs=rp + derived, lhs_se=rse, rhs=lhs, rhs_se=lhs_se))
     reports.append(ProductBoundReport(name="combined-totals", lhs=lhs, lhs_se=lhs_se,
                                       rhs_prob=rp, rhs_prob_se=rse, additive_derived=derived,
                                       additive_printed=derived, violation_sigma=viol))

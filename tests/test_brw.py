@@ -17,11 +17,11 @@ from disasterbrw.brw import (
     survive_replicas,
 )
 from disasterbrw import brw
-from disasterbrw.env import DisasterField, PackedStreams, SuperposedField, superpose
+from disasterbrw.env import DisasterField, PackedStreams
 from disasterbrw.rng import (ParticleStream, counter_exponential, counter_uniform, derive_seed,
                              derive_seeds, fold, mix64_int)
-from helpers import (WalkPath, centered_box, coupled_sweep_oracle, extinction_time, replay_site_counts,
-                     simulate_oracle)
+from helpers import (SuperposedField, WalkPath, centered_box, coupled_sweep_oracle, extinction_time,
+                     replay_site_counts, simulate_oracle, superpose)
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from disasterbrw.env import DisasterField, InvalidWindowError, PackedStreams, superpose
+from disasterbrw.env import DisasterField, InvalidWindowError, PackedStreams
 
-from helpers import first_block_oracle
+from helpers import first_block_oracle, superpose
 
 
 def test_zero_length_window_is_empty():
@@ -29,6 +29,17 @@ def test_repeated_queries_identical():
     g = DisasterField(seed=7, rate=2.0, dimension=2)
     c = g.disasters_in_window((3, -4), 0.0, 10.0)
     assert np.array_equal(a, c)
+    # the site as a tuple, a list or an int64 row, in either order: one stream, the same answers
+    horizons = (4.0, 10.0, 7.0)  # the second query extends the stream the first began
+    want = [(g.disasters_in_window((3, -4), 1.0, t1), g.stream_times((3, -4), t1),
+             g.first_disaster_after((3, -4), 1.0, t1)) for t1 in horizons]
+    for forms in ([(3, -4), [3, -4], np.array([3, -4])], [np.array([3, -4]), [3, -4], (3, -4)]):
+        h = DisasterField(seed=7, rate=2.0, dimension=2)
+        for site, t1, (window, stream, first) in zip(forms, horizons, want):
+            assert np.array_equal(h.disasters_in_window(site, 1.0, t1), window)
+            assert np.array_equal(h.stream_times(site, t1), stream)
+            assert h.first_disaster_after(site, 1.0, t1) == first
+        assert len(h._streams) == 1
 
 
 def test_times_strictly_increasing():

@@ -5,15 +5,16 @@ import pytest
 
 from disasterbrw import brw
 from disasterbrw.brw import BRWParams, Caps, CapTripped, offspring_pmf
-from disasterbrw.env import DisasterField, superpose
+from disasterbrw.env import DisasterField
 from disasterbrw.rng import derive_seed
 from disasterbrw.gw_embed import (
-    nonextinction_bound_check,
     offspring_mean_identity_check,
     phase_classify,
     sample_offspring,
 )
 from disasterbrw.walk import estimate_survival
+
+from helpers import nonextinction_bound_check, superpose, violated_at
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
@@ -119,7 +120,7 @@ def test_nonextinction_bound_no_zero_offspring():
     params = BRWParams(1.0, 1.0, (0.0, 0.0, 1.0), 1.0, 1)
     fld = DisasterField(47, 1.0, 1)
     [chk] = nonextinction_bound_check([fld], params, 1.0, 3000, [53])
-    assert chk.violated_at <= 3.0
+    assert violated_at(chk) <= 3.0
 
 
 def test_nonextinction_bound_holds_when_both_sides_are_exact():
@@ -127,7 +128,7 @@ def test_nonextinction_bound_holds_when_both_sides_are_exact():
     params = BRWParams(0.0, 1.0, (0.0, 0.0, 1.0), 0.0, 1)
     [chk] = nonextinction_bound_check([DisasterField(1, 0.0, 1)], params, 1.0, 50, [3])
     assert (chk.lhs, chk.rhs, chk.lhs_se, chk.rhs_se) == (1.0, 1.0, 0.0, 0.0)
-    assert chk.violated_at <= 3.0
+    assert violated_at(chk) <= 3.0
 
 
 def test_nonextinction_bound_violation_rate_small():
@@ -135,7 +136,7 @@ def test_nonextinction_bound_violation_rate_small():
     n_fields = 50
     fields = [DisasterField(seed=6100 + i, rate=1.0, dimension=1) for i in range(n_fields)]
     chks = nonextinction_bound_check(fields, params, 1.0, 600, range(6300, 6300 + n_fields))
-    violations = sum(chk.violated_at > 3.0 for chk in chks)
+    violations = sum(violated_at(chk) > 3.0 for chk in chks)
     assert violations / n_fields <= 0.02
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from disasterbrw import walk
-from disasterbrw.env import DisasterField, superpose
+from disasterbrw.env import DisasterField
 from disasterbrw.walk import (
     _exact_survival_in_box,
     annealed_survival,
@@ -22,6 +22,7 @@ from helpers import (
     extinction_time,
     series_return_probability,
     simulate_walk,
+    superpose,
     survival_batch_oracle,
 )
 
@@ -458,9 +459,14 @@ def test_concentration_no_disasters_zero_std():
         assert row.std_log == 0.0
 
 
-def test_concentration_single_environment_flagged():
+def test_concentration_single_environment_flagged(monkeypatch):
     rows = concentration_profile(1.0, 1.0, [1.0], 1, 50, 3)
-    assert rows[0].degenerate and rows[0].std_log is None
+    assert rows[0].std_log is None
+    # no environment or no walker is refused before any draw
+    monkeypatch.setattr(walk, "estimate_survival", None)
+    for n_env, n_walkers in ((0, 50), (1, 0), (-1, 50)):
+        with pytest.raises(ValueError, match="n_env and n_walkers must be >= 1"):
+            concentration_profile(1.0, 1.0, [1.0], n_env, n_walkers, 3)
 
 
 def test_concentration_normalized_std_trend():

@@ -18,11 +18,13 @@ The same summary, as `raw_pass_s`, covers the raw median pass time that each
 run prints on stderr, judged against `wall_norm_s`'s bound: a claimed
 `wall_norm_s` gain must show there too, or it may be the speed clock's.
 After the pairs, each side makes one traced run (`--trace 1`) per workload
-on the first seed; the file keeps those result lines too, and per workload
-and per-layer metric of BENCHMARK.json the two sides' values and the head's
-change, which is also printed. The temporary checkouts are removed at the end. BENCH_<PR>.json is
-written in the root of the repository. Only the standard library is used, and nothing under perfbench/
-is written to.
+on each of the first three seeds, the side that goes first alternating; the
+file keeps those result lines too, and per workload and per-layer metric of
+BENCHMARK.json the head's change on each seed and the median change, which
+is also printed: one traced run per side cannot tell a layer's self time
+from host noise. The temporary checkouts are removed at the end.
+BENCH_<PR>.json is written in the root of the repository. Only the standard
+library is used, and nothing under perfbench/ is written to.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import time
 from pathlib import Path
 
 SIDES = ("base", "head")
+TRACED_SEEDS = 3  # traced runs per side and workload, on the first seeds
 
 # the pass median in run.py's "raw medians" stderr line
 _RAW_PASS = re.compile(r"\bpass ([0-9.]+) s\b")
@@ -168,35 +171,56 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
-def layer_deltas(traced: list, metrics: list) -> dict:
-    """Per workload and per-layer metric: each side's traced value and the head's change.
+def _median(values: list):
+    known = [v for v in values if v is not None]
+    return statistics.median(known) if known else None
 
-    `traced` are the traced entries of the output file, one per side and
-    workload; `metrics` the `per_layer` entries of BENCHMARK.json.  A side
-    whose run failed reads None, and so do the change and the ratio then.
+
+def layer_deltas(traced: list, metrics: list) -> dict:
+    """Per workload and per-layer metric: the head's change on each traced seed, and medians.
+
+    `traced` are the traced entries of the output file, one per side,
+    workload and seed; `metrics` the `per_layer` entries of BENCHMARK.json.
+    A row holds, per seed, both sides' values, the change and the ratio, and
+    over the seeds the median of each.  A side whose run failed or is
+    missing reads None, and so do that seed's change and ratio; a zero base
+    gives no ratio.
     """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in traced):
-        runs = {r["side"]: r for r in traced if r["workload"] == workload}
+        runs = {(r["seed"], r["side"]): r for r in traced if r["workload"] == workload}
+        seeds = list(dict.fromkeys(seed for seed, _ in runs))
         rows = out[workload] = {}
         for m in metrics:
-            b, h = (_value(runs[s], m["name"]) if s in runs else None for s in SIDES)
-            known = None not in (b, h)
-            rows[m["name"]] = {"unit": m["unit"], "better": m["better"], "base": b, "head": h,
-                               "delta": h - b if known else None,
-                               "ratio": h / b if known and b != 0 else None}
+            per_seed = []
+            for seed in seeds:
+                b, h = (_value(runs[seed, s], m["name"]) if (seed, s) in runs else None for s in SIDES)
+                known = None not in (b, h)
+                per_seed.append({"seed": seed, "base": b, "head": h, "delta": h - b if known else None,
+                                 "ratio": h / b if known and b != 0 else None})
+            rows[m["name"]] = {"unit": m["unit"], "better": m["better"], "seeds": per_seed,
+                               **{k: _median([p[k] for p in per_seed])
+                                  for k in ("base", "head", "delta", "ratio")}}
     return out
 
 
 def report_layers(layers: dict) -> str:
+    """One line per workload and layer: the medians and the change, marked `equal` when
+    every seed's change is 0 and `noise` when the seeds' changes do not share a sign."""
     lines = []
     for workload, rows in layers.items():
         for name, row in rows.items():
             if row["delta"] is None:
                 lines.append(f"{workload:14s} {name:34s} base {row['base']}  head {row['head']}")
                 continue
-            change = "equal" if row["delta"] == 0 else f"{row['delta']:+.4g}" + (
-                f" ({row['ratio'] - 1:+.1%})" if row["ratio"] is not None else "")
+            signs = {(d > 0) - (d < 0) for d in (p["delta"] for p in row["seeds"]) if d is not None}
+            if signs == {0}:
+                change = "equal"
+            else:
+                change = f"{row['delta']:+.4g}" + (f" ({row['ratio'] - 1:+.1%})" if row["ratio"] is not None
+                                                   else "")
+                if len(signs) > 1:
+                    change += "  noise"
             lines.append(f"{workload:14s} {name:34s} base {row['base']:.4g}  head {row['head']:.4g}"
                          f"  {change}")
     return "\n".join(lines)
@@ -245,23 +269,18 @@ def main(argv=None) -> int:
                "head": {"rev": args.head, "sha": shas["head"]}, "machine": machine(),
                "command": bench["command"], "seconds": seconds, "seeds": seeds, "runs": [],
                "traced": []}
-        k = 0
-        for workload in workloads:
-            for i, seed in enumerate(seeds):
-                order = SIDES if k % 2 == 0 else SIDES[::-1]
-                k += 1
-                for side in order:
-                    run = run_once(checkouts[side], bench["command"], workload, seed, seconds)
-                    doc["runs"].append({"workload": workload, "seed": seed, "pair": i, "side": side,
-                                        "first": side == order[0], **run})
-                    print(f"{workload} seed {seed} {side}: exit {run['exit']}, "
-                          f"{run['wall_s']:.1f} s", file=sys.stderr, flush=True)
-        for k, workload in enumerate(workloads):
-            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                run = run_once(checkouts[side], bench["command"], workload, seeds[0], seconds, trace=1)
-                doc["traced"].append({"workload": workload, "seed": seeds[0], "side": side, **run})
-                print(f"{workload} seed {seeds[0]} {side} traced: exit {run['exit']}, "
-                      f"{run['wall_s']:.1f} s", file=sys.stderr, flush=True)
+        for key, trace, run_seeds in (("runs", 0, seeds), ("traced", 1, seeds[:TRACED_SEEDS])):
+            k = 0
+            for workload in workloads:
+                for i, seed in enumerate(run_seeds):
+                    order = SIDES if k % 2 == 0 else SIDES[::-1]
+                    k += 1
+                    for side in order:
+                        run = run_once(checkouts[side], bench["command"], workload, seed, seconds, trace)
+                        doc[key].append({"workload": workload, "seed": seed, "pair": i, "side": side,
+                                         "first": side == order[0], **run})
+                        print(f"{workload} seed {seed} {side}{' traced' * trace}: exit {run['exit']}, "
+                              f"{run['wall_s']:.1f} s", file=sys.stderr, flush=True)
         doc["summary"] = summarize(doc["runs"], bench["end_to_end"])
         doc["layers"] = layer_deltas(doc["traced"], bench["per_layer"])
         out.write_text(json.dumps(doc, indent=1) + "\n")
