@@ -669,9 +669,9 @@ def exit_counts_oracle(events, box) -> tuple[np.ndarray, np.ndarray]:
 
 
 # -- superposed environment ------------------------------------------------------
-# The union of two independent fields, as a stand-in field for the domination
-# and coupling tests: its rate is the sum of rates and its windows merge.  The
-# library's batch engine takes DisasterField only, so it must refuse one.
+# The union of two independent fields: a denser environment for the domination
+# and coupling tests, and a field that is not a DisasterField, which the
+# batch engine must refuse.
 
 class SuperposedField:
     """Union of two independent fields; rate adds, windows merge."""
