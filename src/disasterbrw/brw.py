@@ -157,13 +157,10 @@ class BRWParams:
     def offspring_mean(self) -> float:
         return float(sum(k * p for k, p in enumerate(self.offspring)))
 
-    def offspring_cdf(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.offspring))
-
     @cached_property
-    def _cdf_list(self) -> list[float]:
-        """offspring_cdf() as a list, built once: simulate bisects it per branch."""
-        return self.offspring_cdf().tolist()
+    def offspring_cdf(self) -> list[float]:
+        """Cumulative offspring pmf, built once: simulate bisects it per branch."""
+        return np.cumsum(np.asarray(self.offspring)).tolist()
 
 
 def offspring_pmf(pairs: Mapping[int, float]) -> tuple[float, ...]:
@@ -257,7 +254,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
     if sum(initial.values()) < 1:
         raise ValueError("a process start needs at least one particle")
 
-    q_cdf = params._cdf_list
+    q_cdf = params.offspring_cdf
     base_key = mix64_int(seed)
     birth_rate, jump_rate = params.birth_rate, params.jump_rate
     n_dirs = 2 * params.dimension
@@ -521,7 +518,7 @@ class _ReplicaBatch:
         self.params, self.initial, self.caps = params, initial, caps
         self.env_seeds, self.tree_seeds = env_seeds, tree_seeds
         self.start_time, self.horizon = start_time, horizon
-        self.cdf = np.asarray(params._cdf_list)
+        self.cdf = np.asarray(params.offspring_cdf)
         growth = params.birth_rate * (params.offspring_mean - 1.0)
         self.lookahead = 1.0 / growth if growth > 0.0 else math.inf
         # rows held for each running replica: its disaster-free mean population

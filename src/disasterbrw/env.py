@@ -8,11 +8,12 @@ Streams live on (0, inf): a disaster exactly at time 0 never occurs.
 
 A stream's k-th time is the running sum of its first k+1 gaps, added one at
 a time, so it is a function of (seed, site, counter) alone: neither the order
-of queries nor the route that materialized it (the scalar loop or the bulk
-matrix) changes a bit.
+of queries nor the route that materialized it (the scalar loop or the
+blocks of _draw) changes a bit.
 
 Windows are half-open [t0, t1); a disaster exactly at t1 belongs to the next
-window, which makes window splitting exact.
+window, which makes window splitting exact.  A window ends at a finite time:
+a NaN or infinite end raises InvalidWindowError before any draw.
 
 Instances cache materialized stream prefixes by site key, so a field must
 be owned by a single worker; build one field per replica (they are cheap).
@@ -25,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import _INV53, _M64, _MIX_A, _MIX_B, GOLDEN, fold, mix64, mix64_int, zigzag, zigzag_int
+from .rng import (_INV53, _M64, _MIX_A, _MIX_B, GOLDEN, counter_exponential, fold, mix64, mix64_int, zigzag,
+                  zigzag_int)
 
 
 class InvalidWindowError(ValueError):
@@ -48,23 +50,40 @@ def _block_size(rate: float, span: float) -> int:
     """Uniforms drawn at once for a stream asked for times up to `span`.
 
     A Poisson count with this mean reaches the block with probability below
-    1e-9 at every mean, so a stream rarely needs more; when one does, the
-    callers draw on and keep every bit.
+    1e-9 at every mean, so a stream rarely needs more; when one does, _draw
+    draws its block again, longer, with the same bits.
     """
     mean = rate * max(span, 0.0)
     return int(math.ceil(mean + 6.0 * math.sqrt(mean) + 8.0))
 
 
-def _gap_sums(keys: np.ndarray, n: int, rate: float) -> np.ndarray:
-    """Times 0..n-1 of the streams of `keys` (one row each): running sums of their gaps.
+def _draw(keys: np.ndarray, first: np.ndarray, start: np.ndarray, rate: float, t_max: float,
+          cells: int):
+    """Continue the streams of `keys` past t_max, about `cells` values a block: yields the blocks.
 
-    Counter c of a row's key gives its c-th gap, -log(u)/rate; add.accumulate
-    adds them left to right, as the scalar loop does, so every bit agrees
-    with it.  (Not cumsum: numpy 2.4's cumsum keeps a small object per call.)
+    Row i continues stream keys[i] from its counter first[i] and running sum
+    start[i]: column c holds start[i] plus its gaps first[i]..first[i] + c,
+    each -log(u)/rate from rng.counter_exponential, added one at a time, left
+    to right, as the scalar loop adds them, so every bit agrees with it.
+    (add.accumulate, not cumsum: numpy 2.4's cumsum keeps a small object per
+    call.)  The rows of a block share its length; a block with a row ending
+    at or before t_max is drawn again, twice as long, with the same bits.
     """
-    bits = mix64(keys[:, None] + (np.arange(n, dtype=np.uint64) * np.uint64(GOLDEN))[None, :])
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
-    return np.add.accumulate(-np.log(u) / rate, axis=1)
+    if not math.isfinite(t_max):
+        raise InvalidWindowError(f"window end {t_max} is not finite")
+    if not len(keys):
+        return
+    n_block = _block_size(rate, t_max - start.min())
+    rows = max(1, cells // n_block)
+    for lo in range(0, len(keys), rows):
+        key, ctr = keys[lo:lo + rows, None], first[lo:lo + rows, None]
+        n, end = n_block, -math.inf
+        while end <= t_max:
+            sums = counter_exponential(key, ctr + np.arange(n), rate)
+            sums[:, 0] += start[lo:lo + rows]
+            np.add.accumulate(sums, axis=1, out=sums)
+            n, end = 2 * n, sums[:, -1].min()
+        yield sums
 
 
 def site_keys_at(base_keys: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -88,10 +107,10 @@ class PackedStreams:
     after given times, is then a few vectorized steps.  A probe pass reads
     only the keys still colliding and moves them one slot on, so a lookup
     costs the keys' chain lengths, not the longest chain times the keys.
-    Unknown keys are materialized together, `block_cells` uniforms at a
-    time, by the matrix path of DisasterField.bulk_streams.  Every stream
-    is tagged with an owner, and drop() forgets the streams of owners that
-    are done.
+    The unknown keys of a lookup are drawn once each through _draw, as
+    DisasterField.bulk_streams draws, `block_cells` values a block, and
+    filed by one insertion loop.  Every stream is tagged with an owner, and
+    drop() forgets the streams of owners that are done.
     """
 
     def __init__(self, rate: float, t_max: float, block_cells: int):
@@ -137,44 +156,33 @@ class PackedStreams:
 
     def _find(self, keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Stream numbers of `keys`, materializing the unknown ones."""
-        slot = self._probe(keys)
-        miss = np.flatnonzero(self._table[slot] < 0)
-        size = len(self._table)
-        while 2 * (self._n + len(miss)) > size:  # keep the table at most half full
-            size *= 2
-        if size > len(self._table):
-            self._rehash(size)
-            slot = self._probe(keys)
-        while len(miss):  # one key claims each empty slot; the others probe on (or find it)
-            s = slot[miss]
-            code = -2 - np.arange(len(miss), dtype=np.int32)
-            self._table[s] = code
-            first = self._table[s] == code
-            self._table[s[first]] = self._add(keys[miss[first]], owners[miss[first]])
-            miss = miss[~first]
-            slot[miss] = self._probe(keys[miss])
-            miss = miss[self._table[slot[miss]] < 0]
-        return self._table[slot]
+        i = self._table[self._probe(keys)]
+        miss = i < 0
+        if miss.any():
+            new, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
+            ids = self._add(new, owners[miss][first])
+            i[miss] = ids[inverse]
+            size = len(self._table)
+            while 2 * self._n > size:  # keep the table at most half full
+                size *= 2
+            if size > len(self._table):  # a new table files every stream
+                self._table = np.full(size, -1, dtype=np.int32)
+                ids = np.arange(self._n, dtype=np.int32)
+            self._insert(ids)
+        return i
 
-    def _rehash(self, size: int) -> None:
-        self._table = np.full(size, -1, dtype=np.int32)
-        ids = np.arange(self._n, dtype=np.int32)
-        while len(ids):  # distinct keys: each empty slot goes to its last writer
+    def _insert(self, ids: np.ndarray) -> None:
+        """File streams `ids`, whose keys are distinct and not in the table."""
+        while len(ids):  # each empty slot goes to its last writer; the others probe on
             s = self._probe(self._key[ids])
             self._table[s] = ids
             ids = ids[self._table[s] != ids]
 
     def _add(self, keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Materialize the streams of distinct unseen `keys`; their stream numbers."""
-        n_block = _block_size(self.rate, self.t_max)
-        rows = max(1, self.block_cells // n_block)
         times, lengths = [self._times[:-1]], []
-        for lo in range(0, len(keys), rows):
-            n = n_block
-            sums = _gap_sums(keys[lo:lo + rows], n, self.rate)
-            while sums[:, -1].min() <= self.t_max:  # a row ends early: redraw longer, same bits
-                n *= 2
-                sums = _gap_sums(keys[lo:lo + rows], n, self.rate)
+        zero = np.zeros(len(keys), dtype=np.int64)  # a new stream: counter 0, running sum 0
+        for sums in _draw(keys, zero, zero, self.rate, self.t_max, self.block_cells):
             keep = sums <= self.t_max
             times.append(sums[keep])
             lengths.append(keep.sum(axis=1))
@@ -200,7 +208,8 @@ class PackedStreams:
         self._times = np.append(self._times[src], np.inf)
         self._key, self._off, self._len, self._owner = self._key[keep], off, lengths, self._owner[keep]
         self._n = len(lengths)
-        self._rehash(len(self._table))
+        self._table[:] = -1
+        self._insert(np.arange(self._n, dtype=np.int32))
 
 
 class DisasterField:
@@ -240,6 +249,8 @@ class DisasterField:
         s = self._streams.get(key)
         if s is None:
             s = self._streams[key] = _SiteStream(key)
+            if self.rate == 0.0:
+                s.last = math.inf  # no disaster ever: nothing to draw
         return s
 
     def _extend(self, s: _SiteStream, t_max: float) -> None:
@@ -247,16 +258,16 @@ class DisasterField:
 
         One gap per counter, -log(u)/rate with u = counter_uniform(key, ctr)
         inlined (np.log, as ParticleStream.exponential: math.log differs in
-        the last bit), added to the running sum one at a time.
+        the last bit), added to the running sum one at a time.  This scalar
+        loop serves the point queries, one site at a time, where a numpy
+        call per query would cost more than the draws.
         """
         last = s.last
         if last > t_max:
             return
-        rate = self.rate
-        if rate == 0.0:
-            s.last = math.inf
-            return
-        key, ctr = s.key, s.next_ctr
+        if not math.isfinite(t_max):
+            raise InvalidWindowError(f"window end {t_max} is not finite")
+        key, ctr, rate = s.key, s.next_ctr, self.rate
         log = np.log
         new = []
         while last <= t_max:
@@ -279,38 +290,24 @@ class DisasterField:
     def bulk_streams(self, keys: np.ndarray, t_max: float) -> list[np.ndarray]:
         """Materialize many site streams at once; returns full prefixes.
 
-        Never-seen streams are generated through one shared uniform matrix,
-        whose row-wise cumulative sums are the scalar loop's running sums;
-        streams met before, rows whose block ends before t_max, and a rate-0
-        field go through the scalar loop.
+        Each distinct stream not yet past t_max, new or met before, is
+        continued through _draw from its own counter and running sum, so its
+        times are the scalar loop's bit for bit.  A prefix may run past
+        t_max: it holds every time drawn.
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        out: list[np.ndarray | None] = [None] * len(keys)
-        ks = keys.tolist()
-        new = []
-        for i, k in enumerate(ks):
-            if self.rate > 0.0 and k not in self._streams:
-                new.append(i)
-            else:  # met before, or rate 0: the scalar loop.  Not rare: every block of
-                # walk._hits asks again for the sites earlier blocks visited (in 1-D, for
-                # its whole coordinate range)
-                s = self._stream(k)
-                self._extend(s, t_max)
-                out[i] = s.times
-        if new:
-            n_block = _block_size(self.rate, t_max)
-            chunk = max(1, 4_000_000 // n_block)
-            for lo in range(0, len(new), chunk):
-                part = new[lo : lo + chunk]
-                times = _gap_sums(keys[np.array(part, dtype=np.intp)], n_block, self.rate)
-                for row, i in enumerate(part):
-                    s = self._stream(ks[i])
-                    s.times = times[row].copy()
-                    s.last = float(s.times[-1])
-                    s.next_ctr = n_block
-                    self._extend(s, t_max)  # the tail beyond the block, if any
-                    out[i] = s.times
-        return out  # type: ignore[return-value]
+        streams = [self._stream(k) for k in np.asarray(keys, dtype=np.uint64).tolist()]
+        todo = list(dict.fromkeys(s for s in streams if s.last <= t_max))
+        first = np.array([s.next_ctr for s in todo], dtype=np.int64)
+        start = np.array([s.last for s in todo], dtype=np.float64)
+        todo_keys = np.array([s.key for s in todo], dtype=np.uint64)
+        lo = 0
+        for sums in _draw(todo_keys, first, start, self.rate, t_max, 4_000_000):
+            for s, row in zip(todo[lo:lo + len(sums)], sums):
+                s.times = np.concatenate((s.times, row))
+                s.next_ctr += len(row)
+                s.last = float(row[-1])
+            lo += len(sums)
+        return [s.times for s in streams]
 
     def streams_for_coords(self, coords: np.ndarray, t_max: float) -> list[np.ndarray]:
         """Stream prefixes for the rows of an (m, dimension) coordinate array."""
@@ -320,8 +317,8 @@ class DisasterField:
 
     def disasters_in_window(self, site: Sequence[int], t0: float, t1: float) -> np.ndarray:
         """Sorted disaster times in [t0, t1) at `site`."""
-        if t0 > t1:
-            raise InvalidWindowError(f"window start {t0} exceeds end {t1}")
+        if not t0 <= t1:
+            raise InvalidWindowError(f"window start {t0} is not at most its end {t1}")
         if t0 == t1:
             return np.empty(0, dtype=np.float64)
         s = self._stream(self.site_key(site))
@@ -331,8 +328,8 @@ class DisasterField:
 
     def first_disaster_after(self, site: Sequence[int], t: float, horizon: float) -> float | None:
         """Smallest disaster time in (t, horizon] at `site`, or None."""
-        if t > horizon:
-            raise InvalidWindowError(f"window start {t} exceeds horizon {horizon}")
+        if not t <= horizon:
+            raise InvalidWindowError(f"window start {t} is not at most the horizon {horizon}")
         s = self._stream(self.site_key(site))
         self._extend(s, horizon)
         i = s.times.searchsorted(t, side="right")

@@ -39,23 +39,15 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def counter_u64(key, counters) -> np.ndarray:
-    """Word `counters` of the stream(s) identified by `key` (uint64 array).
-
-    `key` is one int, or a uint64 array of keys broadcast against `counters`
-    (one particle per row, say).
-    """
-    k = np.uint64(key & _M64) if isinstance(key, int) else np.asarray(key, dtype=np.uint64)
-    c = np.asarray(counters).astype(np.uint64, copy=False)
-    return mix64(k + c * _U_GOLDEN)
-
-
 def counter_uniform(key, counters) -> np.ndarray:
     """Uniforms in (0, 1] indexed by counter; block-size independent.
 
-    Element for element the draws of ParticleStream.uniform.
+    `key` is one int, or a uint64 array of keys broadcast against `counters`
+    (one particle per row, say).  Element for element the draws of
+    ParticleStream.uniform.
     """
-    bits = counter_u64(key, counters)
+    k = np.uint64(key & _M64) if isinstance(key, int) else np.asarray(key, dtype=np.uint64)
+    bits = mix64(k + np.asarray(counters).astype(np.uint64, copy=False) * _U_GOLDEN)
     return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
 
 
@@ -161,9 +153,3 @@ def as_generator(rng) -> np.random.Generator:
         return rng
     return np.random.default_rng(int(rng))
 
-
-def generator_seed(rng) -> int:
-    """A reproducible 64-bit seed extracted from an int or a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return int(rng.integers(0, 2**63 - 1))
-    return int(rng)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import DisasterField
-from .rng import as_generator, derive_seed, generator_seed
+from .rng import as_generator, derive_seed
 
 
 @dataclass(frozen=True)
@@ -414,7 +414,7 @@ def exact_survival(field, jump_rate: float, t: float, pin: bool = False,
 
 
 def estimate_lyapunov(jump_rate: float, disaster_rate: float, t: float, n_env: int,
-                      n_walkers: int, pin: bool, rng, dimension: int = 1,
+                      n_walkers: int, pin: bool, seed: int, dimension: int = 1,
                       method: str = "direct") -> LyapunovEstimate:
     """Average of (1/t) log S(t) over fresh environments.
 
@@ -440,17 +440,16 @@ def estimate_lyapunov(jump_rate: float, disaster_rate: float, t: float, n_env: i
     _check_horizon(t, positive=True)
     if n_env < 1 or n_walkers < 1:
         raise ValueError("n_env and n_walkers must be >= 1")
-    base = generator_seed(rng)
     floor = 1.0 / (2.0 * n_walkers)
     logs = np.empty(n_env)
     censored = 0
     for i in range(n_env):
-        fld = DisasterField(derive_seed(base, "lyapunov-env", i), disaster_rate, dimension)
+        fld = DisasterField(derive_seed(seed, "lyapunov-env", i), disaster_rate, dimension)
         if method == "exact":
             log_s, _ = exact_survival(fld, jump_rate, t, pin)
         else:
             s_hat = estimate_survival(fld, jump_rate, t, n_walkers, pin,
-                                      derive_seed(base, "lyapunov-walk", i)).value
+                                      derive_seed(seed, "lyapunov-walk", i)).value
             log_s = math.log(s_hat) if s_hat > 0.0 else -math.inf
         if log_s == -math.inf:
             log_s = math.log(floor)
@@ -469,21 +468,21 @@ class ConcentrationRow:
 
 
 def concentration_profile(jump_rate: float, disaster_rate: float, t_list: Sequence[float],
-                          n_env: int, n_walkers: int, rng, dimension: int = 1) -> list[ConcentrationRow]:
+                          n_env: int, n_walkers: int, seed: int,
+                          dimension: int = 1) -> list[ConcentrationRow]:
     """Mean and std of log S_hat(t) across environments, per requested t."""
     for t in t_list:
         _check_horizon(t, positive=True)
     if n_env < 1 or n_walkers < 1:
         raise ValueError("n_env and n_walkers must be >= 1")
-    base = generator_seed(rng)
     floor = 1.0 / (2.0 * n_walkers)
     rows = []
     for j, t in enumerate(t_list):
         logs = np.empty(n_env)
         for i in range(n_env):
-            fld = DisasterField(derive_seed(base, "conc-env", j, i), disaster_rate, dimension)
+            fld = DisasterField(derive_seed(seed, "conc-env", j, i), disaster_rate, dimension)
             s_hat = estimate_survival(fld, jump_rate, t, n_walkers, False,
-                                      derive_seed(base, "conc-walk", j, i)).value
+                                      derive_seed(seed, "conc-walk", j, i)).value
             logs[i] = math.log(s_hat if s_hat > 0.0 else floor)
         std_log = float(logs.std(ddof=1)) if n_env > 1 else None
         rows.append(ConcentrationRow(t=float(t), mean_log=float(logs.mean()), std_log=std_log))

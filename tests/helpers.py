@@ -227,7 +227,7 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
     from disasterbrw.rng import ParticleStream, fold, mix64_int
 
     caps = caps or Caps()
-    q_cdf = params.offspring_cdf()
+    q_cdf = np.asarray(params.offspring_cdf)
     events, records, streams, position, occupancy, pending, heap = [], {}, {}, {}, {}, {}, []
     pop_t, pop_n = [start_time], [0]
     seq = 0

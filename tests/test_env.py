@@ -1,7 +1,11 @@
+import math
+import signal
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from disasterbrw import env
 from disasterbrw.env import DisasterField, InvalidWindowError, PackedStreams
 
 from helpers import first_block_oracle, superpose
@@ -18,6 +22,38 @@ def test_invalid_window_raises():
         f.disasters_in_window((0,), 3.0, 2.0)
     with pytest.raises(InvalidWindowError):
         f.first_disaster_after((0,), 3.0, 2.0)
+
+
+_WINDOW_ROUTES = {  # each route from a site to its times, given a window end
+    "disasters_in_window": lambda f, end: f.disasters_in_window((0,), 0.0, end),
+    "stream_times": lambda f, end: f.stream_times((0,), end),
+    "first_disaster_after": lambda f, end: f.first_disaster_after((0,), 0.0, end),
+    "streams_for_coords": lambda f, end: f.streams_for_coords(np.array([[0]]), end),
+}
+
+
+def _timed_out(*_args):
+    raise TimeoutError("a query with a non-finite window kept drawing")
+
+
+@pytest.mark.parametrize("end", [math.inf, math.nan])
+@pytest.mark.parametrize("route", list(_WINDOW_ROUTES))
+def test_non_finite_window_raises_before_any_draw(route, end):
+    # a stream drawn up to an infinite end never stops; under a timer, a
+    # route that draws anyway fails in seconds instead of hanging
+    f = DisasterField(seed=1, rate=1.0, dimension=1)
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(InvalidWindowError):
+            _WINDOW_ROUTES[route](f, end)
+        if route in ("disasters_in_window", "first_disaster_after"):
+            with pytest.raises(InvalidWindowError):  # a NaN start is no window either
+                getattr(f, route)((0,), math.nan, 2.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert all(s.next_ctr == 0 for s in f._streams.values())
 
 
 def test_repeated_queries_identical():
@@ -237,6 +273,27 @@ def test_bulk_streams_match_scalar_path():
     for row, times in zip(coords, bulk):
         scalar = f2.stream_times(tuple(int(c) for c in row), 8.0)
         assert np.array_equal(times[times <= 8.0], scalar)
+
+
+def test_bulk_streams_continue_each_stream_once_in_the_matrix(monkeypatch):
+    # a block of one uniform ends every row before t_max, so each is drawn
+    # again, longer: new, started, repeated and finished keys in one call
+    monkeypatch.setattr(env, "_block_size", lambda rate, span: 1)
+    f = DisasterField(seed=37, rate=2.0, dimension=2)
+    f.disasters_in_window((1, -1), 0.0, 0.5)  # started short by a point query
+    f.stream_times((2, 3), 40.0)  # already past t_max
+    coords = np.array([[0, 0], [1, -1], [0, 0], [2, 3], [-4, 1], [1, -1]])
+    t_max = 6.0
+    bulk = f.streams_for_coords(coords, t_max)
+    scalar = DisasterField(seed=37, rate=2.0, dimension=2)
+    for row, times in zip(coords, bulk):
+        site = tuple(int(c) for c in row)
+        assert times[-1] > t_max
+        assert np.array_equal(scalar.stream_times(site, float(times[-1])), times), site
+        assert (np.diff(times) > 0).all(), site  # a repeated key was continued once
+    for site in ((0, 0), (-4, 1)):  # drawn by the bulk route alone
+        s = f._streams[f.site_key(site)]
+        assert s.next_ctr == len(s.times) > 1
 
 
 def test_superpose_identity_element():
