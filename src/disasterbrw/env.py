@@ -12,8 +12,8 @@ of queries nor the route that materialized it (the scalar loop or the
 blocks of _draw) changes a bit.
 
 Windows are half-open [t0, t1); a disaster exactly at t1 belongs to the next
-window, which makes window splitting exact.  A window ends at a finite time:
-a NaN or infinite end raises InvalidWindowError before any draw.
+window, which makes window splitting exact.  A NaN end, or an infinite end
+of a nonempty window, raises InvalidWindowError before any draw.
 
 Instances cache materialized stream prefixes by site key, so a field must
 be owned by a single worker; build one field per replica (they are cheap).
