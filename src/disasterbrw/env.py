@@ -61,8 +61,9 @@ def _draw(keys: np.ndarray, first: np.ndarray, start: np.ndarray, rate: float, t
           cells: int):
     """Continue the streams of `keys` past t_max, about `cells` values a block: yields the blocks.
 
-    Row i continues stream keys[i] from its counter first[i] and running sum
-    start[i]: column c holds start[i] plus its gaps first[i]..first[i] + c,
+    Row i continues stream keys[i] from its uint64 counter first[i] (so
+    rng.counter_uniform reads the counter matrix without a copy) and running
+    sum start[i]: column c holds start[i] plus its gaps first[i]..first[i] + c,
     each -log(u)/rate from rng.counter_exponential, added one at a time, left
     to right, as the scalar loop adds them, so every bit agrees with it.
     (add.accumulate, not cumsum: numpy 2.4's cumsum keeps a small object per
@@ -79,7 +80,7 @@ def _draw(keys: np.ndarray, first: np.ndarray, start: np.ndarray, rate: float, t
         key, ctr = keys[lo:lo + rows, None], first[lo:lo + rows, None]
         n, end = n_block, -math.inf
         while end <= t_max:
-            sums = counter_exponential(key, ctr + np.arange(n), rate)
+            sums = counter_exponential(key, ctr + np.arange(n, dtype=np.uint64), rate)
             sums[:, 0] += start[lo:lo + rows]
             np.add.accumulate(sums, axis=1, out=sums)
             n, end = 2 * n, sums[:, -1].min()
@@ -181,8 +182,8 @@ class PackedStreams:
     def _add(self, keys: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Materialize the streams of distinct unseen `keys`; their stream numbers."""
         times, lengths = [self._times[:-1]], []
-        zero = np.zeros(len(keys), dtype=np.int64)  # a new stream: counter 0, running sum 0
-        for sums in _draw(keys, zero, zero, self.rate, self.t_max, self.block_cells):
+        first = np.zeros(len(keys), dtype=np.uint64)  # a new stream: counter 0, running sum 0
+        for sums in _draw(keys, first, np.zeros(len(keys)), self.rate, self.t_max, self.block_cells):
             keep = sums <= self.t_max
             times.append(sums[keep])
             lengths.append(keep.sum(axis=1))
@@ -297,7 +298,7 @@ class DisasterField:
         """
         streams = [self._stream(k) for k in np.asarray(keys, dtype=np.uint64).tolist()]
         todo = list(dict.fromkeys(s for s in streams if s.last <= t_max))
-        first = np.array([s.next_ctr for s in todo], dtype=np.int64)
+        first = np.array([s.next_ctr for s in todo], dtype=np.uint64)
         start = np.array([s.last for s in todo], dtype=np.float64)
         todo_keys = np.array([s.key for s in todo], dtype=np.uint64)
         lo = 0

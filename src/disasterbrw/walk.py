@@ -144,9 +144,10 @@ def _survival_batch(field, jump_rate: float, t: float, n_walkers: int, gen: np.r
     that no disaster has hit yet.  A block holds about _BLOCK_CELLS segments
     of the walkers still alive, so a batch that small runs as one block, and
     the cost scales with the walker-time spent alive rather than with
-    n_walkers * jump_rate * t.  One bisection answers every segment of a
-    block (_hits); it relies on numpy ordering complex numbers real part
-    first.  Which walkers survive does not depend on the blocks, and the
+    n_walkers * jump_rate * t.  _hits answers every segment of a block from
+    one bucket table of the block's disasters: a segment reads its site's
+    first disaster at or after its start in one table read and a few steps
+    on.  Which walkers survive does not depend on the blocks, and the
     draws (hence the generator's final state) do not either.
     """
     d = field.dimension - (1 if namespaces is not None else 0)
@@ -204,14 +205,20 @@ def _hits(field, t: float, a: np.ndarray, b: np.ndarray, pos: np.ndarray,
           namespaces: np.ndarray | None) -> np.ndarray:
     """Which rows meet a disaster: row r sits at pos[r, j] during [a[r, j], b[r, j]).
 
-    One bisection answers every segment.  Each site of the block gets an
-    index g, and its disaster times s < t become the complex numbers g + s*i
-    of one sorted array, closed by inf + inf*i.  numpy sorts and bisects
-    complex numbers lexicographically, real part first, so the first entry
-    >= g + a*i is the site's first disaster at or after a when its real part
-    is g: the segment is hit iff that entry has real part g and imaginary
-    part < b.  An empty segment (a == b, past a walker's last jump) is never
-    hit.  Every b is at most t, so the times >= t are dropped.
+    Each site of the block gets an index g, and its disaster times s < t,
+    closed by an inf, are laid out by (g, s) in one array.  Each site's
+    window [0, t) is cut into `bins` buckets, bin(x) = min(int(x * bins /
+    t), bins - 1), and start[g * bins + k] is the index of site g's first
+    entry whose bin is >= k (its inf sits in its last bucket).  A segment
+    [a, b) at site g reads start[g * bins + bin(a)] and steps on while that
+    entry is before a; it stops at the site's inf at the latest, and the
+    segment is hit iff the entry it stops at is before b.  bin is monotone,
+    so bin(s) < bin(a) implies s < a: no disaster the table skips is at or
+    after a, and the lookup is exact for any number of buckets.  About four
+    disasters a site per bucket keep the steps few.  An empty segment (a ==
+    b, past a walker's last jump) is never hit, and neither is one that
+    reaches its site's inf.  Every b is at most t, so the times >= t are
+    dropped.
 
     In one dimension g is the coordinate minus the block's smallest one.
     Every site between the origin and a walker was visited by it while it
@@ -232,18 +239,34 @@ def _hits(field, t: float, a: np.ndarray, b: np.ndarray, pos: np.ndarray,
         _, first, g = np.unique(field.site_keys(sites), return_index=True, return_inverse=True)
         coords = sites[first]
     streams = field.streams_for_coords(coords, t)
+    n = len(streams)
     times = np.concatenate(streams)
-    owner = np.repeat(np.arange(len(streams), dtype=np.float64), [len(s) for s in streams])
+    owner = np.repeat(np.arange(n), [len(s) for s in streams])
     keep = times < t
-    pairs = np.empty(int(keep.sum()) + 1, dtype=np.complex128)
-    pairs.real[:-1] = owner[keep]
-    pairs.imag[:-1] = times[keep]
-    pairs[-1] = complex(math.inf, math.inf)
-    query = np.empty(m * w, dtype=np.complex128)
-    query.real = g
-    query.imag = a.ravel()
-    found = pairs[np.searchsorted(pairs, query)]
-    return ((found.real == query.real) & (found.imag < b.ravel())).reshape(m, w).any(axis=1)
+    times, owner = times[keep], owner[keep]
+    k = len(times)
+    if not k:
+        return np.zeros(m, dtype=bool)
+    bins = 4 * k // n + 1
+    scale = bins / t
+    cells = np.bincount(owner * bins + np.minimum((times * scale).astype(np.int64), bins - 1),
+                        minlength=n * bins)
+    cells[bins - 1::bins] += 1  # each site's inf
+    start = np.add.accumulate(cells) - cells
+    laid = np.full(k + n, np.inf)
+    laid[np.arange(k) + owner] = times  # site g's times shift past the g infs before them
+    a = a.ravel()
+    cell = np.minimum((a * scale).astype(np.int64), bins - 1)
+    cell += g * bins
+    idx = start[cell]
+    found = laid[idx]
+    on = np.flatnonzero(found < a)
+    while len(on):
+        i = idx[on] + 1
+        after = laid[i]
+        idx[on], found[on] = i, after
+        on = on[after < a[on]]
+    return (found < b.ravel()).reshape(m, w).any(axis=1)
 
 
 # ---------------------------------------------------------------------------

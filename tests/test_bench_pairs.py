@@ -1,4 +1,6 @@
 import importlib.util
+import math
+import statistics
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -77,6 +79,33 @@ def test_raw_pass_medians_are_summarized_against_the_wall_bound():
     assert "raw_pass_s   base" in bench_pairs.report({"w": summary})
     # without wall_norm_s there is no bound to judge raw_pass_s by
     assert "raw_pass_s" not in bench_pairs.summarize(runs, METRICS[1:])["w"]
+
+
+def test_paired_log_ratio_averages_each_pairs_change_with_its_standard_error():
+    # the head is 20% lower in two pairs and 10% higher in one; pair 3 failed, pair 4 is a tie
+    runs = [_run(0, "base", 1.0, 10.0), _run(0, "head", 0.8, 10.0),
+            _run(1, "head", 2.0, 10.0), _run(1, "base", 2.5, 10.0),
+            _run(2, "base", 1.0, 10.0), _run(2, "head", 1.1, 10.0),
+            _run(3, "base", 1.0, 10.0), _run(3, "head", 0.1, 10.0, exit_code=1),
+            _run(4, "base", 3.0, 10.0), _run(4, "head", 3.0, 10.0)]
+    summary = bench_pairs.summarize(runs, METRICS)["w"]
+    logs = [math.log(0.8), math.log(0.8), math.log(1.1), 0.0]
+    ratio = summary["wall_norm_s"]["log_ratio"]
+    assert ratio["n"] == 4
+    assert math.isclose(ratio["mean"], sum(logs) / 4)
+    assert math.isclose(ratio["se"], statistics.stdev(logs) / 2)
+    # equal values in every pair read 0 +- 0; the verdict is the same as without the column
+    assert summary["walkers_per_s"]["log_ratio"] == {"n": 4, "mean": 0.0, "se": 0.0}
+    text = bench_pairs.report({"w": summary}).splitlines()
+    assert text[0].endswith(f"{summary['wall_norm_s']['verdict']}  log(head/base) {ratio['mean']:+.3f} "
+                            f"+- {ratio['se']:.3f}")
+    assert text[1].endswith("log(head/base) +0.000 +- 0.000")
+    # one pair gives a mean but no standard error; none, or only values <= 0, give neither
+    assert bench_pairs.paired_log_ratio([{"base": 2.0, "head": 1.0}]) == {
+        "n": 1, "mean": math.log(0.5), "se": None}
+    assert bench_pairs.paired_log_ratio([{"base": 0.0, "head": 1.0}]) == {"n": 0, "mean": None, "se": None}
+    assert "log(head/base) -0.693" in bench_pairs._log_ratio_text({"n": 1, "mean": math.log(0.5), "se": None})
+    assert bench_pairs._log_ratio_text({"n": 0, "mean": None, "se": None}) == ""
 
 
 LAYERS = [{"name": "walk.survival_batch_self_s", "unit": "s", "better": "lower"},

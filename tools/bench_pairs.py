@@ -13,7 +13,9 @@ for its `run_seconds`) once in each checkout; the side that goes first
 alternates from pair to pair. The file written holds both shas, the machine,
 every run's result line (the last line of its stdout) and, per workload and
 end-to-end metric, each side's median and quartiles, the number of pairs
-the head won (ties count for neither side) and a verdict (see `verdict`).
+the head won (ties count for neither side), the mean paired log ratio
+log(head / base) with its standard error (see `paired_log_ratio`) and a
+verdict (see `verdict`); the log ratio is printed beside the verdict.
 The same summary, as `raw_pass_s`, covers the raw median pass time that each
 run prints on stderr, judged against `wall_norm_s`'s bound: a claimed
 `wall_norm_s` gain must show there too, or it may be the speed clock's.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -134,8 +137,26 @@ def verdict(base: list, head: list, won: int, pairs: int, metric: dict) -> str |
     return "within bound"
 
 
+def paired_log_ratio(complete: list) -> dict:
+    """Mean of log(head / base) over the pairs and its standard error (None below two pairs).
+
+    `complete` holds one {"base": value, "head": value} per pair with both
+    values known; pairs with a value <= 0 have no ratio and are left out.
+    Each pair's ratio cancels what the two runs of a pair share (the seed,
+    the host's speed at the time), so the mean reads the head's relative
+    change, -0.1 being about 10% lower, with a standard error from the
+    spread of the pairs.
+    """
+    logs = [math.log(v["head"] / v["base"]) for v in complete if v["base"] > 0 and v["head"] > 0]
+    if not logs:
+        return {"n": 0, "mean": None, "se": None}
+    se = statistics.stdev(logs) / math.sqrt(len(logs)) if len(logs) > 1 else None
+    return {"n": len(logs), "mean": statistics.fmean(logs), "se": se}
+
+
 def _summary_row(pairs: dict, metric: dict, value) -> dict:
-    """One metric's spreads, pairs won and verdict; value(run) reads it from a run or gives None."""
+    """One metric's spreads, pairs won, paired log ratio and verdict; value(run) reads it from
+    a run or gives None."""
     vals = [{s: value(p[s]) if s in p else None for s in SIDES} for p in pairs.values()]
     complete = [v for v in vals if None not in v.values()]
     decided = [v for v in complete if v["base"] != v["head"]]
@@ -144,6 +165,7 @@ def _summary_row(pairs: dict, metric: dict, value) -> dict:
     return {"unit": metric["unit"], "better": metric["better"],
             **{s: _spread(side[s]) for s in SIDES},
             "pairs_won": won, "pairs_lost": len(decided) - won,
+            "log_ratio": paired_log_ratio(complete),
             "verdict": verdict(side["base"], side["head"], won, len(complete), metric)}
 
 
@@ -226,6 +248,13 @@ def report_layers(layers: dict) -> str:
     return "\n".join(lines)
 
 
+def _log_ratio_text(log_ratio: dict) -> str:
+    if log_ratio["mean"] is None:
+        return ""
+    se = f" +- {log_ratio['se']:.3f}" if log_ratio["se"] is not None else ""
+    return f"  log(head/base) {log_ratio['mean']:+.3f}{se}"
+
+
 def report(summary: dict) -> str:
     lines = []
     for workload, rows in summary.items():
@@ -239,7 +268,7 @@ def report(summary: dict) -> str:
             lines.append(f"{workload:14s} {name:12s} base {b['median']:.4g} ({b['q1']:.4g}-{b['q3']:.4g})"
                          f"  head {h['median']:.4g} ({h['q1']:.4g}-{h['q3']:.4g})"
                          f"  head better in {row['pairs_won']}/{row['pairs_won'] + row['pairs_lost']}"
-                         f"  {row['verdict']}")
+                         f"  {row['verdict']}{_log_ratio_text(row['log_ratio'])}")
         lines.append(f"{workload:14s} runs failed: base {rows['runs_failed']['base']}, "
                      f"head {rows['runs_failed']['head']}")
     return "\n".join(lines)
