@@ -214,11 +214,10 @@ def _hits(field, t: float, a: np.ndarray, b: np.ndarray, pos: np.ndarray,
     entry is before a; it stops at the site's inf at the latest, and the
     segment is hit iff the entry it stops at is before b.  bin is monotone,
     so bin(s) < bin(a) implies s < a: no disaster the table skips is at or
-    after a, and the lookup is exact for any number of buckets.  About four
-    disasters a site per bucket keep the steps few.  An empty segment (a ==
-    b, past a walker's last jump) is never hit, and neither is one that
-    reaches its site's inf.  Every b is at most t, so the times >= t are
-    dropped.
+    after a, and the lookup is exact for any number of buckets; about four
+    buckets a disaster keep the steps few.  An empty segment (a == b, past a
+    walker's last jump) is never hit, and neither is one that reaches its
+    site's inf.  Every b is at most t, so the times >= t are dropped.
 
     In one dimension g is the coordinate minus the block's smallest one.
     Every site between the origin and a walker was visited by it while it

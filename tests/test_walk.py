@@ -181,6 +181,10 @@ _ORACLE_CASES = {
     # about 60 jump columns, so 20,000 cells split 3000 walkers into ~10 chunks
     "chunks": (_one_d(), 8.0, 5.0, 3000, False, 20_000),
     "chunks_namespaces": (lambda: DisasterField(seed=47, rate=1.0, dimension=2), 8.0, 5.0, 3000, True, 20_000),
+    # a dense field: many buckets of _hits' table hold several disasters, so
+    # segments step on past more than one
+    "dense_d1": (_one_d(rate=12.0), 8.0, 1.0, 2000, False, None),
+    "dense_d2": (lambda: DisasterField(seed=48, rate=12.0, dimension=2), 6.0, 1.0, 2000, False, None),
 }
 
 
@@ -254,8 +258,17 @@ def test_hits_boundaries(layout):
         [(1, 3.0, 3.0), (1, 5.0, 5.0)],  # empty segments never hit, even at a disaster
         [(-2, 0.0, 4.0), (-2, 4.0, 5.0)],  # a negative site hits the row sitting there...
         [(-1, 0.0, 5.0), (-1, 5.0, 5.0)],  # ...and only that row
+        # 7 sites and 8 disasters before t: 4 * 8 // 7 + 1 = 5 buckets of length 1
+        [(3, 1.0, 1.75), (3, 1.8, 2.0)],  # a disaster on the bucket edge 2 misses a segment ending there
+        [(3, 1.8, 1.9), (3, 2.0, 2.5)],  # and hits one starting there
+        [(0, 2.0, 5.0), (1, 2.0, 3.5)],  # a start on an edge finds a disaster a bucket on
+        # all of site 2's disasters in the bucket of 4.5 come before it: the
+        # steps end at site 2's own inf, not at site 3's disasters
+        [(2, 4.5, 5.0), (2, 4.0, 4.1)],
+        [(2, 5.0, 5.0), (3, 5.0, 5.0)],  # a == b == t
+        [(4, 0.0, 5.0), (4, 5.0, 5.0)],  # the last site has no disaster
     ]
-    disasters = {0: [1.0, 5.0], 1: [3.0], -2: [2.0]}
+    disasters = {0: [1.0, 5.0], 1: [3.0], -2: [2.0], 2: [4.1, 4.2, 4.3], 3: [1.75, 2.0]}
     site = {"d1": lambda x: (x,), "d2": lambda x: (x, -1), "namespaces": lambda x: (7, x)}[layout]
     field = _StubField(1 if layout == "d1" else 2, {site(x): ts for x, ts in disasters.items()})
     pos = np.array([[site(x)[-1 if layout == "namespaces" else slice(None)] for x, _, _ in r]
@@ -264,8 +277,8 @@ def test_hits_boundaries(layout):
     b = np.array([[seg[2] for seg in r] for r in rows])
     ns = np.full(len(rows), 7, dtype=np.int64) if layout == "namespaces" else None
     hit = walk._hits(field, t, a, b, pos, ns)
-    assert hit.tolist() == [True, False, False, True, False]
-    assert sorted(field.asked) == sorted(site(x) for x in range(-2, 2))
+    assert hit.tolist() == [True, False, False, True, False, False, True, True, False, False, False]
+    assert sorted(field.asked) == sorted(site(x) for x in range(-2, 5))
 
 
 @pytest.mark.parametrize("block_cells,one_block", [(walk._BLOCK_CELLS, True), (256, False)])
