@@ -135,26 +135,27 @@ def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, in
     interior, which leaves exit counts untouched: a lineage is dead to the
     counters once it hits the shell.
     """
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
     for eta in (eta1, eta2):
         for site, cnt in eta.items():
             if cnt > 0 and max(abs(c) for c in site) >= box.half_width:
                 raise ValueError("initial configurations must start strictly inside the box")
-    region = box.interior_region()
-    fs = np.empty(n_reps)
-    gs = np.empty(n_reps)
+    region, t_end, rate, d = box.interior_region(), box.t_end, params.disaster_rate, params.dimension
+    fs, gs = [], []
     env_seeds = derive_seeds(n_reps, seed, "fkg-env").tolist()
-    tree_seeds = {label: derive_seeds(n_reps, seed, "fkg-tree", label).tolist() for label in "ab"}
-    for i in range(n_reps):
-        fld = DisasterField(env_seeds[i], params.disaster_rate, params.dimension)
+    seeds_a, seeds_b = (derive_seeds(n_reps, seed, "fkg-tree", label).tolist() for label in "ab")
+    for env_seed, seed_a, seed_b in zip(env_seeds, seeds_a, seeds_b):
+        fld = DisasterField(env_seed, rate, d)
         out = []
-        for label, eta in (("a", eta1), ("b", eta2)):
-            res = simulate(params, eta, fld, 0.0, box.t_end, tree_seeds[label][i], trunc=region,
-                           caps=caps)
+        for eta, tree_seed in ((eta1, seed_a), (eta2, seed_b)):
+            res = simulate(params, eta, fld, 0.0, t_end, tree_seed, trunc=region, caps=caps)
             if res.capped:
                 raise CapTripped("cap tripped inside fkg_test; shrink the box or rates")
             out.append(exit_counts(res.events, box))
-        fs[i] = f(*out[0])
-        gs[i] = g(*out[1])
+        fs.append(f(*out[0]))
+        gs.append(g(*out[1]))
+    fs, gs = np.array(fs, dtype=np.float64), np.array(gs, dtype=np.float64)
     h = (fs - fs.mean()) * (gs - gs.mean())
     cov = float(h.sum() / (n_reps - 1)) if n_reps > 1 else 0.0
     se = float(h.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0

@@ -22,6 +22,18 @@ call: the field keeps every stream it has materialized, so trees sharing a
 field draw each site's stream once, and BRWParams builds its offspring cdf
 once.
 
+Per particle the loop holds three things: its ParticleStream, which rides in
+its own heap entries (time, rank, seq, pid, stream), its site in one dict and
+its ParticleRecord in another.  Per site it holds the particles on it, its
+disaster list and whether its next disaster is pending.  Children join their
+parent's site without a lookup: the parent was not struck there, so the
+site's next disaster is already pending.  The loop body is inlined, and draws
+return python floats, so times, heap comparisons and bisections never run on
+numpy scalars.  Draws stay one ParticleStream method call each: a stream
+patched on its class (a test pinning a draw, the benchmark's tracer counting
+them) sees every draw, and the counter arithmetic inside the call, not the
+call, is the cost.
+
 Each particle owns a counter-based random stream keyed by (seed, id), so a
 particle's draws are independent of which other particles exist; see the
 rng module for why that makes path-wise couplings exact.
@@ -199,7 +211,7 @@ class Box:
         return all(l <= c <= h for c, l, h in zip(site, self.lo, self.hi))
 
 
-@dataclass
+@dataclass(slots=True)
 class ParticleRecord:
     id: ParticleId
     birth_time: float
@@ -214,7 +226,7 @@ class Caps:
     max_events: int = 100_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class SimResult:
     events: list
     records: dict
@@ -251,77 +263,40 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
         raise ValueError("horizon must be >= start_time")
     if field.dimension != params.dimension:
         raise ValueError("field and params dimensions differ")
+    if trunc is not None and len(trunc.lo) != params.dimension:
+        raise ValueError("truncation region and params dimensions differ")
     if sum(initial.values()) < 1:
         raise ValueError("a process start needs at least one particle")
 
     q_cdf = params.offspring_cdf
-    base_key = mix64_int(seed)
     birth_rate, jump_rate = params.birth_rate, params.jump_rate
     n_dirs = 2 * params.dimension
-    window_end = math.nextafter(horizon, math.inf)
+    window, window_end = field.disasters_in_window, math.nextafter(horizon, math.inf)
     max_alive, max_events = caps.max_alive, caps.max_events
+    lo, hi = (trunc.lo, trunc.hi) if trunc is not None else ((), ())
     heappush, heappop = heapq.heappush, heapq.heappop
     tick = itertools.count().__next__  # heap tie-breaker: push order
+    new = tuple.__new__  # new(Event, fields) skips Event's python-level __new__
 
     events: list = []
     records: dict[ParticleId, ParticleRecord] = {}
-    streams: dict[ParticleId, ParticleStream] = {}
-    occupancy: dict[Site, set] = {}
     position: dict[ParticleId, Site] = {}  # alive particles only
+    occupancy: dict[Site, set] = {}  # site -> the alive particles on it
     disasters: dict[Site, list] = {}  # site -> its disaster times in [start_time, horizon]
     pending: set = set()  # sites whose next disaster is on the heap
-    heap: list = []  # (time, rank, seq, site or pid); rank: disaster 0 < branch 1 < jump 2
+    # (time, rank, seq, site or pid, the particle's stream); rank: disaster 0 < branch 1 < jump 2
+    heap: list = []
     pop_t: list[float] = [start_time]
     pop_n: list[int] = [0]
 
-    def log(time: float, kind: str, pid: ParticleId, site: Site) -> None:
-        if record_events:
-            events.append(Event(time, kind, pid, site))
-
-    def occupy(pid: ParticleId, site: Site, now: float) -> bool:
-        """Place `pid` at `site`; True when a disaster strikes it exactly at `now`."""
-        group = occupancy.get(site)
-        if group is None:
-            occupancy[site] = {pid}
-        else:
-            group.add(pid)
-        position[pid] = site
-        ts = disasters.get(site)
-        if ts is None:
-            ts = disasters[site] = field.disasters_in_window(site, start_time, window_end).tolist()
-        i = bisect_right(ts, now)
-        # a pending disaster has not fired yet, so it is still the first after `now`
-        if i < len(ts) and site not in pending:
-            pending.add(site)
-            heappush(heap, (ts[i], 0, tick(), site))
-        return i > 0 and ts[i - 1] == now
-
-    def note_pop(time: float) -> None:
-        pop_t.append(time)
-        pop_n.append(len(position))
-
-    def vacate(pid: ParticleId) -> None:
-        site = position.pop(pid)
-        group = occupancy[site]
-        group.discard(pid)
-        if not group:
-            del occupancy[site]
-
-    def kill(pid: ParticleId, time: float, cause: str) -> None:
-        vacate(pid)
+    def end(pid: ParticleId, time: float, cause: str) -> None:
+        del position[pid]
         rec = records[pid]
         rec.end_time = time
         rec.end_cause = cause
 
-    def spawn(pid: ParticleId, key: int, time: float, site: Site) -> None:
-        records[pid] = ParticleRecord(id=pid, birth_time=time, birth_site=site)
-        st = streams[pid] = ParticleStream(key)
-        occupy(pid, site, time)
-        log(time, "birth", pid, site)
-        heappush(heap, (time + st.exponential(birth_rate), 1, tick(), pid))
-        heappush(heap, (time + st.exponential(jump_rate), 2, tick(), pid))
-
     # seed lineages in deterministic site order
+    base_key = mix64_int(seed)
     lineage = 0
     for site in sorted(initial):
         count = initial[site]
@@ -329,17 +304,33 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             raise ValueError("configuration counts must be >= 0")
         if trunc is not None and count > 0 and not trunc.contains(site):
             raise ValueError("initial configuration outside the truncation region")
+        site = tuple(site)
         for _ in range(count):
-            spawn((lineage,), fold(base_key, lineage), start_time, tuple(site))
+            pid = (lineage,)
+            st = ParticleStream(fold(base_key, lineage))
             lineage += 1
-    note_pop(start_time)
+            records[pid] = ParticleRecord(pid, start_time, site)
+            position[pid] = site
+            occupancy.setdefault(site, set()).add(pid)
+            if site not in disasters:
+                ts = disasters[site] = window(site, start_time, window_end).tolist()
+                i = bisect_right(ts, start_time)
+                if i < len(ts):
+                    pending.add(site)
+                    heappush(heap, (ts[i], 0, tick(), site, None))
+            if record_events:
+                events.append(new(Event, (start_time, "birth", pid, site)))
+            heappush(heap, (start_time + st.exponential(birth_rate), 1, tick(), pid, st))
+            heappush(heap, (start_time + st.exponential(jump_rate), 2, tick(), pid, st))
+    pop_t.append(start_time)
+    pop_n.append(len(position))
 
     capped = False
     cap_time: float | None = None
     n_events = 0
 
     while heap:
-        time, rank, _seq, payload = heappop(heap)
+        time, rank, _seq, payload, st = heappop(heap)
         if time > horizon:
             break
         n_events += 1
@@ -349,66 +340,99 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
 
         if rank == 0:  # disaster: kills every particle on the site
             pending.discard(payload)
-            group = occupancy.get(payload)
+            group = occupancy.pop(payload, None)
             if group:
                 for pid in sorted(group):
-                    log(time, "disaster", pid, payload)
-                    kill(pid, time, "disaster")
-                note_pop(time)
+                    if record_events:
+                        events.append(new(Event, (time, "disaster", pid, payload)))
+                    end(pid, time, "disaster")
+                pop_t.append(time)
+                pop_n.append(len(position))
             continue
 
         pid = payload
         site = position.get(pid)
         if site is None:
             continue  # stale clock of a dead particle
-        st = streams[pid]
 
-        if rank == 1:  # branch
+        if rank == 1:  # branch: the children take the parent's place on its site
             n_children = bisect_left(q_cdf, st.uniform())
             if len(position) - 1 + n_children > max_alive:
                 capped, cap_time = True, time
                 break
-            log(time, "branch", pid, site)
-            kill(pid, time, "branch")
+            if record_events:
+                events.append(new(Event, (time, "branch", pid, site)))
+            end(pid, time, "branch")
+            group = occupancy[site]
+            group.discard(pid)
+            # children need no disaster lookup: the parent sat here unstruck since it
+            # arrived, so the site's next disaster, if any, is on the heap already
             for j in range(n_children):
-                spawn(pid + (j,), st.child_key(j), time, site)
-            note_pop(time)
+                child = pid + (j,)
+                cst = ParticleStream(st.child_key(j))
+                records[child] = ParticleRecord(child, time, site)
+                position[child] = site
+                group.add(child)
+                if record_events:
+                    events.append(new(Event, (time, "birth", child, site)))
+                heappush(heap, (time + cst.exponential(birth_rate), 1, tick(), child, cst))
+                heappush(heap, (time + cst.exponential(jump_rate), 2, tick(), child, cst))
+            if not group:
+                del occupancy[site]
+            pop_t.append(time)
+            pop_n.append(len(position))
             continue
 
         # jump
-        axis, sign = divmod(min(int(st.uniform() * n_dirs), n_dirs - 1), 2)
-        new_site = site[:axis] + (site[axis] + (1 if sign else -1),) + site[axis + 1 :]
-        if trunc is not None and not trunc.contains(new_site):
-            log(time, "leave", pid, new_site)
-            kill(pid, time, "left-truncation-region")
-            note_pop(time)
+        k = min(int(st.uniform() * n_dirs), n_dirs - 1)
+        axis = k >> 1
+        x = site[axis] + (1 if k & 1 else -1)
+        new_site = (x,) if n_dirs == 2 else site[:axis] + (x,) + site[axis + 1:]
+        group = occupancy[site]
+        group.discard(pid)
+        if not group:
+            del occupancy[site]
+        # the particle was inside trunc, so only the coordinate it moved can leave it
+        if trunc is not None and not lo[axis] <= x <= hi[axis]:
+            if record_events:
+                events.append(new(Event, (time, "leave", pid, new_site)))
+            end(pid, time, "left-truncation-region")
+            pop_t.append(time)
+            pop_n.append(len(position))
             continue
-        vacate(pid)
-        struck = occupy(pid, new_site, time)
-        log(time, "jump", pid, new_site)
-        if struck:  # post-jump tie rule: a disaster at the arrival instant kills
-            log(time, "disaster", pid, new_site)
-            kill(pid, time, "disaster")
-            note_pop(time)
+        ts = disasters.get(new_site)
+        if ts is None:
+            ts = disasters[new_site] = window(new_site, start_time, window_end).tolist()
+        i = bisect_right(ts, time)
+        # a pending disaster has not fired yet, so it is still the first after `time`
+        if i < len(ts) and new_site not in pending:
+            pending.add(new_site)
+            heappush(heap, (ts[i], 0, tick(), new_site, None))
+        if record_events:
+            events.append(new(Event, (time, "jump", pid, new_site)))
+        if i and ts[i - 1] == time:  # post-jump tie rule: a disaster at the arrival instant kills
+            if record_events:
+                events.append(new(Event, (time, "disaster", pid, new_site)))
+            end(pid, time, "disaster")
+            pop_t.append(time)
+            pop_n.append(len(position))
             continue
-        heappush(heap, (time + st.exponential(jump_rate), 2, tick(), pid))
+        position[pid] = new_site
+        group = occupancy.get(new_site)
+        if group is None:
+            occupancy[new_site] = {pid}
+        else:
+            group.add(pid)
+        heappush(heap, (time + st.exponential(jump_rate), 2, tick(), pid, st))
 
     final = tuple(sorted(position.items()))
+    cause = "cap" if capped else "horizon"
     for pid, _site in final:
         rec = records[pid]
         rec.end_time = horizon
-        rec.end_cause = "cap" if capped else "horizon"
-    return SimResult(
-        events=events,
-        records=records,
-        capped=capped,
-        cap_time=cap_time,
-        pop_times=np.asarray(pop_t),
-        pop_counts=np.asarray(pop_n),
-        start_time=start_time,
-        horizon=horizon,
-        final_alive=final,
-    )
+        rec.end_cause = cause
+    return SimResult(events, records, capped, cap_time, np.asarray(pop_t), np.asarray(pop_n),
+                     start_time, horizon, final)
 
 
 # ---------------------------------------------------------------------------
@@ -823,6 +847,8 @@ def growth_rate(params: BRWParams, horizon: float, n_reps: int, seed: int,
     The window is the last half of the replica's observed span
     (capped runs end at the cap time).  Returns None when no replica survives.
     """
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
     slopes = []
     capped = 0
     for i in range(n_reps):
@@ -873,6 +899,8 @@ def coupled_birth_rate_survival(params_max: BRWParams, birth_rates: Sequence[flo
     replica survives at b iff the smallest of these over its final particles
     is <= b/max.
     """
+    if n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
     if params_max.offspring[0] != 0.0:
         raise ValueError("the monotone birth-rate coupling needs offspring >= 1")
     rates = sorted(set(float(b) for b in birth_rates))

@@ -119,10 +119,16 @@ class ParticleStream:
         self.ctr = 0
 
     def child_key(self, index: int) -> int:
-        return fold(self.key, index)
+        """fold(key, index), inlined like the draws below: the tree engine keys every child."""
+        x = self.key ^ ((index + GOLDEN) & _M64)
+        x = ((x ^ (x >> 30)) * _MIX_A) & _M64
+        x = ((x ^ (x >> 27)) * _MIX_B) & _M64
+        return x ^ (x >> 31)
 
     # uniform and exponential equal counter_uniform(key, ctr); they inline
-    # mix64_int because the tree engine calls them once per event
+    # mix64_int because the tree engine calls them once per event.  Both return
+    # python floats (float() of np.log's result keeps its bits), so the engine's
+    # time sums and heap comparisons never run on numpy scalars.
 
     def uniform(self) -> float:
         x = (self.key + self.ctr * GOLDEN) & _M64
@@ -139,7 +145,7 @@ class ParticleStream:
         x = (self.key + ctr * GOLDEN) & _M64
         x = ((x ^ (x >> 30)) * _MIX_A) & _M64
         x = ((x ^ (x >> 27)) * _MIX_B) & _M64
-        return -np.log((((x ^ (x >> 31)) >> 11) + 1) * _INV53) / rate
+        return -float(np.log((((x ^ (x >> 31)) >> 11) + 1) * _INV53)) / rate
 
     def index(self, n: int) -> int:
         """Uniform draw from range(n)."""

@@ -18,7 +18,7 @@ from disasterbrw.rng import derive_seed
 from disasterbrw.walk import _binom_se
 
 from helpers import (classify_exit_oracle, exit_counts_oracle, exit_region_order, exit_vectors,
-                     violated_at)
+                     simulate_oracle, violated_at)
 
 
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
@@ -267,6 +267,23 @@ def test_fkg_shared_disasters_positive():
     est = fkg_test(params, {(0,): 2}, {(0,): 2}, box, total, total, 600, 41)
     assert est.cov >= -3 * est.std_err
     assert est.cov > 0  # at this scale the positive signal is clear
+
+
+def test_fkg_batch_matches_heap_loop_oracle_trees(monkeypatch):
+    # the benchmark's boxes-fkg config on a small batch: trees and counts from
+    # the test oracles, and ndarray sums in the functional, give the very same estimate
+    from disasterbrw import boxes, cli
+
+    params = BRWParams(1.0, 1.0, BINARY, 1.0, 1)
+    box = SpaceTimeBox(3, 1.0, 1)
+    total = cli._FUNCTIONALS["total"]
+    got = fkg_test(params, {(0,): 2}, {(0,): 2}, box, total, total, 60, derive_seed(7, "fkg-batch", 0))
+    monkeypatch.setattr(boxes, "simulate", simulate_oracle)
+    monkeypatch.setattr(boxes, "exit_counts", exit_counts_oracle)
+    total = lambda tv, fv: float(tv.sum() + fv.sum())
+    want = fkg_test(params, {(0,): 2}, {(0,): 2}, box, total, total, 60, derive_seed(7, "fkg-batch", 0))
+    assert got == want
+    assert got.cov != 0.0 and got.mean_f > 0.0
 
 
 def test_fkg_rejects_boundary_start():

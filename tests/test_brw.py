@@ -321,6 +321,30 @@ def test_coupled_birth_rates_reject_zero_offspring_mass():
         coupled_birth_rate_survival(params_max, [1.0], 5.0, 10, 1)
 
 
+def _fkg_total(params, n_reps, seed):
+    from disasterbrw.boxes import SpaceTimeBox, fkg_test
+
+    total = lambda tv, fv: float(tv.sum() + fv.sum())
+    return fkg_test(params, {(0,): 1}, {(0,): 1}, SpaceTimeBox(3, 1.0, 1), total, total, n_reps, seed)
+
+
+@pytest.mark.parametrize("n_reps", [0, -3])
+@pytest.mark.parametrize("estimator", [
+    _fkg_total,
+    lambda params, n_reps, seed: coupled_birth_rate_survival(params, [1.0], 1.0, n_reps, seed),
+    lambda params, n_reps, seed: growth_rate(params, 1.0, n_reps, seed),
+    lambda params, n_reps, seed: survival_frequency(params, 1.0, n_reps, seed),
+], ids=["fkg_test", "coupled_birth_rate_survival", "growth_rate", "survival_frequency"])
+def test_replica_estimators_reject_no_replicas_before_any_draw(monkeypatch, estimator, n_reps):
+    def no_draw(*_args):
+        raise AssertionError("a particle drew")
+
+    monkeypatch.setattr(ParticleStream, "uniform", no_draw)
+    monkeypatch.setattr(ParticleStream, "exponential", no_draw)
+    with pytest.raises(ValueError, match="n_reps must be >= 1"):
+        estimator(BRWParams(1.0, 2.0, ALWAYS_TWO, 1.0, 1), n_reps, 3)
+
+
 def test_survivors_rarely_small_at_late_horizons():
     # among survivors, small populations thin out as the horizon grows
     params = BRWParams(2.0, 2.0, ALWAYS_TWO, 1.0, 1)
@@ -350,6 +374,8 @@ def test_initial_configuration_validation():
         simulate(params, {(5,): 1}, fld, 0.0, 1.0, 1, trunc=centered_box(2, 1))
     with pytest.raises(ValueError):
         simulate(params, {(0,): 1}, DisasterField(1, 1.0, 2), 0.0, 1.0, 1)
+    with pytest.raises(ValueError, match="truncation region"):
+        simulate(params, {(0,): 1}, fld, 0.0, 1.0, 1, trunc=centered_box(2, 2))
 
 
 def _oracle_corpus():
@@ -719,15 +745,18 @@ def test_counter_draws_are_particle_stream_draws_bit_for_bit():
         for j, (key, ctr) in enumerate(zip(keys.tolist(), ctrs.tolist())):
             st = ParticleStream(key)
             st.ctr = ctr
-            want_e[j] = st.exponential(rate)
+            want_e[j] = e = st.exponential(rate)
             assert st.ctr == ctr + 1  # rate 0 still spends its counter
             st.ctr = ctr
-            want_u[j] = st.uniform()
+            want_u[j] = u = st.uniform()
+            assert type(e) is float and type(u) is float  # the engine sums python floats
         assert draws.view(np.uint64).tolist() == want_e.view(np.uint64).tolist()
         assert uniforms.view(np.uint64).tolist() == want_u.view(np.uint64).tolist()
     assert np.isinf(counter_exponential(keys, ctrs, 0.0)).all()
     grid = counter_uniform(keys[:50, None], np.arange(6))
     assert all((grid[:, c] == counter_uniform(keys[:50], np.full(50, c))).all() for c in range(6))
+    assert all(ParticleStream(key).child_key(j) == fold(key, j)
+               for key in keys[:200].tolist() for j in range(3))
 
 
 class _NoStreams:
