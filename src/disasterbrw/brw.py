@@ -313,7 +313,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             position[pid] = site
             occupancy.setdefault(site, set()).add(pid)
             if site not in disasters:
-                ts = disasters[site] = window(site, start_time, window_end).tolist()
+                ts = disasters[site] = window(site, start_time, window_end)
                 i = bisect_right(ts, start_time)
                 if i < len(ts):
                     pending.add(site)
@@ -402,7 +402,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             continue
         ts = disasters.get(new_site)
         if ts is None:
-            ts = disasters[new_site] = window(new_site, start_time, window_end).tolist()
+            ts = disasters[new_site] = window(new_site, start_time, window_end)
         i = bisect_right(ts, time)
         # a pending disaster has not fired yet, so it is still the first after `time`
         if i < len(ts) and new_site not in pending:

@@ -2,10 +2,12 @@
 
 Subcommands: annealed, lyapunov, brw-survival, moment-check, embed, phase,
 sweep, boxes-fkg, perc, verify.  Config files are flat "key = value" text
-keyed by flag name without its dashes ("format = json", "n-reps = 50");
-command-line flags override file values, and the fully resolved config is
-echoed into every output record so results are reproducible from their
-artifacts.
+keyed by flag name without its dashes ("format = json", "n-reps = 50" or
+"n_reps = 50") or by its dest ("fmt = json"); "config" and "help" are not
+keys.  Each value is parsed as the flag it names, with the same type, choices
+and errors, and a switch is on for 1, true or yes; command-line flags override
+file values.  The fully resolved config is echoed into every output record so
+results are reproducible from their artifacts.
 
 Outputs are CSV (header row, comma-separated, LF) or JSON (one top-level
 array of record objects); every float is printed with 17 significant digits
@@ -40,6 +42,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -200,7 +203,8 @@ def _per_field(ns, experiment: str, label: str, horizon_key: str, check) -> tupl
     seeds = [derive_seed(ns.seed, label, i) for i in range(ns.n_fields)]
     checks = check(fields, params, getattr(ns, horizon_key), ns.n_reps, seeds)
     recs = [{"experiment": experiment, "field_index": i,
-             **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", horizon_key, "n_reps")),
+             **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d", horizon_key, "n_reps",
+                          "n_fields")),
              "lhs": chk.lhs, "lhs_se": chk.lhs_se, "rhs": chk.rhs, "rhs_se": chk.rhs_se, "z": chk.z}
             for i, chk in enumerate(checks)]
     frac_ok = sum(1 for r in recs if abs(r["z"]) <= 3.0) / len(recs)
@@ -252,24 +256,19 @@ def cmd_sweep(ns) -> tuple[list[dict], int]:
     lams = sorted(_grid(ns.lam_grid, "lam_grid")) if ns.lam_grid else [ns.lam]
     q = parse_offspring(ns.q)
     recs = []
-
-    def column(kappa: float) -> list[dict]:
+    for kappa in kappas:
         params_max = BRWParams(jump_rate=kappa, birth_rate=lams[-1], offspring=q,
                                disaster_rate=ns.alpha, dimension=ns.d)
         ests = brw_mod.coupled_birth_rate_survival(
             params_max, lams, ns.horizon, ns.n_reps,
             derive_seed(ns.seed, "sweep", format(kappa, ".17g")),
             caps=Caps(max_alive=ns.cap_alive, max_events=ns.cap_events))
-        out = []
         for lam, est in zip(lams, ests):
-            out.append({"experiment": "sweep", "kappa": kappa, "lam": lam,
-                        **_echo(ns, ("seed", "q", "alpha", "d", "horizon", "n_reps")),
-                        "survival": est.value, "std_err": est.std_err,
-                        "cap_fraction": est.cap_fraction,
-                        **_echo(ns, ("cap_alive", "cap_events"))})
-        return out
-    for kappa in kappas:
-        recs.extend(column(kappa))
+            recs.append({"experiment": "sweep", "kappa": kappa, "lam": lam,
+                         **_echo(ns, ("seed", "q", "alpha", "d", "horizon", "n_reps")),
+                         "survival": est.value, "std_err": est.std_err,
+                         "cap_fraction": est.cap_fraction,
+                         **_echo(ns, ("cap_alive", "cap_events"))})
     return recs, 0
 
 
@@ -300,7 +299,8 @@ def cmd_boxes_fkg(ns) -> tuple[list[dict], int]:
         worst = min(worst, sig)
         recs.append({"experiment": "boxes-fkg", "batch": b,
                      **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d",
-                                  "box_l", "box_t", "f", "g", "n_reps")),
+                                  "box_l", "box_t", "start_count", "f", "g", "n_reps",
+                                  "n_batches")),
                      "cov": est.cov, "std_err": est.std_err, "sigmas": sig})
     return recs, (0 if worst >= -3.0 else 3)
 
@@ -354,8 +354,6 @@ def cmd_verify(ns) -> tuple[list[dict], int]:
         return True
 
     def parity_law_enumeration() -> bool:
-        from itertools import product as iproduct
-
         for _ in range(12):
             n_bins = int(gen.integers(2, 5))
             w = gen.dirichlet(np.ones(n_bins))
@@ -401,8 +399,6 @@ def cmd_verify(ns) -> tuple[list[dict], int]:
             raw = [Fraction(int(x)) for x in gen.integers(0, 50, 2 ** (m + 1))]
             tot = sum(raw) or Fraction(1)
             joint = {}
-            from itertools import product as iproduct
-
             for code, pat in enumerate(iproduct((0, 1), repeat=m + 1)):
                 joint[pat] = raw[code] / tot
             holds, _slack = boxes_mod.zero_pattern_product_bound(joint, s)
@@ -554,7 +550,7 @@ _RANGE_CHECKS = [
 
 
 def _explicit_dests(actions, argv) -> set:
-    """Dests whose option strings literally appear on the command line."""
+    """Dests whose option strings literally appear in `argv`."""
     seen = set()
     flags = set()
     for a in argv:
@@ -565,33 +561,29 @@ def _explicit_dests(actions, argv) -> set:
     return seen
 
 
-def _apply_config_overrides(ns, actions, explicit: set) -> set:
-    """File values apply wherever the flag was not given explicitly, typed and checked as flags are.
+def _config_flags(path: str, actions) -> list[str]:
+    """The flags a config file names, in file order, for the parser to read.
 
     A key is an option's long name without its dashes (`format`, `n-reps` or
-    `n_reps`) or its argparse dest (`fmt`).  Returns the dests the file names.
+    `n_reps`) or its argparse dest (`fmt`), but not `config` or `help`.  A
+    value becomes `--flag=value`; a switch is given bare when its value is
+    1, true or yes, and left out otherwise.
     """
-    if ns.config is None:
-        return set()
-    named = set()
-    by_key = {a.dest: a for a in actions}
-    by_key.update({op[2:].replace("-", "_"): a for a in actions
-                   for op in a.option_strings if op.startswith("--")})
-    for key, raw in parse_config_file(ns.config).items():
-        act = by_key.get(key)
-        if act is None:
+    by_key = {}
+    for act in actions:
+        if act.dest not in ("config", "help"):
+            flag = act.option_strings[-1]
+            by_key[act.dest] = by_key[flag[2:].replace("-", "_")] = (flag, act.nargs == 0)
+    out = []
+    for key, raw in parse_config_file(path).items():
+        if key not in by_key:
             raise ConfigError(f"unknown config key {key!r}")
-        named.add(act.dest)
-        if act.dest in explicit:
-            continue  # explicit flag wins
-        if isinstance(act.default, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        else:
-            value = act.type(raw) if act.type else raw  # a ValueError is a config error too
-            if act.choices is not None and value not in act.choices:
-                raise ConfigError(f"{key}: {raw!r} is not one of {', '.join(map(str, act.choices))}")
-        setattr(ns, act.dest, value)
-    return named
+        flag, switch = by_key[key]
+        if not switch:
+            out.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes"):
+            out.append(flag)
+    return out
 
 
 def _unread(ns) -> tuple:
@@ -616,8 +608,10 @@ def main(argv=None) -> int:
     try:
         ns = ap.parse_args(argv)
         actions = ap._subparsers._group_actions[0].choices[ns.command]._actions
-        explicit = _explicit_dests(actions, argv)
-        given = explicit | _apply_config_overrides(ns, actions, explicit)
+        file_flags = _config_flags(ns.config, actions) if ns.config else []
+        if file_flags:  # before argv's own flags, so an explicit flag wins
+            ns = ap.parse_args([argv[0], *file_flags, *argv[1:]])
+        given = _explicit_dests(actions, [*file_flags, *argv])
         unread = [k for k in _unread(ns) if k in given]
         if unread:
             raise ConfigError(f"{ns.command} does not read "

@@ -324,8 +324,8 @@ class DisasterField:
 
     # -- queries -------------------------------------------------------------
 
-    def disasters_in_window(self, site: Sequence[int], t0: float, t1: float) -> np.ndarray:
-        """Sorted disaster times in [t0, t1) at `site`.
+    def disasters_in_window(self, site: Sequence[int], t0: float, t1: float) -> list[float]:
+        """Sorted disaster times in [t0, t1) at `site`, as a list of floats.
 
         bisect_left finds what searchsorted(side="left") finds, at a third of
         its cost on the few times a tree's window holds.
@@ -333,11 +333,11 @@ class DisasterField:
         if not t0 <= t1:
             raise InvalidWindowError(f"window start {t0} is not at most its end {t1}")
         if t0 == t1:
-            return np.empty(0, dtype=np.float64)
+            return []
         s = self._stream(self.site_key(site))
         self._extend(s, t1)
         times = s.times
-        return times[bisect_left(times, t0):bisect_left(times, t1)].copy()
+        return times[bisect_left(times, t0):bisect_left(times, t1)].tolist()
 
     def first_disaster_after(self, site: Sequence[int], t: float, horizon: float) -> float | None:
         """Smallest disaster time in (t, horizon] at `site`, or None."""

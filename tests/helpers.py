@@ -696,16 +696,13 @@ class SuperposedField:
     def streams_for_coords(self, coords: np.ndarray, t_max: float) -> list[np.ndarray]:
         return [self.stream_times(tuple(int(c) for c in row), t_max) for row in np.asarray(coords)]
 
-    def disasters_in_window(self, site, t0: float, t1: float) -> np.ndarray:
+    def disasters_in_window(self, site, t0: float, t1: float) -> list[float]:
         from disasterbrw.env import InvalidWindowError
 
         if t0 > t1:
             raise InvalidWindowError(f"window start {t0} exceeds end {t1}")
-        merged = np.concatenate(
-            [self.a.disasters_in_window(site, t0, t1), self.b.disasters_in_window(site, t0, t1)]
-        )
-        merged.sort()
-        return merged
+        return sorted(self.a.disasters_in_window(site, t0, t1)
+                      + self.b.disasters_in_window(site, t0, t1))
 
     def first_disaster_after(self, site, t: float, horizon: float) -> float | None:
         fa = self.a.first_disaster_after(site, t, horizon)

@@ -267,6 +267,111 @@ def test_config_value_outside_choices_rejected(tmp_path):
     assert cli.main(["perc", "--seed", "3", "--config", str(cfg)]) == 1
 
 
+# a value for every option but --config and --help, unlike its default, so a
+# file that failed to set it would show; an option added without one fails below
+_OPTION_VALUES = {
+    "seed": "5", "fmt": "json", "threads": "2", "kappa": "2.5", "alpha": "0.5", "d": "2",
+    "lam": "1.5", "q": "2:1", "t": "3", "n": "7", "n_env": "3", "n_walkers": "9", "pin": "1",
+    "horizon": "2", "n_reps": "4", "cap_alive": "30", "cap_events": "300", "n_fields": "2",
+    "period": "1.5", "t_lyap": "2", "kappa_grid": "1,2", "lam_grid": "0.5,1", "p_grid": "0.5",
+    "rows": "3", "box_l": "4", "box_t": "0.5", "start_count": "2", "f": "top-total",
+    "g": "face-total", "n_batches": "3", "mode": "brw", "p": "0.3", "block_n": "2",
+    "copies_s": "2",
+}
+
+
+def _subparsers() -> dict:
+    return cli.build_parser()._subparsers._group_actions[0].choices
+
+
+def _config_keys():
+    """(command, action, key) for every option of every subcommand but --config and
+    --help, and each spelling of its key: dashed, underscored, dest."""
+    for command, sp in _subparsers().items():
+        for act in sp._actions:
+            if act.dest not in ("config", "help"):
+                name = act.option_strings[-1][2:]
+                for key in dict.fromkeys((name, name.replace("-", "_"), act.dest)):
+                    yield pytest.param(command, act, key, id=f"{command}-{key}")
+
+
+def _base_argv(command: str, dest: str) -> list[str]:
+    """A command line on which `command` reads the option with dest `dest`."""
+    argv = [command] + ([] if dest == "seed" else ["--seed", "1"])
+    if command == "perc" and dest not in ("p", "mode", "rows", "n_reps"):
+        argv += ["--mode", "brw"]
+    if command == "sweep" and dest == "rows":
+        argv += ["--p-grid", "0.5"]
+    return argv
+
+
+@pytest.fixture
+def resolve(monkeypatch):
+    """cli.main in place of which each subcommand hands back the namespace it got."""
+    got = []
+    for sp in _subparsers().values():
+        monkeypatch.setitem(sp._defaults, "fn", lambda ns: (got.append(ns), ([], 0))[1])
+
+    def run(argv):
+        got.clear()
+        code = cli.main(argv)
+        ns = dict(vars(got[0])) if got else {}
+        ns.pop("config", None)  # the one value that names the file itself
+        return code, ns
+    return run
+
+
+@pytest.mark.parametrize("command, act, key", _config_keys())
+def test_config_key_resolves_like_its_flag(command, act, key, resolve, tmp_path, capsys):
+    value = str(tmp_path / "file.out") if act.dest in ("out", "dump") else _OPTION_VALUES[act.dest]
+    argv = _base_argv(command, act.dest)
+    flag = act.option_strings[-1]
+    code, by_flag = resolve([*argv, flag] if act.nargs == 0 else [*argv, flag, value])
+    assert code == 0, capsys.readouterr().err
+    assert by_flag[act.dest] != act.default  # the flag changed something
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert resolve([*argv, "--config", str(cfg)]) == (0, by_flag)
+
+
+def test_config_switch_reads_one_true_or_yes_as_on(resolve, tmp_path):
+    argv = ["lyapunov", "--seed", "1"]
+    cfg = tmp_path / "run.cfg"
+    for value, on in (("1", True), ("true", True), ("yes", True), ("True", True),
+                      ("0", False), ("false", False), ("no", False), ("on", False), ("", False)):
+        cfg.write_text(f"pin = {value}\n")
+        assert resolve([*argv, "--config", str(cfg)])[1]["pin"] is on, value
+
+
+def test_config_explicit_flag_beats_every_file_value(resolve, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-reps = 9\nformat = json\nmode = brw\nrows = 7\nseed = 2\n")
+    code, ns = resolve(["perc", "--rows", "4", "--config", str(cfg), "--mode", "indep",
+                        "--n-reps=5", "--seed", "3", "--format", "csv"])
+    assert code == 0
+    assert (ns["rows"], ns["mode"], ns["n_reps"], ns["seed"], ns["fmt"]) == (4, "indep", 5, 3, "csv")
+
+
+@pytest.mark.parametrize("line", ["config = x", "help = 1", "help = 0"])
+def test_config_and_help_are_not_keys(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["annealed", "--seed", "3", "--n", "100", "--config", str(cfg)]) == 1
+    _one_config_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag, value", [("--n-reps", "x"), ("--mode", "foo"), ("--format", "xml"),
+                                         ("--p", "")])
+def test_config_value_fails_with_its_flags_error(flag, value, tmp_path, capsys):
+    argv = ["perc", "--seed", "3", "--rows", "1", "--n-reps", "1"]
+    assert cli.main([*argv, f"{flag}={value}"]) == 1
+    by_flag = _one_config_error_line(capsys)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    assert cli.main([*argv, "--config", str(cfg)]) == 1
+    assert _one_config_error_line(capsys) == by_flag
+
+
 def test_verify_suite_exit_zero(tmp_path):
     code, data = run_cli(["verify", "--seed", "2"], tmp_path)
     assert code == 0
@@ -396,6 +501,20 @@ def test_survival_records_echo_their_caps(tmp_path):
     lines = data.decode().strip().split("\n")
     assert lines[0].endswith(",cap_fraction,cap_alive,cap_events")
     assert len(lines) == 3 and all(r.endswith(",77,5000000") for r in lines[1:])
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (["moment-check", "--n-fields", "2", "--n-reps", "10"], {"n_fields": 2}),
+    (["embed", "--n-fields", "2", "--n-reps", "10"], {"n_fields": 2}),
+    (["boxes-fkg", "--n-reps", "6", "--n-batches", "2", "--start-count", "3"],
+     {"start_count": 3, "n_batches": 2}),
+], ids=["moment-check", "embed", "boxes-fkg"])
+def test_records_echo_the_counts_that_shape_them(argv, echoed, tmp_path):
+    code, data = run_cli([*argv, "--seed", "2", "--format", "json"], tmp_path)
+    assert code == 0
+    recs = json.loads(data)
+    assert len(recs) == 2
+    assert all({k: rec[k] for k in echoed} == echoed for rec in recs)
 
 
 def _fresh_python(code, tmp_path):

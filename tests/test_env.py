@@ -82,7 +82,18 @@ def test_times_strictly_increasing():
     f = DisasterField(seed=3, rate=5.0, dimension=1)
     w = f.disasters_in_window((0,), 0.0, 50.0)
     assert (np.diff(w) > 0).all()
-    assert (w > 0).all()  # streams live on (0, inf)
+    assert (np.asarray(w) > 0).all()  # streams live on (0, inf)
+
+
+def test_window_is_a_list_of_floats():
+    # brw.simulate bisects and indexes the window as it comes back
+    f = DisasterField(seed=3, rate=5.0, dimension=2)
+    stream = f.stream_times((1, -2), 10.0)
+    for t0, t1 in ((0.0, 10.0), (2.5, 7.0), (4.0, 4.0)):
+        w = f.disasters_in_window((1, -2), t0, t1)
+        assert type(w) is list and all(type(x) is float for x in w)
+        assert w == stream[(stream >= t0) & (stream < t1)].tolist()
+        assert len(w) > 10 or t0 == t1
 
 
 def test_window_splitting_consistency():
