@@ -4,7 +4,7 @@ A box is [0, T] x {-L..L}^d, based at the origin.  Its boundary is the top
 slice at time T plus the 2d faces where one coordinate equals +-L; the
 bottom slice is not boundary.
 
-Exit counts are two int64 vectors indexed by orthant codes.  The orthant
+Exit counts are two tuples of ints indexed by orthant codes.  The orthant
 code of a coordinate tuple has one bit per coordinate, set when that
 coordinate is negative (so sign(0) = +1), the first coordinate highest.
 - top, 2^d entries: entry code(site) counts particles alive at T on `site`.
@@ -55,8 +55,8 @@ class SpaceTimeBox:
 
 
 class ExitCounts(NamedTuple):
-    top: np.ndarray  # 2^d counts, by orthant code of the site
-    face: np.ndarray  # d 2^d counts, by axis * 2^d + orthant code of (site[axis], *the others)
+    top: tuple  # 2^d ints, by orthant code of the site
+    face: tuple  # d 2^d ints, by axis * 2^d + orthant code of (site[axis], *the others)
 
 
 def _code(coords) -> int:
@@ -105,7 +105,7 @@ def exit_counts(events: Iterable[Event], box: SpaceTimeBox) -> ExitCounts:
     for pid, site in pos.items():
         if pid not in touched and max(map(abs, site)) <= L:
             tops[_code(site)] += 1
-    return ExitCounts(np.array(tops, dtype=np.int64), np.array(faces, dtype=np.int64))
+    return ExitCounts(tuple(tops), tuple(faces))
 
 
 # ---------------------------------------------------------------------------

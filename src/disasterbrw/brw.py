@@ -22,17 +22,17 @@ call: the field keeps every stream it has materialized, so trees sharing a
 field draw each site's stream once, and BRWParams builds its offspring cdf
 once.
 
-Per particle the loop holds three things: its ParticleStream, which rides in
-its own heap entries (time, rank, seq, pid, stream), its site in one dict and
-its ParticleRecord in another.  Per site it holds the particles on it, its
-disaster list and whether its next disaster is pending.  Children join their
-parent's site without a lookup: the parent was not struck there, so the
-site's next disaster is already pending.  The loop body is inlined, and draws
-return python floats, so times, heap comparisons and bisections never run on
-numpy scalars.  Draws stay one ParticleStream method call each: a stream
-patched on its class (a test pinning a draw, the benchmark's tracer counting
-them) sees every draw, and the counter arithmetic inside the call, not the
-call, is the cost.
+Per particle the loop holds two things: its ParticleStream, which rides in
+its own heap entries (time, rank, seq, pid, stream), and its site in one
+dict; an end deletes that entry, and the event log says when and why it came.
+Per site it holds the particles on it, its disaster list and whether its next
+disaster is pending.  Children join their parent's site without a lookup: the
+parent was not struck there, so the site's next disaster is already pending.
+The loop body is inlined, and draws return python floats, so times, heap
+comparisons and bisections never run on numpy scalars.  Draws stay one
+ParticleStream method call each: a stream patched on its class (a test
+pinning a draw, the benchmark's tracer counting them) sees every draw, and
+the counter arithmetic inside the call, not the call, is the cost.
 
 Each particle owns a counter-based random stream keyed by (seed, id), so a
 particle's draws are independent of which other particles exist; see the
@@ -211,15 +211,6 @@ class Box:
         return all(l <= c <= h for c, l, h in zip(site, self.lo, self.hi))
 
 
-@dataclass(slots=True)
-class ParticleRecord:
-    id: ParticleId
-    birth_time: float
-    birth_site: Site
-    end_time: float | None = None
-    end_cause: str | None = None  # branch | disaster | left-truncation-region | horizon | cap
-
-
 @dataclass(frozen=True)
 class Caps:
     max_alive: int = 1_000_000
@@ -229,13 +220,11 @@ class Caps:
 @dataclass(slots=True)
 class SimResult:
     events: list
-    records: dict
+    records: list  # the id of every particle the run created, in creation order
     capped: bool
     cap_time: float | None
     pop_times: np.ndarray
     pop_counts: np.ndarray
-    start_time: float
-    horizon: float
     final_alive: tuple
 
     @property
@@ -279,7 +268,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
     new = tuple.__new__  # new(Event, fields) skips Event's python-level __new__
 
     events: list = []
-    records: dict[ParticleId, ParticleRecord] = {}
+    records: list[ParticleId] = []
     position: dict[ParticleId, Site] = {}  # alive particles only
     occupancy: dict[Site, set] = {}  # site -> the alive particles on it
     disasters: dict[Site, list] = {}  # site -> its disaster times in [start_time, horizon]
@@ -288,12 +277,6 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
     heap: list = []
     pop_t: list[float] = [start_time]
     pop_n: list[int] = [0]
-
-    def end(pid: ParticleId, time: float, cause: str) -> None:
-        del position[pid]
-        rec = records[pid]
-        rec.end_time = time
-        rec.end_cause = cause
 
     # seed lineages in deterministic site order
     base_key = mix64_int(seed)
@@ -309,7 +292,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             pid = (lineage,)
             st = ParticleStream(fold(base_key, lineage))
             lineage += 1
-            records[pid] = ParticleRecord(pid, start_time, site)
+            records.append(pid)
             position[pid] = site
             occupancy.setdefault(site, set()).add(pid)
             if site not in disasters:
@@ -345,7 +328,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
                 for pid in sorted(group):
                     if record_events:
                         events.append(new(Event, (time, "disaster", pid, payload)))
-                    end(pid, time, "disaster")
+                    del position[pid]
                 pop_t.append(time)
                 pop_n.append(len(position))
             continue
@@ -362,7 +345,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
                 break
             if record_events:
                 events.append(new(Event, (time, "branch", pid, site)))
-            end(pid, time, "branch")
+            del position[pid]
             group = occupancy[site]
             group.discard(pid)
             # children need no disaster lookup: the parent sat here unstruck since it
@@ -370,7 +353,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             for j in range(n_children):
                 child = pid + (j,)
                 cst = ParticleStream(st.child_key(j))
-                records[child] = ParticleRecord(child, time, site)
+                records.append(child)
                 position[child] = site
                 group.add(child)
                 if record_events:
@@ -396,7 +379,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
         if trunc is not None and not lo[axis] <= x <= hi[axis]:
             if record_events:
                 events.append(new(Event, (time, "leave", pid, new_site)))
-            end(pid, time, "left-truncation-region")
+            del position[pid]
             pop_t.append(time)
             pop_n.append(len(position))
             continue
@@ -413,7 +396,7 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
         if i and ts[i - 1] == time:  # post-jump tie rule: a disaster at the arrival instant kills
             if record_events:
                 events.append(new(Event, (time, "disaster", pid, new_site)))
-            end(pid, time, "disaster")
+            del position[pid]
             pop_t.append(time)
             pop_n.append(len(position))
             continue
@@ -425,14 +408,8 @@ def simulate(params: BRWParams, initial: Mapping[Site, int], field, start_time: 
             group.add(pid)
         heappush(heap, (time + st.exponential(jump_rate), 2, tick(), pid, st))
 
-    final = tuple(sorted(position.items()))
-    cause = "cap" if capped else "horizon"
-    for pid, _site in final:
-        rec = records[pid]
-        rec.end_time = horizon
-        rec.end_cause = cause
     return SimResult(events, records, capped, cap_time, np.asarray(pop_t), np.asarray(pop_n),
-                     start_time, horizon, final)
+                     tuple(sorted(position.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ a config error: perc --mode indep reads no model flag (--kappa --lam --q
 brw reads no --p; sweep --p-grid reads no model flag, --horizon, cap or
 --kappa-grid/--lam-grid; sweep without --p-grid reads no --rows.
 
+A --config that cannot be read, and an --out or --dump whose directory does
+not exist, are config errors too, found before any work is done.
+
 Exit codes: 0 success, 1 config error, 2 oracle-suite failure, 3 statistical
 acceptance failure or a tripped population cap.  A check that needs uncapped
 runs (moment-check, embed, boxes-fkg) stops at a cap trip, logs one
@@ -39,6 +42,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -73,7 +77,11 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_config_file(path: str) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"config: cannot read {path!r}: {e.strerror}")
+    with fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -272,14 +280,14 @@ def cmd_sweep(ns) -> tuple[list[dict], int]:
     return recs, 0
 
 
-# sums of tolist(): exact int sums, like ndarray.sum, at a fraction of its cost on a
-# few counts; boxes-fkg evaluates two functionals per replica
+# exit functionals of boxes.exit_counts' (top, face) tuples of ints, whose sums are
+# exact; boxes-fkg evaluates two per replica
 _FUNCTIONALS = {
-    "total": lambda tv, fv: float(sum(tv.tolist()) + sum(fv.tolist())),
-    "top-total": lambda tv, fv: float(sum(tv.tolist())),
-    "face-total": lambda tv, fv: float(sum(fv.tolist())),
-    "top-indicator": lambda tv, fv: float(sum(tv.tolist()) >= 1),
-    "face-indicator": lambda tv, fv: float(sum(fv.tolist()) >= 1),
+    "total": lambda tv, fv: float(sum(tv) + sum(fv)),
+    "top-total": lambda tv, fv: float(sum(tv)),
+    "face-total": lambda tv, fv: float(sum(fv)),
+    "top-indicator": lambda tv, fv: float(sum(tv) >= 1),
+    "face-indicator": lambda tv, fv: float(sum(fv) >= 1),
 }
 
 
@@ -546,6 +554,11 @@ _RANGE_CHECKS = [
     ("horizon", lambda v: math.isfinite(v) and v >= 0.0, "horizon must be finite and >= 0"),
     ("cap_alive", lambda v: v >= 1, "cap_alive must be >= 1"),
     ("cap_events", lambda v: v >= 1, "cap_events must be >= 1"),
+    ("box_l", lambda v: v >= 1, "box_l must be >= 1"),
+    ("box_t", lambda v: math.isfinite(v) and v > 0.0, "box_t must be finite and > 0"),
+    ("block_n", lambda v: v >= 0, "block_n must be >= 0"),
+    ("copies_s", lambda v: v >= 1, "copies_s must be >= 1"),
+    ("start_count", lambda v: v >= 1, "start_count must be >= 1"),
 ]
 
 
@@ -621,6 +634,10 @@ def main(argv=None) -> int:
         for name, check, msg in _RANGE_CHECKS:
             if hasattr(ns, name) and getattr(ns, name) is not None and not check(getattr(ns, name)):
                 raise ConfigError(f"{name}: {msg}")
+        for name in ("out", "dump"):  # before the run, so a typo neither wastes it nor leaves a file
+            path = getattr(ns, name, None)
+            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+                raise ConfigError(f"{name}: {path!r} is a directory or lies in a missing one")
         records, code = ns.fn(ns)
     except ValueError as e:  # ConfigError included
         log(f"config error: {e}")

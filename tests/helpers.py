@@ -223,12 +223,12 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
     """
     import heapq
 
-    from disasterbrw.brw import Caps, Event, ParticleRecord, SimResult
+    from disasterbrw.brw import Caps, Event, SimResult
     from disasterbrw.rng import ParticleStream, fold, mix64_int
 
     caps = caps or Caps()
     q_cdf = np.asarray(params.offspring_cdf)
-    events, records, streams, position, occupancy, pending, heap = [], {}, {}, {}, {}, {}, []
+    events, records, streams, position, occupancy, pending, heap = [], [], {}, {}, {}, {}, []
     pop_t, pop_n = [start_time], [0]
     seq = 0
 
@@ -256,12 +256,8 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
         if not occupancy[site]:
             del occupancy[site]
 
-    def kill(pid, time, cause):
-        vacate(pid)
-        records[pid].end_time, records[pid].end_cause = time, cause
-
     def spawn(pid, key, time, site):
-        records[pid] = ParticleRecord(id=pid, birth_time=time, birth_site=site)
+        records.append(pid)
         st = streams[pid] = ParticleStream(key)
         occupy(pid, site, time)
         log(time, "birth", pid, site)
@@ -288,14 +284,14 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
             victims = sorted(occupancy.get(payload, ()))
             for pid in victims:
                 log(time, "disaster", pid, payload)
-                kill(pid, time, "disaster")
+                vacate(pid)
             if victims:
                 pop_t.append(time)
                 pop_n.append(len(position))
             continue
         pid = payload
-        if records[pid].end_time is not None:
-            continue
+        if pid not in position:
+            continue  # stale clock of a dead particle
         site, st = position[pid], streams[pid]
         if rank == 1:
             n_children = int(np.searchsorted(q_cdf, st.uniform(), side="left"))
@@ -303,35 +299,30 @@ def simulate_oracle(params, initial, field, start_time, horizon, seed, *, trunc=
                 capped, cap_time = True, time
                 break
             log(time, "branch", pid, site)
-            kill(pid, time, "branch")
+            vacate(pid)
             for j in range(n_children):
                 spawn(pid + (j,), st.child_key(j), time, site)
         else:
             d = params.dimension
             axis, sign = divmod(min(int(st.uniform() * 2 * d), 2 * d - 1), 2)
             new_site = site[:axis] + (site[axis] + (1 if sign else -1),) + site[axis + 1:]
+            vacate(pid)
             if trunc is not None and not trunc.contains(new_site):
                 log(time, "leave", pid, new_site)
-                kill(pid, time, "left-truncation-region")
             else:
-                vacate(pid)
                 occupy(pid, new_site, time)
                 log(time, "jump", pid, new_site)
                 if not len(field.disasters_in_window(new_site, time, np.nextafter(time, np.inf))):
                     push(time + st.exponential(params.jump_rate), 2, pid)
                     continue
                 log(time, "disaster", pid, new_site)
-                kill(pid, time, "disaster")
+                vacate(pid)
         pop_t.append(time)
         pop_n.append(len(position))
 
-    final = tuple(sorted(position.items()))
-    for pid, _site in final:
-        records[pid].end_time = horizon
-        records[pid].end_cause = "cap" if capped else "horizon"
     return SimResult(events=events, records=records, capped=capped,
                      cap_time=cap_time, pop_times=np.asarray(pop_t), pop_counts=np.asarray(pop_n),
-                     start_time=start_time, horizon=horizon, final_alive=final)
+                     final_alive=tuple(sorted(position.items())))
 
 
 def centered_box(half_width: int, dimension: int):
@@ -344,9 +335,9 @@ def centered_box(half_width: int, dimension: int):
 def coupled_sweep_oracle(params_max, birth_rates, horizon, n_reps, seed, *, caps):
     """brw.coupled_birth_rate_survival by its first route: a mark per branched particle.
 
-    Every branched particle's mark is stored from the run's records, and each
-    rate walks every prefix of every final particle.  Returns, per sorted
-    rate, (survived, capped) replica counts.
+    Every branched particle's mark is stored, and each rate walks every prefix
+    of every final particle.  Returns, per sorted rate, (survived, capped)
+    replica counts.
     """
     from disasterbrw.brw import simulate
     from disasterbrw.env import DisasterField
@@ -363,8 +354,9 @@ def coupled_sweep_oracle(params_max, birth_rates, horizon, n_reps, seed, *, caps
                        derive_seed(seed, "lcpl-tree", i), caps=caps, record_events=False)
         mark_key = derive_seed(seed, "lcpl-marks", i)
         marks = {}
-        for pid, rec in res.records.items():
-            if rec.end_cause == "branch":
+        created = set(res.records)
+        for pid in res.records:
+            if pid + (0,) in created:  # branched: the coupling gives every branch a child
                 h = mark_key
                 for part in pid:
                     h = fold(h, part)

@@ -275,10 +275,9 @@ def test_criterion_14_fkg_one_sided():
     box = SpaceTimeBox(3, 1.0, 1)
     eta = {(0,): 2}
     suite = [
-        ("total", lambda tv, fv: float(tv.sum() + fv.sum()),
-         lambda tv, fv: float(tv.sum() + fv.sum())),
-        ("split-totals", lambda tv, fv: float(tv.sum()), lambda tv, fv: float(fv.sum())),
-        ("indicators", lambda tv, fv: float(tv.sum() >= 1), lambda tv, fv: float(fv.sum() >= 1)),
+        ("total", lambda tv, fv: float(sum(tv) + sum(fv)), lambda tv, fv: float(sum(tv) + sum(fv))),
+        ("split-totals", lambda tv, fv: float(sum(tv)), lambda tv, fv: float(sum(fv))),
+        ("indicators", lambda tv, fv: float(sum(tv) >= 1), lambda tv, fv: float(sum(fv) >= 1)),
     ]
     worst = math.inf
     for b in range(20):

@@ -41,14 +41,14 @@ def _code(coords) -> int:
 
 def test_classify_top_origin_two_dim():
     ec = exit_counts(_one_particle((0, 0), 1.0), SpaceTimeBox(half_width=5, height=1.0, dimension=2))
-    assert ec.top.tolist() == [1, 0, 0, 0]  # sign(0) = +1
-    assert not ec.face.any()
+    assert list(ec.top) == [1, 0, 0, 0]  # sign(0) = +1
+    assert not any(ec.face)
 
 
 def test_classify_face_two_dim():
     ec = exit_counts(_one_particle((5, -3), 0.5), SpaceTimeBox(half_width=5, height=1.0, dimension=2))
-    assert ec.face.tolist() == [0, 1, 0, 0, 0, 0, 0, 0]  # axis 0, (+, -)
-    assert not ec.top.any()
+    assert list(ec.face) == [0, 1, 0, 0, 0, 0, 0, 0]  # axis 0, (+, -)
+    assert not any(ec.top)
 
 
 def test_classify_rejects_interior_and_outside():
@@ -56,12 +56,12 @@ def test_classify_rejects_interior_and_outside():
     # and an arrival after the top is not read
     box = SpaceTimeBox(half_width=3, height=1.0, dimension=1)
     ec = exit_counts(_one_particle((-2,), 0.5), box)
-    assert ec.top.tolist() == [0, 1] and not ec.face.any()
+    assert list(ec.top) == [0, 1] and not any(ec.face)
     for t in (0.5, 1.0):
         ec = exit_counts(_one_particle((4,), t), box)
-        assert not ec.top.any() and not ec.face.any()
+        assert not any(ec.top) and not any(ec.face)
     ec = exit_counts(_one_particle((3,), 2.0), box)
-    assert ec.top.tolist() == [1, 0] and not ec.face.any()
+    assert list(ec.top) == [1, 0] and not any(ec.face)
 
 
 def test_boundary_partition_exhaustive():
@@ -74,9 +74,9 @@ def test_boundary_partition_exhaustive():
             top_seen, face_seen = set(), set()
             for x in product(range(-L, L + 1), repeat=d):
                 ec = exit_counts(_one_particle(x, 1.0), box)
-                want = np.zeros(2**d, dtype=np.int64)
+                want = [0] * 2**d
                 want[_code(x)] = 1
-                assert ec.top.tolist() == want.tolist() and not ec.face.any(), (d, L, x)
+                assert list(ec.top) == want and not any(ec.face), (d, L, x)
                 assert top_order.index(classify_exit_oracle(box, 1.0, x)) == _code(x)
                 top_seen.add(_code(x))
                 if max(abs(c) for c in x) < L:
@@ -86,7 +86,7 @@ def test_boundary_partition_exhaustive():
                 for t in (0.0, 0.37, 0.99):
                     ec = exit_counts(_one_particle(x, t), box)
                     assert np.flatnonzero(ec.face).tolist() == [k] and ec.face[k] == 1, (d, L, x, t)
-                    assert not ec.top.any()
+                    assert not any(ec.top)
                     assert face_order.index(classify_exit_oracle(box, t, x)) == k
                 face_seen.add(k)
             assert top_seen == set(range(2**d))
@@ -96,48 +96,48 @@ def test_boundary_partition_exhaustive():
 
 # -- exit counts ----------------------------------------------------------------
 
-def _oracle_exit_counts(result, box):
+def _oracle_exit_counts(result, box, horizon):
     """Independent route: rebuild each particle's full ancestral path and take
-    first boundary hits by brute-force scanning."""
+    first boundary hits by brute-force scanning.  Births, jumps and ends are
+    read off the event log; a particle with no end event lives to `horizon`."""
+    assert not result.capped
     tops: dict = {}
     faces: dict = {}
-    recs = result.records
     L = box.half_width
-    jumps = {}
+    births, ends, jumps = {}, {}, {}
     for ev in result.events:
-        if ev.kind == "jump":
+        if ev.kind == "birth":
+            births[ev.pid] = (ev.time, ev.site)
+        elif ev.kind == "jump":
             jumps.setdefault(ev.pid, []).append((ev.time, ev.site))
+        else:  # branch, disaster, leave
+            ends[ev.pid] = (ev.time, ev.kind)
+
+    def end_of(pid):
+        return ends.get(pid, (horizon, "horizon"))
 
     def full_path(pid):
         chain = [pid[: i + 1] for i in range(len(pid))]
-        moves = []
+        moves = [births[chain[0]]]
         for node in chain:
-            r = recs[node]
-            if node == chain[0]:
-                moves.append((r.birth_time, r.birth_site))
-            for jump in jumps.get(node, ()):
-                if jump[0] <= recs[pid].end_time or recs[pid].end_time is None:
-                    moves.append(jump)
+            moves.extend(jump for jump in jumps.get(node, ()) if jump[0] <= end_of(pid)[0])
         return moves
 
-    for pid, rec in recs.items():
-        end = rec.end_time if rec.end_time is not None else result.horizon
+    for pid in births:
+        end, cause = end_of(pid)
         moves = [(t, s) for t, s in full_path(pid) if t <= end]
         hit = None
         for t, s in moves:
             if 0.0 <= t <= box.t_end and max(abs(c) for c in s) == L:
                 hit = (t, s)
                 break
-        own_alive_at_end = rec.end_time is None or rec.end_time >= box.t_end
-        lineage_alive = own_alive_at_end and rec.end_cause in ("horizon", None)
+        lineage_alive = end >= box.t_end and cause == "horizon"
         if hit is not None and hit[0] < box.t_end:
             # only the earliest node of the lineage records the hit
             t, s = hit
             first_owner = None
             for node in [pid[: i + 1] for i in range(len(pid))]:
-                r = recs[node]
-                node_end = r.end_time if r.end_time is not None else result.horizon
-                if r.birth_time <= t <= node_end:
+                if births[node][0] <= t <= end_of(node)[0]:
                     first_owner = node
                     break
             if first_owner == pid:
@@ -157,7 +157,7 @@ def test_exit_counts_trivial_cases():
     fld = DisasterField(1, 0.0, 1)
     res = simulate(params, {(0,): 1}, fld, 0.0, 1.0, 1)
     ec = exit_counts(res.events, SpaceTimeBox(3, 1.0, 1))
-    assert ec.top.sum() == 1 and ec.face.sum() == 0
+    assert sum(ec.top) == 1 and sum(ec.face) == 0
 
 
 def test_exit_counts_all_zero_when_everyone_dies_inside():
@@ -168,7 +168,7 @@ def test_exit_counts_all_zero_when_everyone_dies_inside():
     fld2 = DisasterField(seed=3001, rate=1.0, dimension=1)
     res = simulate(params, {(0,): 1}, fld2, 0.0, t_hit + 1.0, 1)
     ec = exit_counts(res.events, SpaceTimeBox(3, t_hit + 1.0, 1))
-    assert ec.top.sum() == 0 and ec.face.sum() == 0
+    assert sum(ec.top) == 0 and sum(ec.face) == 0
 
 
 def test_exit_counts_against_path_replay_oracle():
@@ -178,9 +178,9 @@ def test_exit_counts_against_path_replay_oracle():
         fld = DisasterField(seed=7000 + i, rate=1.0, dimension=1)
         res = simulate(params, {(0,): 2}, fld, 0.0, 1.5, 7200 + i)
         ec = exit_counts(res.events, box)
-        tops, faces = _oracle_exit_counts(res, box)
-        assert ec.top.tolist() == tops.tolist(), i
-        assert ec.face.tolist() == faces.tolist(), i
+        tops, faces = _oracle_exit_counts(res, box, 1.5)
+        assert list(ec.top) == tops.tolist(), i
+        assert list(ec.face) == faces.tolist(), i
 
 
 def test_exit_counts_conservation():
@@ -192,8 +192,8 @@ def test_exit_counts_conservation():
         fld = DisasterField(seed=7600 + i, rate=1.0, dimension=2)
         res = simulate(params, {(0, 0): 2}, fld, 0.0, 1.0, 7800 + i)
         ec = exit_counts(res.events, box)
-        tops, faces = _oracle_exit_counts(res, box)
-        assert ec.top.sum() + ec.face.sum() == tops.sum() + faces.sum()
+        tops, faces = _oracle_exit_counts(res, box, 1.0)
+        assert sum(ec.top) + sum(ec.face) == tops.sum() + faces.sum()
 
 
 def test_truncated_run_matches_untruncated_exit_counts():
@@ -208,7 +208,7 @@ def test_truncated_run_matches_untruncated_exit_counts():
                          trunc=box.interior_region())
         a = exit_counts(full.events, box)
         b = exit_counts(trunc.events, box)
-        assert a.top.tolist() == b.top.tolist() and a.face.tolist() == b.face.tolist()
+        assert list(a.top) == list(b.top) and list(a.face) == list(b.face)
 
 
 def _oracle_boxes(rng, d: int, res):
@@ -235,8 +235,8 @@ def test_exit_counts_match_per_event_oracle():
             for box in _oracle_boxes(rng, d, res):
                 ec = exit_counts(res.events, box)
                 tops, faces = exit_counts_oracle(res.events, box)
-                assert ec.top.tolist() == tops.tolist() and ec.face.tolist() == faces.tolist(), (d, i, box)
-                assert ec.top.shape == (2**d,) and ec.face.shape == (d * 2**d,)
+                assert list(ec.top) == tops.tolist() and list(ec.face) == faces.tolist(), (d, i, box)
+                assert len(ec.top) == 2**d and len(ec.face) == d * 2**d
                 n_logs += 1
     assert n_logs > 300
 
@@ -247,7 +247,7 @@ def test_fkg_constant_functional_zero_covariance():
     params = BRWParams(1.0, 1.0, BINARY, 1.0, 1)
     box = SpaceTimeBox(3, 1.0, 1)
     const = lambda tv, fv: 1.0
-    total = lambda tv, fv: float(tv.sum() + fv.sum())
+    total = lambda tv, fv: float(sum(tv) + sum(fv))
     est = fkg_test(params, {(0,): 1}, {(0,): 1}, box, const, total, 300, 31)
     assert est.cov == 0.0
 
@@ -255,7 +255,7 @@ def test_fkg_constant_functional_zero_covariance():
 def test_fkg_no_disasters_independent_trees():
     params = BRWParams(1.0, 1.0, BINARY, 0.0, 1)
     box = SpaceTimeBox(3, 1.0, 1)
-    total = lambda tv, fv: float(tv.sum() + fv.sum())
+    total = lambda tv, fv: float(sum(tv) + sum(fv))
     est = fkg_test(params, {(0,): 1}, {(0,): 1}, box, total, total, 600, 37)
     assert abs(est.cov) <= 3 * est.std_err
 
@@ -263,7 +263,7 @@ def test_fkg_no_disasters_independent_trees():
 def test_fkg_shared_disasters_positive():
     params = BRWParams(1.0, 1.0, BINARY, 1.0, 1)
     box = SpaceTimeBox(3, 1.0, 1)
-    total = lambda tv, fv: float(tv.sum() + fv.sum())
+    total = lambda tv, fv: float(sum(tv) + sum(fv))
     est = fkg_test(params, {(0,): 2}, {(0,): 2}, box, total, total, 600, 41)
     assert est.cov >= -3 * est.std_err
     assert est.cov > 0  # at this scale the positive signal is clear

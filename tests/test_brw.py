@@ -59,15 +59,16 @@ def test_single_particle_no_branching_reduces_to_walk():
     for i in range(100):
         fld = DisasterField(seed=300 + i, rate=1.0, dimension=1)
         res = simulate(params, {(0,): 1}, fld, 0.0, 5.0, 400 + i)
-        rec = res.records[(0,)]
         jumps = tuple((ev.time, ev.site) for ev in res.events if ev.kind == "jump")
+        deaths = [(ev.time, ev.pid) for ev in res.events if ev.kind == "disaster"]
         path = WalkPath(start_site=(0,), jumps=jumps, horizon=5.0)
         fld2 = DisasterField(seed=300 + i, rate=1.0, dimension=1)
         ext = extinction_time(path, fld2)
-        if rec.end_cause == "disaster":
-            assert ext == rec.end_time
+        assert res.records == [(0,)] and not res.capped
+        if deaths:
+            assert deaths == [(ext, (0,))] and res.final_count == 0
         else:
-            assert rec.end_cause == "horizon"
+            assert res.final_count == 1
             assert ext is None or ext == 5.0  # horizon-endpoint hit still survives
 
 
@@ -324,7 +325,7 @@ def test_coupled_birth_rates_reject_zero_offspring_mass():
 def _fkg_total(params, n_reps, seed):
     from disasterbrw.boxes import SpaceTimeBox, fkg_test
 
-    total = lambda tv, fv: float(tv.sum() + fv.sum())
+    total = lambda tv, fv: float(sum(tv) + sum(fv))
     return fkg_test(params, {(0,): 1}, {(0,): 1}, SpaceTimeBox(3, 1.0, 1), total, total, n_reps, seed)
 
 
@@ -418,9 +419,37 @@ def test_simulate_matches_heap_loop_oracle():
         cap = kw.get("caps", Caps())
         seen["alive cap"] += got.capped and cap.max_alive < Caps().max_alive
         seen["event cap"] += got.capped and cap.max_events < Caps().max_events
-        seen["truncated"] += any(r.end_cause == "left-truncation-region" for r in got.records.values())
+        seen["truncated"] += any(ev.kind == "leave" for ev in got.events)
         seen["superposed"] += isinstance(field, SuperposedField) and len(got.events) > 0
         seen["start > 0"] += start > 0
+    assert min(seen.values()) >= 3, seen
+
+
+def test_records_list_each_created_particle_once_in_creation_order():
+    # records is what perfbench counts as brw.particles: every id the run
+    # created, roots first, each branch's children together, in child order
+    seen = {"capped": 0, "truncated": 0, "branched": 0}
+    for params, initial, make_field, start, horizon, seed, kw in _oracle_corpus():
+        kw = {**kw, "record_events": True}
+        logged = simulate(params, initial, make_field(), start, horizon, seed, **kw)
+        bare = simulate(params, initial, make_field(), start, horizon, seed,
+                        **{**kw, "record_events": False})
+        recs = logged.records
+        assert bare.records == recs
+        assert recs == [ev.pid for ev in logged.events if ev.kind == "birth"]
+        n_roots = sum(initial.values())
+        assert recs[:n_roots] == [(i,) for i in range(n_roots)]
+        assert len(set(recs)) == len(recs)
+        order = {pid: k for k, pid in enumerate(recs)}
+        for k, pid in enumerate(recs[n_roots:], n_roots):
+            if pid[-1]:
+                assert recs[k - 1] == pid[:-1] + (pid[-1] - 1,)
+            else:
+                assert order[pid[:-1]] < k
+        assert {pid for pid, _site in logged.final_alive} <= set(recs)
+        seen["capped"] += logged.capped
+        seen["truncated"] += any(ev.kind == "leave" for ev in logged.events)
+        seen["branched"] += len(recs) > n_roots
     assert min(seen.values()) >= 3, seen
 
 
@@ -463,7 +492,7 @@ def test_disaster_at_arrival_instant_kills_after_the_jump():
     kinds = [(ev.kind, ev.time) for ev in res.events]
     assert kinds == [("birth", 0.0), ("jump", t_jump), ("disaster", t_jump)]
     assert res.events[1].site == res.events[2].site
-    assert res.records[(0,)].end_cause == "disaster" and res.final_count == 0
+    assert [ev.pid for ev in res.events if ev.kind == "disaster"] == [(0,)] and res.final_count == 0
     assert not res.capped
 
 
@@ -474,7 +503,7 @@ def test_disaster_fires_before_a_branch_at_the_same_instant():
     # the horizon sits on both: a disaster at the horizon still fires
     res = simulate(BRWParams(0.0, 1.0, ALWAYS_TWO, 1.0, 1), {(0,): 1}, field, 0.0, t_branch, seed)
     assert [(ev.kind, ev.time) for ev in res.events] == [("birth", 0.0), ("disaster", t_branch)]
-    assert res.records[(0,)].end_cause == "disaster" and len(res.records) == 1
+    assert res.events[-1].pid == (0,) and res.records == [(0,)] and res.final_count == 0
 
 
 def test_offspring_count_at_a_cdf_atom_takes_the_lower_count(monkeypatch):

@@ -34,10 +34,17 @@ def test_bad_range_is_config_error(capsys, monkeypatch):
     assert cli.main(["boxes-fkg", "--seed", "1", "--n-batches", "0"]) == 1
     capsys.readouterr()
     # bad times fail a range check, which names the flag, before any estimator runs
+    # and so do bad box and copy sizes (perc squares --copies-s, so -2 would run 4 copies)
     for command, flag, value in [("lyapunov", "t", "inf"), ("moment-check", "t", "inf"),
                                  ("phase", "t-lyap", "nan"), ("phase", "t-lyap", "0"),
-                                 ("embed", "period", "nan"), ("embed", "period", "-1")]:
-        assert cli.main([command, "--seed", "1", f"--{flag}", value]) == 1
+                                 ("embed", "period", "nan"), ("embed", "period", "-1"),
+                                 ("perc --mode brw", "copies-s", "-2"),
+                                 ("perc --mode brw", "copies-s", "0"),
+                                 ("perc --mode brw", "box-l", "0"), ("boxes-fkg", "box-l", "0"),
+                                 ("perc --mode brw", "box-t", "-1"), ("boxes-fkg", "box-t", "0"),
+                                 ("boxes-fkg", "box-t", "inf"), ("perc --mode brw", "block-n", "-1"),
+                                 ("boxes-fkg", "start-count", "0")]:
+        assert cli.main([*command.split(), "--seed", "1", f"--{flag}", value]) == 1
         assert capsys.readouterr().err.startswith(f"config error: {flag.replace('-', '_')}: ")
 
     # non-finite rates are config errors too; the estimators would hang or print nan
@@ -428,6 +435,35 @@ def test_perc_dump_lattice(tmp_path):
     for ln in lines:
         k, l, occ, op = map(int, ln.split())
         assert op <= occ or (k, l) == (0, 0)  # open implies occupied
+
+
+def _no_work(*_args, **_kwargs):
+    raise AssertionError("a run started before its file arguments were checked")
+
+
+@pytest.mark.parametrize("config", ["missing.cfg", "."], ids=["missing", "directory"])
+def test_unreadable_config_is_config_error(config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.walk, "annealed_survival", _no_work)
+    assert cli.main(["annealed", "--seed", "1", "--n", "10", "--config", str(tmp_path / config)]) == 1
+    assert _one_config_error_line(capsys).startswith(f"config error: config: cannot read '{tmp_path / config}': ")
+
+
+@pytest.mark.parametrize("name", ["missing/out.csv", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out_is_config_error_before_any_work(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.walk, "annealed_survival", _no_work)
+    out = tmp_path / name
+    assert cli.main(["annealed", "--seed", "1", "--n", "10", "--out", str(out)]) == 1
+    assert _one_config_error_line(capsys).startswith("config error: out: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_dump_into_a_missing_directory_is_config_error_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.percolation, "build_eta_from_brw", _no_work)
+    out, dump = tmp_path / "out.csv", tmp_path / "missing" / "lat.txt"
+    assert cli.main(["perc", "--seed", "1", "--mode", "brw", "--rows", "2", "--dump", str(dump),
+                     "--out", str(out)]) == 1
+    assert _one_config_error_line(capsys).startswith("config error: dump: ")
+    assert not out.exists() and not dump.parent.exists()
 
 
 def _assert_cap_trip_exits_three(command, check, tmp_path, monkeypatch, capsys, *, seed=3, n_fields=2,
