@@ -106,8 +106,8 @@ It gets the same answers as simulate, replica for replica, because:
   meets first.)
 
 simulate stays the one general engine: event logs, truncation, growth
-rates, the coupled sweep and the box embeddings use it, and it is the
-reference the batch engine is tested against.
+rates and the box embeddings use it, and it is the reference the batch
+engine is tested against.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -854,62 +854,3 @@ def growth_rate(params: BRWParams, horizon: float, n_reps: int, seed: int,
     return GrowthEstimate(slope=float(arr.mean()), std_err=se, n_survivors=len(arr),
                           cap_fraction=capped / n_reps)
 
-
-# ---------------------------------------------------------------------------
-# coupled birth-rate family
-# ---------------------------------------------------------------------------
-
-def coupled_birth_rate_survival(params_max: BRWParams, birth_rates: Sequence[float],
-                                horizon: float, n_reps: int, seed: int,
-                                *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000)) -> list[SurvivalEstimate]:
-    """Survival frequencies for several birth rates on shared randomness.
-
-    One run per replica at the maximal rate; each branch event is real for
-    rate b with probability b/max (nested uniform marks), and a fake event
-    continues the particle through its first child.  Requires an offspring
-    law with no zero-children mass, under which the alive sets are nested in
-    the birth rate, so the frequencies are monotone replica by replica.
-
-    A particle alive at the horizon is alive at rate b iff every ancestor it
-    descends from through a child other than the first has a mark <= b/max,
-    so each final particle needs only the largest of those marks, and the
-    replica survives at b iff the smallest of these over its final particles
-    is <= b/max.
-    """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
-    if params_max.offspring[0] != 0.0:
-        raise ValueError("the monotone birth-rate coupling needs offspring >= 1")
-    rates = sorted(set(float(b) for b in birth_rates))
-    if not rates or rates[-1] > params_max.birth_rate:
-        raise ValueError("birth_rates must be <= params_max.birth_rate")
-    if rates[0] < 0.0:
-        raise ValueError("birth_rates must be >= 0")
-    lam_max = params_max.birth_rate
-    survived = {b: 0 for b in rates}
-    capped = 0
-    for i in range(n_reps):
-        fld = DisasterField(derive_seed(seed, "lcpl-env", i), params_max.disaster_rate,
-                            params_max.dimension)
-        res = simulate(params_max, {(0,) * params_max.dimension: 1}, fld, 0.0, horizon,
-                       derive_seed(seed, "lcpl-tree", i), caps=caps, record_events=False)
-        if res.capped:
-            capped += 1
-            for b in rates:
-                survived[b] += 1
-            continue
-        # branch-mark uniforms, keyed by the branching particle's id
-        mark_key = derive_seed(seed, "lcpl-marks", i)
-        need = math.inf  # smallest b/max at which some final particle is alive
-        for pid, _site in res.final_alive:
-            h, worst = mark_key, 0.0
-            for cut in range(1, len(pid)):
-                h = fold(h, pid[cut - 1])
-                if pid[cut] != 0:
-                    worst = max(worst, (mix64_int(h) >> 11) * 2.0 ** -53)
-            need = min(need, worst)
-        for b in rates:
-            if need <= (b / lam_max if lam_max > 0 else 0.0):
-                survived[b] += 1
-    return [SurvivalEstimate.binomial(survived[b] / n_reps, n_reps, capped / n_reps)
-            for b in rates]

@@ -24,6 +24,11 @@ a config error: perc --mode indep reads no model flag (--kappa --lam --q
 brw reads no --p; sweep --p-grid reads no model flag, --horizon, cap or
 --kappa-grid/--lam-grid; sweep without --p-grid reads no --rows.
 
+sweep checks its whole grid before the first run, and writes one record per
+(kappa, lam) cell in the order the grids list them.  Each cell is the
+brw-survival record at the same seed and caps, with "survival" for "value",
+so its cap_fraction is that rate's own.
+
 A --config that cannot be read, and an --out or --dump whose directory does
 not exist, are config errors too, found before any work is done.
 
@@ -45,6 +50,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -251,6 +257,8 @@ def _grid(text: str, name: str) -> list[float]:
 def cmd_sweep(ns) -> tuple[list[dict], int]:
     if ns.p_grid:
         ps = _grid(ns.p_grid, "p_grid")
+        if not all(0.0 <= p <= 1.0 for p in ps):
+            raise ConfigError(f"p_grid: grid {ns.p_grid!r} must lie in [0, 1]")
         gen = np.random.default_rng(derive_seed(ns.seed, "sweep-perc"))
         uniforms = gen.random((ns.n_reps, ns.rows + 1, ns.rows + 1))
         recs = []
@@ -261,22 +269,19 @@ def cmd_sweep(ns) -> tuple[list[dict], int]:
                          "survival": est.value, "std_err": est.std_err})
         return recs, 0
     kappas = _grid(ns.kappa_grid, "kappa_grid") if ns.kappa_grid else [ns.kappa]
-    lams = sorted(_grid(ns.lam_grid, "lam_grid")) if ns.lam_grid else [ns.lam]
-    q = parse_offspring(ns.q)
+    lams = _grid(ns.lam_grid, "lam_grid") if ns.lam_grid else [ns.lam]
+    base = _params_from(ns)
+    # every cell is built, so checked, before the first one runs
+    cells = [replace(base, jump_rate=kappa, birth_rate=lam) for kappa in kappas for lam in lams]
+    caps = Caps(max_alive=ns.cap_alive, max_events=ns.cap_events)
     recs = []
-    for kappa in kappas:
-        params_max = BRWParams(jump_rate=kappa, birth_rate=lams[-1], offspring=q,
-                               disaster_rate=ns.alpha, dimension=ns.d)
-        ests = brw_mod.coupled_birth_rate_survival(
-            params_max, lams, ns.horizon, ns.n_reps,
-            derive_seed(ns.seed, "sweep", format(kappa, ".17g")),
-            caps=Caps(max_alive=ns.cap_alive, max_events=ns.cap_events))
-        for lam, est in zip(lams, ests):
-            recs.append({"experiment": "sweep", "kappa": kappa, "lam": lam,
-                         **_echo(ns, ("seed", "q", "alpha", "d", "horizon", "n_reps")),
-                         "survival": est.value, "std_err": est.std_err,
-                         "cap_fraction": est.cap_fraction,
-                         **_echo(ns, ("cap_alive", "cap_events"))})
+    for params in cells:
+        est = brw_mod.survival_frequency(params, ns.horizon, ns.n_reps, ns.seed, caps=caps)
+        recs.append({"experiment": "sweep", "kappa": params.jump_rate, "lam": params.birth_rate,
+                     **_echo(ns, ("seed", "q", "alpha", "d", "horizon", "n_reps")),
+                     "survival": est.value, "std_err": est.std_err,
+                     "cap_fraction": est.cap_fraction,
+                     **_echo(ns, ("cap_alive", "cap_events"))})
     return recs, 0
 
 

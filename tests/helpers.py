@@ -332,56 +332,6 @@ def centered_box(half_width: int, dimension: int):
     return Box(lo=(-half_width,) * dimension, hi=(half_width,) * dimension)
 
 
-def coupled_sweep_oracle(params_max, birth_rates, horizon, n_reps, seed, *, caps):
-    """brw.coupled_birth_rate_survival by its first route: a mark per branched particle.
-
-    Every branched particle's mark is stored, and each rate walks every prefix
-    of every final particle.  Returns, per sorted rate, (survived, capped)
-    replica counts.
-    """
-    from disasterbrw.brw import simulate
-    from disasterbrw.env import DisasterField
-    from disasterbrw.rng import derive_seed, fold, mix64_int
-
-    rates = sorted(set(float(b) for b in birth_rates))
-    lam_max = params_max.birth_rate
-    survived = {b: 0 for b in rates}
-    capped = {b: 0 for b in rates}
-    for i in range(n_reps):
-        fld = DisasterField(derive_seed(seed, "lcpl-env", i), params_max.disaster_rate,
-                            params_max.dimension)
-        res = simulate(params_max, {(0,) * params_max.dimension: 1}, fld, 0.0, horizon,
-                       derive_seed(seed, "lcpl-tree", i), caps=caps, record_events=False)
-        mark_key = derive_seed(seed, "lcpl-marks", i)
-        marks = {}
-        created = set(res.records)
-        for pid in res.records:
-            if pid + (0,) in created:  # branched: the coupling gives every branch a child
-                h = mark_key
-                for part in pid:
-                    h = fold(h, part)
-                marks[pid] = (mix64_int(h) >> 11) * 2.0 ** -53
-        for b in rates:
-            if res.capped:
-                capped[b] += 1
-                survived[b] += 1
-                continue
-            thin = b / lam_max if lam_max > 0 else 0.0
-            alive = False
-            for pid, _site in res.final_alive:
-                ok = True
-                for cut in range(1, len(pid)):
-                    u = marks.get(pid[:cut])
-                    if u is not None and u > thin and pid[cut] != 0:
-                        ok = False  # fake branch: only the first child continues
-                        break
-                if ok:
-                    alive = True
-                    break
-            survived[b] += alive
-    return [(survived[b], capped[b]) for b in rates]
-
-
 def replay_site_counts(events, at_time: float) -> dict:
     """Recount occupancy at `at_time` from an event log (oracle for a run's final population)."""
     pos: dict = {}

@@ -8,7 +8,6 @@ from disasterbrw.brw import (
     BRWParams,
     Caps,
     CapTripped,
-    coupled_birth_rate_survival,
     growth_rate,
     moment_identity_check,
     offspring_pmf,
@@ -20,7 +19,7 @@ from disasterbrw import brw
 from disasterbrw.env import DisasterField, PackedStreams
 from disasterbrw.rng import (ParticleStream, counter_exponential, counter_uniform, derive_seed,
                              derive_seeds, fold, mix64_int)
-from helpers import (SuperposedField, WalkPath, centered_box, coupled_sweep_oracle, extinction_time,
+from helpers import (SuperposedField, WalkPath, centered_box, extinction_time,
                      replay_site_counts, simulate_oracle, superpose)
 
 
@@ -282,46 +281,6 @@ def test_growth_rate_supercritical_positive():
     assert est.slope > 3 * est.std_err
 
 
-def test_coupled_birth_rates_monotone_and_calibrated():
-    params_max = BRWParams(1.0, 2.0, ALWAYS_TWO, 1.0, 1)
-    ests = coupled_birth_rate_survival(params_max, [0.5, 1.0, 2.0], 6.0, 200, 19,
-                                       caps=Caps(max_alive=800, max_events=10**6))
-    vals = [e.value for e in ests]
-    assert vals == sorted(vals)
-    # the top rate must reproduce a direct (uncoupled) run statistically
-    direct = survival_frequency(BRWParams(1.0, 2.0, ALWAYS_TWO, 1.0, 1), 6.0, 200, 21,
-                                caps=Caps(max_alive=800, max_events=10**6))
-    sigma = math.hypot(ests[-1].std_err, direct.std_err)
-    assert abs(ests[-1].value - direct.value) < 3 * sigma
-
-
-@pytest.mark.parametrize("params_max, rates, horizon, cap, capped", [
-    (BRWParams(1.0, 2.0, ALWAYS_TWO, 1.0, 1), [0.0, 0.5, 1.0, 2.0], 3.0, 10_000, False),
-    (BRWParams(8.0, 2.0, ALWAYS_TWO, 1.0, 1), [0.5, 1.0, 2.0], 4.0, 30, True),
-    (BRWParams(2.0, 1.5, ALWAYS_TWO, 1.0, 2), [0.25, 0.75, 1.5], 3.0, 40, True),
-    (BRWParams(1.0, 3.0, offspring_pmf({1: 0.5, 2: 0.5}), 0.8, 1), [1.0, 2.0, 3.0], 3.0, 10_000, False),
-], ids=["uncapped", "capped", "d2-capped", "one-or-two-children"])
-def test_coupled_birth_rates_match_mark_dict_oracle(params_max, rates, horizon, cap, capped):
-    caps = Caps(max_alive=cap, max_events=10**6)
-    n_reps = 60
-    got = coupled_birth_rate_survival(params_max, rates, horizon, n_reps, 29, caps=caps)
-    want = coupled_sweep_oracle(params_max, rates, horizon, n_reps, 29, caps=caps)
-    assert [(e.value, e.cap_fraction) for e in got] == [(s / n_reps, c / n_reps) for s, c in want]
-    assert (got[0].cap_fraction > 0) == capped
-    assert 0 < got[-1].value < 1
-
-
-def test_coupled_birth_rates_reject_negative_rates():
-    with pytest.raises(ValueError):
-        coupled_birth_rate_survival(BRWParams(1.0, 2.0, ALWAYS_TWO, 1.0, 1), [-1.0, 1.0], 1.0, 3, 1)
-
-
-def test_coupled_birth_rates_reject_zero_offspring_mass():
-    params_max = BRWParams(1.0, 2.0, BINARY, 1.0, 1)
-    with pytest.raises(ValueError):
-        coupled_birth_rate_survival(params_max, [1.0], 5.0, 10, 1)
-
-
 def _fkg_total(params, n_reps, seed):
     from disasterbrw.boxes import SpaceTimeBox, fkg_test
 
@@ -332,10 +291,9 @@ def _fkg_total(params, n_reps, seed):
 @pytest.mark.parametrize("n_reps", [0, -3])
 @pytest.mark.parametrize("estimator", [
     _fkg_total,
-    lambda params, n_reps, seed: coupled_birth_rate_survival(params, [1.0], 1.0, n_reps, seed),
     lambda params, n_reps, seed: growth_rate(params, 1.0, n_reps, seed),
     lambda params, n_reps, seed: survival_frequency(params, 1.0, n_reps, seed),
-], ids=["fkg_test", "coupled_birth_rate_survival", "growth_rate", "survival_frequency"])
+], ids=["fkg_test", "growth_rate", "survival_frequency"])
 def test_replica_estimators_reject_no_replicas_before_any_draw(monkeypatch, estimator, n_reps):
     def no_draw(*_args):
         raise AssertionError("a particle drew")

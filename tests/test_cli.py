@@ -68,18 +68,18 @@ def _one_config_error_line(capsys) -> str:
 
 
 @pytest.mark.parametrize("grid", [["--lam-grid", ","], ["--kappa-grid", ","], ["--p-grid", ","],
-                                  ["--lam-grid=-1,0.5"], ["--lam-grid=0.5,nan"],
-                                  ["--kappa-grid=1,inf"], ["--lam-grid", "0.5,x"]],
-                         ids=["lam-empty", "kappa-empty", "p-empty", "lam-negative", "lam-nan",
-                              "kappa-inf", "lam-unparsable"])
+                                  ["--lam-grid=-1,0.5"], ["--lam-grid=0.5,-1"], ["--kappa-grid=1,-1"],
+                                  ["--lam-grid=0.5,nan"], ["--kappa-grid=1,inf"],
+                                  ["--lam-grid", "0.5,x"], ["--p-grid=0.5,1.5"]],
+                         ids=["lam-empty", "kappa-empty", "p-empty", "lam-negative",
+                              "lam-negative-last", "kappa-negative", "lam-nan", "kappa-inf",
+                              "lam-unparsable", "p-above-one"])
 def test_bad_grid_is_config_error(grid, capsys, monkeypatch):
-    real = cli.brw_mod.coupled_birth_rate_survival
+    def run(*_args, **_kwargs):  # every cell is checked before the first one runs
+        raise AssertionError("a sweep cell ran before the whole grid was checked")
 
-    def run(params_max, rates, *args, **kwargs):  # a non-finite rate would hang the sweep
-        assert all(map(math.isfinite, [params_max.jump_rate, *rates])), "non-finite rate"
-        return real(params_max, rates, *args, **kwargs)
-
-    monkeypatch.setattr(cli.brw_mod, "coupled_birth_rate_survival", run)
+    monkeypatch.setattr(cli.brw_mod, "survival_frequency", run)
+    monkeypatch.setattr(cli.percolation, "independent_perc", run)
     # a percolation grid reads no model flags, so it is given none
     model = [] if grid[0] == "--p-grid" else ["--q", "2:1", "--horizon", "1"]
     assert cli.main(["sweep", "--seed", "1", *model, "--n-reps", "3", *grid]) == 1
@@ -139,7 +139,6 @@ def test_infinite_horizon_is_rejected_before_any_run(monkeypatch):
         raise AssertionError("an infinite horizon reached the estimator")
 
     monkeypatch.setattr(cli.brw_mod, "survival_frequency", run)
-    monkeypatch.setattr(cli.brw_mod, "coupled_birth_rate_survival", run)
     assert cli.main(["brw-survival", "--seed", "1", "--horizon", "inf"]) == 1
     assert cli.main(["sweep", "--seed", "1", "--q", "0:0.0,2:1.0", "--horizon", "inf"]) == 1
 
@@ -385,16 +384,37 @@ def test_verify_suite_exit_zero(tmp_path):
     assert b"false" not in data
 
 
-def test_sweep_survival_monotone_in_birth_rate(tmp_path):
-    code, data = run_cli(["sweep", "--seed", "9", "--kappa-grid", "1",
-                          "--lam-grid", "0.5,1,2", "--q", "0:0.0,2:1.0",
-                          "--horizon", "5", "--n-reps", "80", "--cap-alive", "400"],
-                         tmp_path)
+def _json_records(argv, tmp_path) -> list[dict]:
+    code, data = run_cli([*argv, "--format", "json"], tmp_path, "out.json")
     assert code == 0
-    lines = data.decode().strip().split("\n")
-    cols = lines[0].split(",")
-    vals = [float(dict(zip(cols, ln.split(",")))["survival"]) for ln in lines[1:]]
-    assert vals == sorted(vals)
+    return json.loads(data)
+
+
+@pytest.mark.parametrize("model, kappas, lams", [
+    (["--q", "2:1", "--horizon", "10", "--n-reps", "200", "--cap-alive", "300"],
+     ["8"], ["0.5", "1", "2"]),
+    (["--d", "2", "--alpha", "0.2", "--horizon", "4", "--n-reps", "100", "--cap-alive", "20"],
+     ["0.5", "4"], ["1", "4"]),
+], ids=["capped", "d2-default-law"])
+def test_sweep_cell_equals_brw_survival(model, kappas, lams, tmp_path):
+    argv = ["--seed", "3", *model]
+    sweep = _json_records(["sweep", *argv, "--kappa-grid", ",".join(kappas),
+                           "--lam-grid", ",".join(lams)], tmp_path)
+    assert any(rec["cap_fraction"] > 0 for rec in sweep)
+    want = []
+    for kappa in kappas:
+        for lam in lams:
+            (rec,) = _json_records(["brw-survival", *argv, "--kappa", kappa, "--lam", lam], tmp_path)
+            rec["experiment"], rec["survival"] = "sweep", rec.pop("value")
+            want.append(rec)
+    assert sweep == want
+
+
+def test_sweep_lists_one_record_per_grid_value(tmp_path):
+    recs = _json_records(["sweep", "--seed", "3", "--lam-grid", "1,1,2", "--q", "2:1",
+                          "--horizon", "3", "--n-reps", "50"], tmp_path)
+    assert [rec["lam"] for rec in recs] == [1, 1, 2]
+    assert recs[0] == recs[1] != recs[2]
 
 
 def test_sweep_single_cell_is_one_record(tmp_path):
