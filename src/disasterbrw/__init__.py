@@ -3,7 +3,8 @@
 Submodules
 ----------
 env          seeded lazy Poisson disaster environment
-walk         single-particle survival and Lyapunov-exponent estimators
+walk         single-particle survival and Lyapunov-exponent estimators, and
+             Estimate, the package's one (value, std_err, n) result type
 brw          event-driven branching particle system
 gw_embed     origin-return offspring laws and the phase classifier
 orders       parity order theory with exact checks
@@ -15,23 +16,14 @@ cli          batch experiment driver
 from .brw import BRWParams, Caps, offspring_pmf, simulate
 from .env import DisasterField
 from .gw_embed import phase_classify
-from .walk import (
-    LyapunovEstimate,
-    SurvivalEstimate,
-    annealed_survival,
-    concentration_profile,
-    estimate_lyapunov,
-    estimate_survival,
-)
+from .walk import Estimate, annealed_survival, estimate_lyapunov, estimate_survival
 
 __all__ = [
     "DisasterField",
-    "SurvivalEstimate",
-    "LyapunovEstimate",
+    "Estimate",
     "estimate_survival",
     "annealed_survival",
     "estimate_lyapunov",
-    "concentration_profile",
     "BRWParams",
     "Caps",
     "offspring_pmf",

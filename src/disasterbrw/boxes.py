@@ -30,6 +30,7 @@ import numpy as np
 from .brw import BRWParams, Box, Caps, CapTripped, Event, simulate
 from .env import DisasterField
 from .rng import derive_seeds
+from .walk import Estimate
 
 Site = tuple[int, ...]
 
@@ -112,18 +113,9 @@ def exit_counts(events: Iterable[Event], box: SpaceTimeBox) -> ExitCounts:
 # positive-correlation (FKG) test
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    cov: float
-    std_err: float
-    mean_f: float
-    mean_g: float
-    n_reps: int
-
-
 def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, int],
              box: SpaceTimeBox, f: Callable, g: Callable, n_reps: int, seed: int,
-             *, caps: Caps = Caps(max_alive=50_000, max_events=5_000_000)) -> CovarianceEstimate:
+             *, caps: Caps = Caps(max_alive=50_000, max_events=5_000_000)) -> Estimate:
     """Covariance of monotone exit functionals of two trees sharing environments.
 
     Per replica one environment is drawn; two independent trees start from
@@ -133,7 +125,8 @@ def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, in
     Shared disasters are the only coupling, and they hurt both trees, so the
     covariance target is nonnegative.  Both trees run truncated to the box
     interior, which leaves exit counts untouched: a lineage is dead to the
-    counters once it hits the shell.
+    counters once it hits the shell.  The estimate's value is the sample
+    covariance of f and g over the n_reps replicas.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -159,8 +152,7 @@ def fkg_test(params: BRWParams, eta1: Mapping[Site, int], eta2: Mapping[Site, in
     h = (fs - fs.mean()) * (gs - gs.mean())
     cov = float(h.sum() / (n_reps - 1)) if n_reps > 1 else 0.0
     se = float(h.std(ddof=1) / math.sqrt(n_reps)) if n_reps > 1 else 0.0
-    return CovarianceEstimate(cov=cov, std_err=se, mean_f=float(fs.mean()),
-                              mean_g=float(gs.mean()), n_reps=n_reps)
+    return Estimate(value=cov, std_err=se, n=n_reps)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ import numpy as np
 from .env import DisasterField, PackedStreams, site_keys_at
 from .rng import (_M64, GOLDEN, ParticleStream, counter_exponential, counter_uniform, derive_seed,
                   derive_seeds, fold, mix64, mix64_int)
-from .walk import SurvivalEstimate, estimate_survival
+from .walk import Estimate, estimate_survival
 
 MAX_OFFSPRING_SUPPORT = 64
 
@@ -744,7 +744,7 @@ class _ReplicaBatch:
 # ---------------------------------------------------------------------------
 
 def survival_frequency(params: BRWParams, horizon: float, n_reps: int, seed: int,
-                       *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000)) -> SurvivalEstimate:
+                       *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000)) -> Estimate:
     """Fraction of independent (environment, tree) replicas alive at `horizon`.
 
     Each replica starts from one particle at the origin.  The replicas run
@@ -761,7 +761,7 @@ def survival_frequency(params: BRWParams, horizon: float, n_reps: int, seed: int
     out = survive_replicas(params, {(0,) * params.dimension: 1}, *seeds, horizon, caps=caps)
     survived = int(np.count_nonzero(out.alive))
     capped = int(np.count_nonzero(out.capped))
-    return SurvivalEstimate.binomial(survived / n_reps, n_reps, capped / n_reps)
+    return Estimate.binomial(survived / n_reps, n_reps, capped / n_reps)
 
 
 @dataclass(frozen=True)
@@ -809,20 +809,13 @@ def moment_identity_check(params: BRWParams, fields, t: float, n_reps: int, seed
     return checks
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
-    slope: float
-    std_err: float
-    n_survivors: int
-    cap_fraction: float
-
-
 def growth_rate(params: BRWParams, horizon: float, n_reps: int, seed: int,
-                *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000)) -> GrowthEstimate | None:
+                *, caps: Caps = Caps(max_alive=10_000, max_events=5_000_000)) -> Estimate | None:
     """Mean least-squares slope of log population over each survivor's tail window.
 
     The window is the last half of the replica's observed span
-    (capped runs end at the cap time).  Returns None when no replica survives.
+    (capped runs end at the cap time).  Returns None when no replica survives;
+    otherwise the estimate's n counts the survivors whose slopes it averages.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be >= 1")
@@ -851,6 +844,5 @@ def growth_rate(params: BRWParams, horizon: float, n_reps: int, seed: int,
         return None
     arr = np.asarray(slopes)
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    return GrowthEstimate(slope=float(arr.mean()), std_err=se, n_survivors=len(arr),
-                          cap_fraction=capped / n_reps)
+    return Estimate(value=float(arr.mean()), std_err=se, n=len(arr), cap_fraction=capped / n_reps)
 

@@ -59,7 +59,7 @@ import numpy as np
 from . import boxes as boxes_mod
 from . import brw as brw_mod
 from . import gw_embed, orders, percolation, walk
-from .brw import BRWParams, Caps, offspring_pmf
+from .brw import BRWParams, Caps, Comparison, offspring_pmf
 from .env import DisasterField
 from .rng import derive_seed
 
@@ -178,7 +178,7 @@ def _echo(ns, fields) -> dict:
 def cmd_annealed(ns) -> tuple[list[dict], int]:
     est = walk.annealed_survival(ns.kappa, ns.alpha, ns.t, ns.n, ns.seed, dimension=ns.d)
     target = math.exp(-ns.alpha * ns.t)
-    z = (est.value - target) / est.std_err if est.std_err > 0 else 0.0
+    z = Comparison(est.value, est.std_err, target, 0.0).z
     rec = {"experiment": "annealed", **_echo(ns, ("seed", "kappa", "alpha", "d", "t", "n")),
            "value": est.value, "std_err": est.std_err, "target": target, "z": z,
            "ok": abs(z) <= 3.0}
@@ -190,7 +190,7 @@ def cmd_lyapunov(ns) -> tuple[list[dict], int]:
                                  ns.pin, ns.seed, dimension=ns.d)
     rec = {"experiment": "lyapunov",
            **_echo(ns, ("seed", "kappa", "alpha", "d", "t", "n_env", "n_walkers", "pin")),
-           "p_hat": est.p_hat, "std_err": est.std_err, "censor_fraction": est.censor_fraction}
+           "p_hat": est.value, "std_err": est.std_err, "censor_fraction": est.censor_fraction}
     return [rec], 0
 
 
@@ -245,19 +245,20 @@ def cmd_phase(ns) -> tuple[list[dict], int]:
 
 
 def _grid(text: str, name: str) -> list[float]:
+    """A comma-separated grid of rates or probabilities: finite values >= 0."""
     try:
         grid = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as e:
         raise ConfigError(f"{name}: bad grid {text!r}: {e}")
-    if not grid or not all(map(math.isfinite, grid)):
-        raise ConfigError(f"{name}: grid {text!r} must list one or more finite values")
+    if not grid or not all(math.isfinite(x) and x >= 0.0 for x in grid):
+        raise ConfigError(f"{name}: grid {text!r} must list one or more finite values >= 0")
     return grid
 
 
 def cmd_sweep(ns) -> tuple[list[dict], int]:
     if ns.p_grid:
         ps = _grid(ns.p_grid, "p_grid")
-        if not all(0.0 <= p <= 1.0 for p in ps):
+        if not all(p <= 1.0 for p in ps):
             raise ConfigError(f"p_grid: grid {ns.p_grid!r} must lie in [0, 1]")
         gen = np.random.default_rng(derive_seed(ns.seed, "sweep-perc"))
         uniforms = gen.random((ns.n_reps, ns.rows + 1, ns.rows + 1))
@@ -308,13 +309,13 @@ def cmd_boxes_fkg(ns) -> tuple[list[dict], int]:
     for b in range(ns.n_batches):
         est = boxes_mod.fkg_test(params, eta, eta, box, f, g, ns.n_reps,
                                  derive_seed(ns.seed, "fkg-batch", b))
-        sig = est.cov / est.std_err if est.std_err > 0 else 0.0
+        sig = Comparison(est.value, est.std_err, 0.0, 0.0).z
         worst = min(worst, sig)
         recs.append({"experiment": "boxes-fkg", "batch": b,
                      **_echo(ns, ("seed", "kappa", "lam", "q", "alpha", "d",
                                   "box_l", "box_t", "start_count", "f", "g", "n_reps",
                                   "n_batches")),
-                     "cov": est.cov, "std_err": est.std_err, "sigmas": sig})
+                     "cov": est.value, "std_err": est.std_err, "sigmas": sig})
     return recs, (0 if worst >= -3.0 else 3)
 
 
@@ -346,7 +347,7 @@ def cmd_perc(ns) -> tuple[list[dict], int]:
     if ns.dump:
         with open(ns.dump, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-    est = walk.SurvivalEstimate.binomial(survived / ns.n_reps, ns.n_reps)
+    est = walk.Estimate.binomial(survived / ns.n_reps, ns.n_reps)
     recs.append({"experiment": "perc", "mode": "brw-summary", "survival": est.value,
                  "std_err": est.std_err})
     return recs, 0

@@ -123,7 +123,7 @@ def phase_classify(params: BRWParams, t_lyap: float, n_env: int, n_walkers: int,
         raise ValueError("t_lyap must be > 0")
     lyap = estimate_lyapunov(params.jump_rate, params.disaster_rate, t_lyap, n_env,
                              n_walkers, False, seed, dimension=params.dimension)
-    value = params.birth_rate * (params.offspring_mean - 1.0) + lyap.p_hat
+    value = params.birth_rate * (params.offspring_mean - 1.0) + lyap.value
     if abs(value) <= 3.0 * lyap.std_err:
         verdict = "critical-band"
     elif value > 0:

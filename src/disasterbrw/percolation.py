@@ -22,7 +22,7 @@ import numpy as np
 from .brw import BRWParams, Box, Caps, CapTripped, Event, block_config, cube_sites, simulate
 from .env import DisasterField
 from .rng import as_generator, derive_seed
-from .walk import SurvivalEstimate
+from .walk import Estimate
 
 Site = tuple[int, ...]
 
@@ -219,7 +219,7 @@ def build_eta_from_brw(params: BRWParams, field, half_width: int, period: float,
 # ---------------------------------------------------------------------------
 
 def independent_perc(p: float, rows: int, n_reps: int, rng,
-                     uniforms: np.ndarray | None = None) -> SurvivalEstimate:
+                     uniforms: np.ndarray | None = None) -> Estimate:
     """Survival frequency of independent oriented site percolation.
 
     Every point except the origin is occupied independently with probability
@@ -235,7 +235,7 @@ def independent_perc(p: float, rows: int, n_reps: int, rng,
     if uniforms.shape != (n_reps, rows + 1, rows + 1):
         raise ValueError("uniforms shape mismatch")
     hits = int(oriented_closure(uniforms < p)[:, rows].any(axis=1).sum())
-    return SurvivalEstimate.binomial(hits / n_reps, n_reps)
+    return Estimate.binomial(hits / n_reps, n_reps)
 
 
 # ---------------------------------------------------------------------------

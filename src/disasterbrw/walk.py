@@ -2,9 +2,10 @@
 
 Provides quenched and annealed survival estimators on a vectorized
 walk-segment kernel, an exact solver for the quenched survival probability
-in dimension 1, the Lyapunov-exponent estimator for the decay rate of the
-quenched survival probability, and an environment-to-environment
-concentration profile of log-survival.
+in dimension 1, and the Lyapunov-exponent estimator for the decay rate of
+the quenched survival probability, whose std_err * sqrt(n_env) is the
+environment-to-environment spread of log S(t) / t.  Every (value,
+standard error, sample count) result of the package is an Estimate.
 
 Conventions
 -----------
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,31 +28,30 @@ from .rng import as_generator, derive_seed
 
 
 @dataclass(frozen=True)
-class SurvivalEstimate:
-    """A survival frequency over n_samples replicas; cap_fraction of them tripped a cap."""
+class Estimate:
+    """A Monte Carlo estimate of `value` with its standard error, from n samples.
+
+    cap_fraction is the share of replicas that tripped a population cap, and
+    censor_fraction the share of environments floored at the estimator's
+    resolution; both are 0 where the estimator has no such limit.
+    """
 
     value: float
-    n_samples: int
     std_err: float
+    n: int
     cap_fraction: float = 0.0
+    censor_fraction: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError("survival estimate outside [0, 1]")
         if self.std_err < 0.0:
             raise ValueError("negative standard error")
 
     @classmethod
-    def binomial(cls, value: float, n: int, cap_fraction: float = 0.0) -> "SurvivalEstimate":
+    def binomial(cls, value: float, n: int, cap_fraction: float = 0.0) -> "Estimate":
         """Frequency `value` of n independent trials, with its binomial standard error."""
-        return cls(value=value, n_samples=n, std_err=_binom_se(value, n), cap_fraction=cap_fraction)
-
-
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    p_hat: float
-    std_err: float
-    censor_fraction: float
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"frequency {value!r} outside [0, 1]")
+        return cls(value=value, std_err=_binom_se(value, n), n=n, cap_fraction=cap_fraction)
 
 
 def _binom_se(p: float, n: int) -> float:
@@ -273,7 +272,7 @@ def _hits(field, t: float, a: np.ndarray, b: np.ndarray, pos: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def estimate_survival(field, jump_rate: float, t: float, n_walkers: int,
-                      pin_to_origin: bool, rng) -> SurvivalEstimate:
+                      pin_to_origin: bool, rng) -> Estimate:
     """Fraction of independent walks in `field` surviving to t.
 
     With pin_to_origin, additionally requires the walk to sit at the origin
@@ -288,11 +287,11 @@ def estimate_survival(field, jump_rate: float, t: float, n_walkers: int,
     gen = as_generator(rng)
     survived, at_origin = _survival_batch(field, jump_rate, t, n_walkers, gen)
     ok = survived & at_origin if pin_to_origin else survived
-    return SurvivalEstimate.binomial(float(ok.mean()), n_walkers)
+    return Estimate.binomial(float(ok.mean()), n_walkers)
 
 
 def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
-                      n_samples: int, rng, dimension: int = 1) -> SurvivalEstimate:
+                      n_samples: int, rng, dimension: int = 1) -> Estimate:
     """Survival frequency when every walker gets a fresh environment.
 
     Each walker's occupancy windows partition [0, t] and are disjoint, so the
@@ -310,7 +309,7 @@ def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
         raise ValueError("dimension must be >= 1")
     gen = as_generator(rng)
     if disaster_rate == 0.0 or t == 0.0:
-        return SurvivalEstimate.binomial(1.0, n_samples)
+        return Estimate.binomial(1.0, n_samples)
     survived = np.ones(n_samples, dtype=bool)
 
     def per_chunk(lo, hi, times, _pad):
@@ -324,7 +323,7 @@ def annealed_survival(jump_rate: float, disaster_rate: float, t: float,
         survived[lo:hi] = ~(gen.random(p_hit.shape) < p_hit).any(axis=1)
 
     _jump_windows(gen, jump_rate, t, n_samples, per_chunk)
-    return SurvivalEstimate.binomial(float(survived.mean()), n_samples)
+    return Estimate.binomial(float(survived.mean()), n_samples)
 
 
 # Truncation error allowed next to the survival probability returned.
@@ -437,8 +436,11 @@ def exact_survival(field, jump_rate: float, t: float, pin: bool = False,
 
 def estimate_lyapunov(jump_rate: float, disaster_rate: float, t: float, n_env: int,
                       n_walkers: int, pin: bool, seed: int, dimension: int = 1,
-                      method: str = "direct") -> LyapunovEstimate:
-    """Average of (1/t) log S(t) over fresh environments.
+                      method: str = "direct") -> Estimate:
+    """Average of (1/t) log S(t) over n_env fresh environments.
+
+    The estimate's value is that average, and std_err * sqrt(n_env) is the
+    spread (ddof=1 std) of (1/t) log S(t) across the environments.
 
     method="direct" estimates S(t) in each environment by the surviving
     fraction of n_walkers simulated walks.  It resolves S only down to about
@@ -477,35 +479,6 @@ def estimate_lyapunov(jump_rate: float, disaster_rate: float, t: float, n_env: i
             log_s = math.log(floor)
             censored += 1
         logs[i] = log_s / t
-    p_hat = float(logs.mean())
     se = float(logs.std(ddof=1) / math.sqrt(n_env)) if n_env > 1 else 0.0
-    return LyapunovEstimate(p_hat=p_hat, std_err=se, censor_fraction=censored / n_env)
+    return Estimate(value=float(logs.mean()), std_err=se, n=n_env, censor_fraction=censored / n_env)
 
-
-@dataclass(frozen=True)
-class ConcentrationRow:
-    t: float
-    mean_log: float
-    std_log: float | None  # None for a single environment
-
-
-def concentration_profile(jump_rate: float, disaster_rate: float, t_list: Sequence[float],
-                          n_env: int, n_walkers: int, seed: int,
-                          dimension: int = 1) -> list[ConcentrationRow]:
-    """Mean and std of log S_hat(t) across environments, per requested t."""
-    for t in t_list:
-        _check_horizon(t, positive=True)
-    if n_env < 1 or n_walkers < 1:
-        raise ValueError("n_env and n_walkers must be >= 1")
-    floor = 1.0 / (2.0 * n_walkers)
-    rows = []
-    for j, t in enumerate(t_list):
-        logs = np.empty(n_env)
-        for i in range(n_env):
-            fld = DisasterField(derive_seed(seed, "conc-env", j, i), disaster_rate, dimension)
-            s_hat = estimate_survival(fld, jump_rate, t, n_walkers, False,
-                                      derive_seed(seed, "conc-walk", j, i)).value
-            logs[i] = math.log(s_hat if s_hat > 0.0 else floor)
-        std_log = float(logs.std(ddof=1)) if n_env > 1 else None
-        rows.append(ConcentrationRow(t=float(t), mean_log=float(logs.mean()), std_log=std_log))
-    return rows

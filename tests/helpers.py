@@ -359,14 +359,13 @@ def annealed_survival_via_field(jump_rate: float, disaster_rate: float, t: float
     """
     from disasterbrw.env import DisasterField
     from disasterbrw.rng import derive_seed
-    from disasterbrw.walk import SurvivalEstimate, _binom_se, _survival_batch
+    from disasterbrw.walk import Estimate, _survival_batch
 
     field = DisasterField(derive_seed(seed, "annealed-field"), disaster_rate, dimension + 1)
     gen = np.random.default_rng(derive_seed(seed, "annealed-walkers"))
     namespaces = np.arange(n_samples, dtype=np.int64)
     survived, _ = _survival_batch(field, jump_rate, t, n_samples, gen, namespaces=namespaces)
-    value = float(survived.mean())
-    return SurvivalEstimate(value=value, n_samples=n_samples, std_err=_binom_se(value, n_samples))
+    return Estimate.binomial(float(survived.mean()), n_samples)
 
 
 def enumerate_open_oracle(occupied: np.ndarray) -> np.ndarray:

@@ -7,9 +7,10 @@ far below what 10^4 walkers per environment resolve, so the direct
 estimator would floor every environment at 1/(2 n_walkers) and report that
 floor, not p(kappa).  Their cells are therefore computed with the exact
 quenched-survival solver (estimate_lyapunov(..., method="exact")) on the
-same environments, which censors nothing.  Criterion 04 still compares the
-direct estimator's pinned and unpinned cells and reports when both sit at
-the floor.
+same environments, which censors nothing.  Criterion 16 reads the spread of
+log S(t) / t up to t = 20 from the same solver.  Criterion 04 still compares
+the direct estimator's pinned and unpinned cells and reports when both sit
+at the floor.
 """
 
 import math
@@ -35,7 +36,7 @@ from disasterbrw.orders import (
     srw_ratio_bound_exhaustive,
 )
 from disasterbrw.percolation import bit_correlations, independent_perc, sample_occupancy_bits
-from disasterbrw.walk import annealed_survival, concentration_profile, estimate_lyapunov
+from disasterbrw.walk import annealed_survival, estimate_lyapunov
 
 SEED = 20_240_817
 BINARY = offspring_pmf({0: 0.5, 2: 0.5})
@@ -90,8 +91,8 @@ def lyap_table():
 
 def test_criterion_02_lyapunov_upper_bound(lyap_table):
     rows = {k: lyap_table[k] for k in (0.5, 2.0, 8.0)}
-    ok = all(e.p_hat <= -0.9 and e.censor_fraction < 0.2 for e in rows.values())
-    detail = "; ".join(f"k={k}: p_hat={e.p_hat:.4f} +- {e.std_err:.4f}, "
+    ok = all(e.value <= -0.9 and e.censor_fraction < 0.2 for e in rows.values())
+    detail = "; ".join(f"k={k}: p_hat={e.value:.4f} +- {e.std_err:.4f}, "
                        f"censor={e.censor_fraction:.2f}" for k, e in rows.items())
     line = report(2, "lyapunov-upper-bound", ok, detail)
     assert ok, line
@@ -99,11 +100,11 @@ def test_criterion_02_lyapunov_upper_bound(lyap_table):
 
 def test_criterion_03_lyapunov_limit_trends(lyap_table):
     slow, fast, faster = lyap_table[0.2], lyap_table[8.0], lyap_table[32.0]
-    ordering = slow.p_hat < fast.p_hat - 0.3
-    bounded = faster.p_hat >= -1.5
+    ordering = slow.value < fast.value - 0.3
+    bounded = faster.value >= -1.5
     ok = ordering and bounded
     line = report(3, "lyapunov-limit-trends", ok,
-                  f"p(0.2)={slow.p_hat:.4f}, p(8)={fast.p_hat:.4f}, p(32)={faster.p_hat:.4f}, "
+                  f"p(0.2)={slow.value:.4f}, p(8)={fast.value:.4f}, p(32)={faster.value:.4f}, "
                   f"censor=({slow.censor_fraction:.2f},{fast.censor_fraction:.2f},"
                   f"{faster.censor_fraction:.2f})")
     assert ok, line
@@ -111,7 +112,7 @@ def test_criterion_03_lyapunov_limit_trends(lyap_table):
 
 def test_criterion_04_pinned_equals_unpinned_rate(lyap_table):
     un, pin = lyap_table["direct2"], lyap_table["pin2"]
-    diff = abs(pin.p_hat - un.p_hat)
+    diff = abs(pin.value - un.value)
     tol = 0.15 + 3 * math.hypot(pin.std_err, un.std_err)
     ok = diff <= tol
     vacuous = un.censor_fraction == 1.0 and pin.censor_fraction == 1.0
@@ -176,10 +177,10 @@ def test_criterion_07_phase_coherence():
 def test_criterion_08_exponential_growth():
     est = growth_rate(SUPER, 12.0, 40, SEED + 600,
                       caps=Caps(max_alive=10_000, max_events=10**7))
-    ok = est is not None and est.slope > 3 * est.std_err
+    ok = est is not None and est.value > 3 * est.std_err
     line = report(8, "exponential-growth", ok,
                   "no survivors" if est is None else
-                  f"slope={est.slope:.3f} +- {est.std_err:.3f} over {est.n_survivors} survivors")
+                  f"slope={est.value:.3f} +- {est.std_err:.3f} over {est.n} survivors")
     assert ok, line
 
 
@@ -284,7 +285,7 @@ def test_criterion_14_fkg_one_sided():
         for name, f, g in suite:
             est = fkg_test(params, eta, eta, box, f, g, 200, SEED + 800 + b)
             if est.std_err > 0:
-                worst = min(worst, est.cov / est.std_err)
+                worst = min(worst, est.value / est.std_err)
     ok = worst >= -3.0
     line = report(14, "fkg-one-sided", ok, f"worst cov/sigma={worst:.2f} over 60 estimates")
     assert ok, line
@@ -324,15 +325,18 @@ def test_criterion_15_percolation_sanity():
 # ---------------------------------------------------------------------------
 
 def test_criterion_16_concentration_trend():
-    rows = concentration_profile(2.0, 1.0, [5.0, 10.0, 20.0], 150, 10_000, SEED + 950)
-    norm = [r.std_log / r.t for r in rows]
-
-    def band(r):  # sampling error of a std estimate
-        return (r.std_log / r.t) / math.sqrt(2 * (150 - 1))
-
-    ok = (norm[1] <= norm[0] + 2 * band(rows[0])) and (norm[2] <= norm[1] + 2 * band(rows[1]))
+    # std of log S(t) / t across environments: std_err * sqrt(n_env) of the exact
+    # estimate, which must censor nothing, or a floored row would pass trivially
+    n_env = 150
+    rows = [estimate_lyapunov(2.0, 1.0, t, n_env, 10_000, False, SEED + 950, method="exact")
+            for t in (5.0, 10.0, 20.0)]
+    norm = [e.std_err * math.sqrt(n_env) for e in rows]
+    band = [v / math.sqrt(2 * (n_env - 1)) for v in norm]  # sampling error of a std estimate
+    uncensored = all(e.censor_fraction == 0.0 for e in rows)
+    ok = uncensored and norm[1] <= norm[0] + 2 * band[0] and norm[2] <= norm[1] + 2 * band[1]
     line = report(16, "concentration-trend", ok,
-                  "std/t = " + ", ".join(f"{v:.4f}" for v in norm))
+                  "std/t = " + ", ".join(f"{v:.4f}" for v in norm) +
+                  "; censor = " + ", ".join(f"{e.censor_fraction:.2f}" for e in rows))
     assert ok, line
 
 

@@ -249,7 +249,7 @@ def test_fkg_constant_functional_zero_covariance():
     const = lambda tv, fv: 1.0
     total = lambda tv, fv: float(sum(tv) + sum(fv))
     est = fkg_test(params, {(0,): 1}, {(0,): 1}, box, const, total, 300, 31)
-    assert est.cov == 0.0
+    assert est.value == 0.0
 
 
 def test_fkg_no_disasters_independent_trees():
@@ -257,7 +257,7 @@ def test_fkg_no_disasters_independent_trees():
     box = SpaceTimeBox(3, 1.0, 1)
     total = lambda tv, fv: float(sum(tv) + sum(fv))
     est = fkg_test(params, {(0,): 1}, {(0,): 1}, box, total, total, 600, 37)
-    assert abs(est.cov) <= 3 * est.std_err
+    assert abs(est.value) <= 3 * est.std_err
 
 
 def test_fkg_shared_disasters_positive():
@@ -265,8 +265,8 @@ def test_fkg_shared_disasters_positive():
     box = SpaceTimeBox(3, 1.0, 1)
     total = lambda tv, fv: float(sum(tv) + sum(fv))
     est = fkg_test(params, {(0,): 2}, {(0,): 2}, box, total, total, 600, 41)
-    assert est.cov >= -3 * est.std_err
-    assert est.cov > 0  # at this scale the positive signal is clear
+    assert est.value >= -3 * est.std_err
+    assert est.value > 0  # at this scale the positive signal is clear
 
 
 def test_fkg_batch_matches_heap_loop_oracle_trees(monkeypatch):
@@ -283,7 +283,7 @@ def test_fkg_batch_matches_heap_loop_oracle_trees(monkeypatch):
     total = lambda tv, fv: float(tv.sum() + fv.sum())
     want = fkg_test(params, {(0,): 2}, {(0,): 2}, box, total, total, 60, derive_seed(7, "fkg-batch", 0))
     assert got == want
-    assert got.cov != 0.0 and got.mean_f > 0.0
+    assert got.value != 0.0
 
 
 def test_fkg_rejects_boundary_start():

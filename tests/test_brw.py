@@ -266,7 +266,7 @@ def test_growth_rate_galton_watson_slope():
     params = BRWParams(0.0, 1.0, ALWAYS_TWO, 0.0, 1)
     est = growth_rate(params, 8.0, 60, 13, caps=Caps(max_alive=5000, max_events=10**6))
     assert est is not None
-    assert abs(est.slope - 1.0) < 0.05  # birth_rate*(m-1) = 1
+    assert abs(est.value - 1.0) < 0.05  # birth_rate*(m-1) = 1
 
 
 def test_growth_rate_subcritical_none():
@@ -277,8 +277,8 @@ def test_growth_rate_subcritical_none():
 def test_growth_rate_supercritical_positive():
     params = BRWParams(2.0, 2.0, ALWAYS_TWO, 1.0, 1)
     est = growth_rate(params, 12.0, 40, 17, caps=Caps(max_alive=3000, max_events=10**6))
-    assert est is not None and est.n_survivors >= 10
-    assert est.slope > 3 * est.std_err
+    assert est is not None and est.n >= 10
+    assert est.value > 3 * est.std_err
 
 
 def _fkg_total(params, n_reps, seed):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from disasterbrw import cli, walk
-from disasterbrw.walk import SurvivalEstimate
+from disasterbrw.walk import Estimate
 
 
 def run_cli(argv, tmp_path, name="out.csv"):
@@ -80,10 +80,11 @@ def test_bad_grid_is_config_error(grid, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.brw_mod, "survival_frequency", run)
     monkeypatch.setattr(cli.percolation, "independent_perc", run)
+    dest = grid[0].split("=", 1)[0][2:].replace("-", "_")
     # a percolation grid reads no model flags, so it is given none
-    model = [] if grid[0] == "--p-grid" else ["--q", "2:1", "--horizon", "1"]
+    model = [] if dest == "p_grid" else ["--q", "2:1", "--horizon", "1"]
     assert cli.main(["sweep", "--seed", "1", *model, "--n-reps", "3", *grid]) == 1
-    _one_config_error_line(capsys)
+    assert _one_config_error_line(capsys).startswith(f"config error: {dest}: ")
 
 
 def test_model_flags_only_where_they_are_read(capsys):
@@ -160,7 +161,7 @@ def test_annealed_hits_target_and_exit_zero(tmp_path):
 def test_annealed_statistical_failure_exit_three(tmp_path, monkeypatch):
     # force a biased estimate through the seam to exercise the exit code
     def biased(*a, **k):
-        return SurvivalEstimate(value=0.5, n_samples=10_000, std_err=0.005)
+        return Estimate(value=0.5, std_err=0.005, n=10_000)
 
     monkeypatch.setattr(walk, "annealed_survival", biased)
     code = cli.main(["annealed", "--seed", "1", "--t", "1", "--n", "100",

@@ -7,10 +7,11 @@ from scipy import stats
 
 from disasterbrw import walk
 from disasterbrw.env import DisasterField
+from disasterbrw.rng import derive_seed
 from disasterbrw.walk import (
+    Estimate,
     _exact_survival_in_box,
     annealed_survival,
-    concentration_profile,
     estimate_lyapunov,
     estimate_survival,
     exact_survival,
@@ -339,11 +340,24 @@ def test_annealed_rejects_bad_rates_before_any_draw(which, bad):
     assert gen.bit_generator.state == before
 
 
+# -- Estimate --------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+def test_binomial_estimate_rejects_frequency_outside_unit_interval(value):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        Estimate.binomial(value, 10)
+
+
+def test_estimate_rejects_negative_std_err():
+    with pytest.raises(ValueError, match="negative standard error"):
+        Estimate(value=-1.2, std_err=-0.1, n=10)
+
+
 # -- estimate_lyapunov ----------------------------------------------------------
 
 def test_lyapunov_no_disasters_exactly_zero():
     est = estimate_lyapunov(1.0, 0.0, 2.0, 20, 100, False, 5)
-    assert est.p_hat == 0.0
+    assert est.value == 0.0 and est.std_err == 0.0 and est.n == 20
     assert est.censor_fraction == 0.0
 
 
@@ -352,7 +366,7 @@ def test_lyapunov_one_sided_bound_feasible_horizon():
     # holds already at small horizons
     est = estimate_lyapunov(2.0, 1.0, 3.0, 60, 2000, False, 61)
     assert est.censor_fraction < 0.2
-    assert est.p_hat <= -0.9 + 3 * est.std_err
+    assert est.value <= -0.9 + 3 * est.std_err
 
 
 def test_lyapunov_frozen_walker_heavily_censored():
@@ -365,6 +379,27 @@ def test_lyapunov_requires_positive_time():
         estimate_lyapunov(1.0, 1.0, 0.0, 2, 10, False, 1)
 
 
+def test_lyapunov_refuses_no_environment_or_walker_before_any_draw(monkeypatch):
+    monkeypatch.setattr(walk, "estimate_survival", None)
+    monkeypatch.setattr(walk, "exact_survival", None)
+    for method in ("direct", "exact"):
+        for n_env, n_walkers in ((0, 50), (1, 0), (-1, 50)):
+            with pytest.raises(ValueError, match="n_env and n_walkers must be >= 1"):
+                estimate_lyapunov(1.0, 1.0, 1.0, n_env, n_walkers, False, 3, method=method)
+
+
+def test_exact_lyapunov_spread_is_std_of_log_survival():
+    # std_err * sqrt(n_env) is the environment-to-environment spread of log S(t) / t
+    # that the concentration criterion reads
+    t, n_env, seed = 3.0, 6, 23
+    est = estimate_lyapunov(2.0, 1.0, t, n_env, 100, False, seed, method="exact")
+    logs = np.array([exact_survival(DisasterField(derive_seed(seed, "lyapunov-env", i), 1.0, 1),
+                                    2.0, t)[0] / t for i in range(n_env)])
+    assert est.censor_fraction == 0.0 and est.n == n_env
+    assert est.value == pytest.approx(logs.mean(), rel=1e-12)
+    assert est.std_err * math.sqrt(n_env) == pytest.approx(logs.std(ddof=1), rel=1e-12)
+
+
 # -- bad horizons ------------------------------------------------------------------
 
 # entry point -> call(field, t); the field is warm (site 0 already materialized),
@@ -375,7 +410,6 @@ _HORIZON_CALLS = {
     "annealed_survival": lambda f, t: annealed_survival(2.0, 1.0, t, 10, 1),
     "exact_survival": lambda f, t: exact_survival(f, 2.0, t),
     "estimate_lyapunov": lambda f, t: estimate_lyapunov(2.0, 1.0, t, 2, 10, False, 1),
-    "concentration_profile": lambda f, t: concentration_profile(2.0, 1.0, [1.0, t], 2, 10, 1),
 }
 
 
@@ -390,7 +424,7 @@ def test_walk_entry_points_reject_bad_horizons_before_any_stream(call, t):
     assert {k: (s.next_ctr, s.last) for k, s in field._streams.items()} == before
 
 
-@pytest.mark.parametrize("call", ["estimate_lyapunov", "concentration_profile"])
+@pytest.mark.parametrize("call", ["estimate_lyapunov"])
 def test_walk_averages_over_fields_reject_zero_horizon(call):
     with pytest.raises(ValueError, match="t must be finite and > 0"):
         _HORIZON_CALLS[call](None, 0.0)
@@ -447,9 +481,9 @@ def test_exact_lyapunov_no_disasters(pin):
     target = math.log(series_return_probability(1.5, 2.0)) / 2.0 if pin else 0.0
     assert est.censor_fraction == 0.0 and est.std_err == 0.0
     if pin:
-        assert abs(est.p_hat - target) < 1e-12
+        assert abs(est.value - target) < 1e-12
     else:
-        assert est.p_hat == 0.0
+        assert est.value == 0.0
 
 
 def test_exact_lyapunov_frozen_walker_censored():
@@ -463,28 +497,3 @@ def test_lyapunov_rejects_bad_method(kwargs):
     with pytest.raises(ValueError):
         estimate_lyapunov(1.0, 1.0, 1.0, 2, 10, False, 1, **kwargs)
 
-
-# -- concentration_profile -------------------------------------------------------
-
-def test_concentration_no_disasters_zero_std():
-    rows = concentration_profile(1.0, 0.0, [1.0, 2.0], 10, 50, 3)
-    for row in rows:
-        assert row.std_log == 0.0
-
-
-def test_concentration_single_environment_flagged(monkeypatch):
-    rows = concentration_profile(1.0, 1.0, [1.0], 1, 50, 3)
-    assert rows[0].std_log is None
-    # no environment or no walker is refused before any draw
-    monkeypatch.setattr(walk, "estimate_survival", None)
-    for n_env, n_walkers in ((0, 50), (1, 0), (-1, 50)):
-        with pytest.raises(ValueError, match="n_env and n_walkers must be >= 1"):
-            concentration_profile(1.0, 1.0, [1.0], n_env, n_walkers, 3)
-
-
-def test_concentration_normalized_std_trend():
-    rows = concentration_profile(2.0, 1.0, [2.0, 4.0], 60, 4000, 71)
-    r2, r4 = rows
-    # normalized fluctuations shrink with the horizon (2-sigma slack)
-    se = (r2.std_log / 2.0) / math.sqrt(2 * 59)
-    assert r4.std_log / 4.0 <= r2.std_log / 2.0 + 2 * se
